@@ -4,7 +4,7 @@
 same live-cell machinery as
 :func:`repro.experiments.runner._run_live` — tracer, system, fault
 plan, workload — but threads a :class:`~repro.check.tiebreak.TieBreaker`
-into the simulator's choice lane, then audits the run with *every*
+into the simulator's dispatch loop, then audits the run with *every*
 oracle: the four :class:`~repro.faults.invariants.InvariantChecker`
 invariants plus the :mod:`repro.check.oracles` pair.
 

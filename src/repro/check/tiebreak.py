@@ -2,7 +2,7 @@
 
 The simulator consults :meth:`TieBreaker.choose` whenever a timestamp
 bucket holds two or more live entries (see
-:meth:`repro.sim.core.Simulator._run_choice`). Candidates are presented
+:attr:`repro.sim.core.Simulator.tie_breaker`). Candidates are presented
 in legacy FIFO order, so index 0 always reproduces the unexplored
 schedule. Every strategy records the *realized decision trace* — one
 ``(arity, choice)`` pair per consulted choice point — which is the
@@ -53,7 +53,7 @@ class TieBreaker:
 class FifoTieBreaker(TieBreaker):
     """The default order, explicitly: index 0 at every choice point.
 
-    Driving the choice lane with this strategy reproduces the legacy
+    Driving the simulator with this strategy reproduces the legacy
     ``(time, seq)`` dispatch exactly — the property the scheduler
     extraction is held to.
     """

@@ -60,9 +60,6 @@ _PENDING = object()
 OK = "ok"
 ERR = "error"
 
-_OK = OK
-_ERR = ERR
-
 #: How long (seconds) to keep draining a finished/terminated worker's
 #: queue for results that were in flight when it stopped.
 _DRAIN_BUDGET_S = 0.25
@@ -207,9 +204,6 @@ def run_cell(cell):
     )
 
 
-_run_cell = run_cell
-
-
 def record_engine_metrics(metrics, engine):
     """Fold an engine's (and its cache's) counters into a registry.
 
@@ -250,9 +244,9 @@ def _chunk_worker(chunk, out_queue, task_fn, beat_interval_s=None):
             try:
                 result = task_fn(cell)
             except BaseException as exc:
-                out_queue.put((index, _ERR, (type(exc).__name__, str(exc))))
+                out_queue.put((index, ERR, (type(exc).__name__, str(exc))))
             else:
-                out_queue.put((index, _OK, result))
+                out_queue.put((index, OK, result))
     finally:
         if stop_beats is not None:
             stop_beats.set()
@@ -271,9 +265,6 @@ def cell_id(cell, index):
     if app is not None:
         return "{}/{}#{}".format(app, getattr(cell, "config", "?"), index)
     return "cell#{}".format(index)
-
-
-_cell_id = cell_id
 
 
 def _fork_context():
@@ -429,12 +420,12 @@ class ExperimentEngine:
                     self.stats.cache_hits += 1
                     if self.journal is not None:
                         self.journal.record_completed(
-                            _cell_id(cell, index), index=index, key=key,
+                            cell_id(cell, index), index=index, key=key,
                             cached=True,
                         )
                     continue
             pending.append(index)
-        task = task_fn or _run_cell
+        task = task_fn or run_cell
         if pending:
             context = _fork_context()
             if self.workers > 1 and len(pending) > 1 and context is not None:
@@ -558,7 +549,7 @@ class ExperimentEngine:
                 self._raise_interrupted(results)
             cell = cells[index]
             if journal is not None:
-                journal.record_dispatched(_cell_id(cell, index), index=index)
+                journal.record_dispatched(cell_id(cell, index), index=index)
             try:
                 result = task(cell)
             except Exception as exc:
@@ -569,7 +560,7 @@ class ExperimentEngine:
                 self.stats.failures += 1
                 if journal is not None:
                     journal.record_failed_permanent(
-                        _cell_id(cell, index), index=index, kind="error",
+                        cell_id(cell, index), index=index, kind="error",
                         message="{}: {}".format(
                             type(exc).__name__, exc
                         ),
@@ -583,7 +574,7 @@ class ExperimentEngine:
                     self._cache_store(key, result)
                 if journal is not None:
                     journal.record_completed(
-                        _cell_id(cell, index), index=index, key=key,
+                        cell_id(cell, index), index=index, key=key,
                     )
                 self._note_completion(results)
 
@@ -626,7 +617,7 @@ class ExperimentEngine:
         def record(index, status, payload):
             if results[index] is not _PENDING:
                 return  # late duplicate from a terminated worker
-            if status == _OK:
+            if status == OK:
                 results[index] = payload
                 self.stats.executed += 1
                 key = None
@@ -635,7 +626,7 @@ class ExperimentEngine:
                     self._cache_store(key, payload)
                 if journal is not None:
                     journal.record_completed(
-                        _cell_id(cells[index], index), index=index, key=key,
+                        cell_id(cells[index], index), index=index, key=key,
                     )
                 self._note_completion(results)
             else:
@@ -650,7 +641,7 @@ class ExperimentEngine:
                     # A raising cell is deterministic — never retried —
                     # so an error here is already permanent.
                     journal.record_failed_permanent(
-                        _cell_id(cells[index], index), index=index,
+                        cell_id(cells[index], index), index=index,
                         kind="error",
                         message="{}: {}".format(error_type, message),
                         attempts=attempts[index],
@@ -697,7 +688,7 @@ class ExperimentEngine:
                 self.cell_retry_delays.setdefault(index, []).append(delay)
                 if journal is not None:
                     journal.record_failed(
-                        _cell_id(cell, index), index=index, kind=kind,
+                        cell_id(cell, index), index=index, kind=kind,
                         message=message, attempt=attempts[index],
                     )
                 attempts[index] += 1
@@ -710,7 +701,7 @@ class ExperimentEngine:
                 self.stats.failures += 1
                 if journal is not None:
                     journal.record_failed_permanent(
-                        _cell_id(cell, index), index=index, kind=kind,
+                        cell_id(cell, index), index=index, kind=kind,
                         message=message, attempts=attempts[index],
                         retry_delays=self.cell_retry_delays.get(index, []),
                     )
@@ -742,7 +733,7 @@ class ExperimentEngine:
                 if journal is not None:
                     for index, cell in chunk:
                         journal.record_dispatched(
-                            _cell_id(cell, index), index=index,
+                            cell_id(cell, index), index=index,
                             attempt=attempts[index],
                         )
                 active.append(_WorkerState(

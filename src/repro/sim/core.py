@@ -18,7 +18,7 @@ Two kinds of entry live in a bucket:
 * a bare resume callable — the non-cancellable fast lane used by
   :class:`~repro.sim.process.Process` for plain integer-delay yields
   (``yield 40``), invoked as ``entry(None, None)``. These cannot be
-  cancelled, so the dispatch loop skips every cancellation check for
+  cancelled, so the dispatch loops skip the cancellation check for
   them.
 
 A bucket holding a single entry is stored as the entry itself rather
@@ -26,6 +26,14 @@ than a one-element list (most timestamps only ever receive one
 callback); it is promoted to a list on the second insertion at the same
 time. Entries are Handles or callables, never lists, so
 ``bucket.__class__ is list`` distinguishes the representations.
+
+Two loops dispatch the queue. :meth:`Simulator.run` with no horizon,
+event budget, trace hook or tie-breaker — the only mode the campaign
+runner uses — is a full drain with no per-callback checks that walks a
+list bucket with a head cursor. Every other mode (``until``,
+``max_events``, a trace hook, a :attr:`Simulator.tie_breaker`, and
+:meth:`Simulator.step`) runs the one instrumented loop, which pops each
+entry off its bucket as it dispatches it.
 
 Everything else in the package — coherence transactions, CPU sleep
 transitions, barrier releases — is expressed as callbacks or as
@@ -109,7 +117,10 @@ class Simulator:
           invisibly, which makes wake-race debugging misleading: the
           loser of a hybrid wake-up race looks like it never existed.
         * The clock is **not** advanced for a cancelled skip, and the
-          hook may observe the same cancelled handle only once.
+          hook may observe the same cancelled handle only once. A
+          cancelled entry is dequeued when it reaches the head of its
+          bucket, so the hook sees both streams interleaved in the
+          legacy ``(time, seq)`` heap's order.
 
         Hooks that want both streams simply declare
         ``def hook(now, fn, args, cancelled=False)``.
@@ -129,9 +140,10 @@ class Simulator:
         # schedule order; the heap orders the distinct times only.
         self._buckets = {}
         self._times = []
-        # Consumption cursor into the earliest bucket, so a partially
-        # drained bucket survives step()/run() interleaving and
-        # exceptions raised by callbacks.
+        # The full drain's consumption cursor into the earliest bucket,
+        # so a bucket it leaves partly drained (a callback raised)
+        # resumes in place; the instrumented loop pops entries instead
+        # and trims what the cursor marks consumed.
         self._head_time = None
         self._head_index = 0
         self._now = 0
@@ -150,10 +162,11 @@ class Simulator:
         #: Optional tie-break strategy (see :mod:`repro.check.tiebreak`)
         #: consulted whenever a bucket holds two or more live entries:
         #: ``tie_breaker.choose(time, candidates)`` returns the index of
-        #: the entry to dispatch next. ``None`` (the default) keeps the
-        #: legacy FIFO ``(time, seq)`` order through the unchanged fast
-        #: lanes — bit-for-bit, as the golden-trace corpus requires. The
-        #: flag is checked once per :meth:`run` call, never per event.
+        #: the entry to dispatch next, among the bucket's live entries
+        #: in schedule order. ``None`` (the default) dispatches in the
+        #: legacy FIFO ``(time, seq)`` order — bit-for-bit, as the
+        #: golden-trace corpus requires. The attribute is read once per
+        #: :meth:`run` or :meth:`step` call, never per event.
         self.tie_breaker = None
 
     @property
@@ -204,26 +217,6 @@ class Simulator:
             buckets[time] = [bucket, entry]
         return entry
 
-    def _schedule_fast(self, delay, resume):
-        """Fast lane for process resumes: non-cancellable, no Handle.
-
-        ``delay`` must be a validated non-negative int; ``resume`` is
-        invoked as ``resume(None, None)`` at the deadline. Consumes one
-        dequeue slot in exactly the position a ``schedule()`` call here
-        would, so fast-lane and Handle scheduling interleave with
-        identical ordering.
-        """
-        time = self._now + delay
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = resume
-            heapq.heappush(self._times, time)
-        elif bucket.__class__ is list:
-            bucket.append(resume)
-        else:
-            buckets[time] = [bucket, resume]
-
     def event(self):
         """Create a fresh, untriggered :class:`Event` bound to this simulator."""
         return Event(self)
@@ -236,74 +229,11 @@ class Simulator:
         """Start a generator process; returns its :class:`Process` event."""
         return Process(self, generator, name=name)
 
-    def _skip_cancelled(self, handle):
-        """Account (and optionally report) one cancelled dequeue."""
-        self.skipped_cancelled += 1
-        if self._trace_cancelled:
-            self._trace(handle.time, handle.fn, handle.args, cancelled=True)
-
-    def _open_bucket(self):
-        """Cursor into the earliest bucket: ``(time, bucket, index)``."""
-        time = self._times[0]
-        if time != self._head_time:
-            self._head_time = time
-            self._head_index = 0
-        return time, self._buckets[time], self._head_index
-
-    def _close_bucket(self, time):
-        """Drop an exhausted bucket and its heap entry."""
-        del self._buckets[time]
-        heapq.heappop(self._times)
-        self._head_time = None
-        self._head_index = 0
-
     def step(self):
         """Run the single earliest callback; returns False if queue is empty."""
-        while self._times:
-            time = self._times[0]
-            bucket = self._buckets[time]
-            if bucket.__class__ is not list:
-                # Singleton bucket: consume it before executing, exactly
-                # as a heap pop would.
-                del self._buckets[time]
-                heapq.heappop(self._times)
-                if bucket.__class__ is Handle:
-                    if bucket.cancelled:
-                        self._skip_cancelled(bucket)
-                        continue
-                    self._now = time
-                    if self._trace is not None:
-                        self._trace(time, bucket.fn, bucket.args)
-                    bucket.fn(*bucket.args)
-                else:
-                    self._now = time
-                    if self._trace is not None:
-                        self._trace(time, bucket, _FAST_ARGS)
-                    bucket(None, None)
-                self.executed += 1
-                return True
-            time, bucket, i = self._open_bucket()
-            while i < len(bucket):
-                entry = bucket[i]
-                i += 1
-                self._head_index = i
-                if entry.__class__ is Handle:
-                    if entry.cancelled:
-                        self._skip_cancelled(entry)
-                        continue
-                    self._now = time
-                    if self._trace is not None:
-                        self._trace(time, entry.fn, entry.args)
-                    entry.fn(*entry.args)
-                else:
-                    self._now = time
-                    if self._trace is not None:
-                        self._trace(time, entry, _FAST_ARGS)
-                    entry(None, None)
-                self.executed += 1
-                return True
-            self._close_bucket(time)
-        return False
+        if self._running:
+            raise SchedulingError("step() called re-entrantly")
+        return self._dispatch(None, None, True)
 
     def run(self, until=None, max_events=None):
         """Drain the event queue.
@@ -319,187 +249,47 @@ class Simulator:
         """
         if self._running:
             raise SchedulingError("run() called re-entrantly")
-        if until is not None:
-            until = operator.index(until)
-        if self.tie_breaker is not None:
-            return self._run_choice(until, max_events)
+        if (
+            until is not None
+            or max_events is not None
+            or self._trace is not None
+            or self.tie_breaker is not None
+        ):
+            if until is not None:
+                until = operator.index(until)
+            self._dispatch(until, max_events, False)
+            return
+        # The full drain — the campaign runner's main loop, with no
+        # per-callback checks. Local aliases keep it free of repeated
+        # attribute loads, and bucket open/close is inlined because
+        # nearly every callback sits in its own bucket.
         self._running = True
         executed = 0
-        # Local aliases keep the dispatch loop free of repeated
-        # attribute loads; the trace check below costs one local-load
-        # branch per callback on the tracer-disabled path. Bucket
-        # open/close is inlined (vs the step() helpers) for the same
-        # reason — nearly every callback sits in its own bucket.
         buckets = self._buckets
         times = self._times
-        trace = self._trace
-        trace_cancelled = self._trace_cancelled
         pop_time = heapq.heappop
         try:
-            if trace is None and max_events is None and until is None:
-                # Hottest lane: full drain (no tracing, no budget, no
-                # horizon) — the campaign runner's main loop. Same
-                # dispatch as below with every per-callback check gone.
-                while times:
-                    time = times[0]
-                    bucket = buckets[time]
-                    if bucket.__class__ is not list:
-                        del buckets[time]
-                        pop_time(times)
-                        if bucket.__class__ is Handle:
-                            if bucket.cancelled:
-                                self.skipped_cancelled += 1
-                                continue
-                            self._now = time
-                            bucket.fn(*bucket.args)
-                        else:
-                            self._now = time
-                            bucket(None, None)
-                        executed += 1
-                        continue
-                    if time != self._head_time:
-                        self._head_time = time
-                        self._head_index = 0
-                    i = self._head_index
-                    while i < len(bucket):
-                        entry = bucket[i]
-                        i += 1
-                        self._head_index = i
-                        if entry.__class__ is Handle:
-                            if entry.cancelled:
-                                self.skipped_cancelled += 1
-                                continue
-                            self._now = time
-                            entry.fn(*entry.args)
-                        else:
-                            self._now = time
-                            entry(None, None)
-                        executed += 1
-                    del buckets[time]
-                    pop_time(times)
-                    self._head_time = None
-                    self._head_index = 0
-                return
-            if trace is None and max_events is None:
-                # Production fast lane (no tracing, no event budget):
-                # the same dispatch with the per-callback trace and
-                # budget checks removed. Kept in lockstep with the
-                # general loop below.
-                while times:
-                    time = times[0]
-                    bucket = buckets[time]
-                    if bucket.__class__ is not list:
-                        if until is not None and time > until:
-                            if (
-                                bucket.__class__ is Handle
-                                and bucket.cancelled
-                            ):
-                                del buckets[time]
-                                pop_time(times)
-                                self.skipped_cancelled += 1
-                                continue
-                            if until > self._now:
-                                self._now = until
-                            return
-                        del buckets[time]
-                        pop_time(times)
-                        if bucket.__class__ is Handle:
-                            if bucket.cancelled:
-                                self.skipped_cancelled += 1
-                                continue
-                            self._now = time
-                            bucket.fn(*bucket.args)
-                        else:
-                            self._now = time
-                            bucket(None, None)
-                        executed += 1
-                        continue
-                    if time != self._head_time:
-                        self._head_time = time
-                        self._head_index = 0
-                    i = self._head_index
-                    if until is not None and time > until:
-                        if not self._drain_cancelled_head(time, bucket, i):
-                            continue
-                        if until > self._now:
-                            self._now = until
-                        return
-                    while i < len(bucket):
-                        entry = bucket[i]
-                        i += 1
-                        self._head_index = i
-                        if entry.__class__ is Handle:
-                            if entry.cancelled:
-                                self.skipped_cancelled += 1
-                                continue
-                            self._now = time
-                            entry.fn(*entry.args)
-                        else:
-                            self._now = time
-                            entry(None, None)
-                        executed += 1
-                    del buckets[time]
-                    pop_time(times)
-                    self._head_time = None
-                    self._head_index = 0
-                if until is not None and until > self._now:
-                    self._now = until
-                return
             while times:
                 time = times[0]
                 bucket = buckets[time]
                 if bucket.__class__ is not list:
-                    # Singleton bucket — the overwhelmingly common case.
-                    if until is not None and time > until:
-                        if bucket.__class__ is Handle and bucket.cancelled:
-                            del buckets[time]
-                            pop_time(times)
-                            self.skipped_cancelled += 1
-                            if trace_cancelled:
-                                trace(
-                                    time, bucket.fn, bucket.args,
-                                    cancelled=True,
-                                )
-                            continue
-                        if until > self._now:
-                            self._now = until
-                        return
                     del buckets[time]
                     pop_time(times)
                     if bucket.__class__ is Handle:
                         if bucket.cancelled:
                             self.skipped_cancelled += 1
-                            if trace_cancelled:
-                                trace(
-                                    time, bucket.fn, bucket.args,
-                                    cancelled=True,
-                                )
                             continue
                         self._now = time
-                        if trace is not None:
-                            trace(time, bucket.fn, bucket.args)
                         bucket.fn(*bucket.args)
                     else:
                         self._now = time
-                        if trace is not None:
-                            trace(time, bucket, _FAST_ARGS)
                         bucket(None, None)
                     executed += 1
-                    if max_events is not None and executed > max_events:
-                        raise SchedulingError(
-                            "exceeded max_events={}".format(max_events)
-                        )
                     continue
                 if time != self._head_time:
                     self._head_time = time
                     self._head_index = 0
                 i = self._head_index
-                if until is not None and time > until:
-                    if not self._drain_cancelled_head(time, bucket, i):
-                        continue
-                    if until > self._now:
-                        self._now = until
-                    return
                 while i < len(bucket):
                     entry = bucket[i]
                     i += 1
@@ -507,59 +297,44 @@ class Simulator:
                     if entry.__class__ is Handle:
                         if entry.cancelled:
                             self.skipped_cancelled += 1
-                            if trace_cancelled:
-                                trace(
-                                    time, entry.fn, entry.args,
-                                    cancelled=True,
-                                )
                             continue
                         self._now = time
-                        if trace is not None:
-                            trace(time, entry.fn, entry.args)
                         entry.fn(*entry.args)
                     else:
                         self._now = time
-                        if trace is not None:
-                            trace(time, entry, _FAST_ARGS)
                         entry(None, None)
                     executed += 1
-                    if max_events is not None and executed > max_events:
-                        raise SchedulingError(
-                            "exceeded max_events={}".format(max_events)
-                        )
                 del buckets[time]
                 pop_time(times)
                 self._head_time = None
                 self._head_index = 0
-            if until is not None and until > self._now:
-                self._now = until
         finally:
             self.executed += executed
             self._running = False
 
-    def _run_choice(self, until, max_events):
-        """Dispatch loop for choice mode (:attr:`tie_breaker` installed).
+    def _dispatch(self, until, max_events, single):
+        """The instrumented loop: every mode but :meth:`run`'s full drain.
 
-        Semantically equivalent to the default lanes — driven by the
-        FIFO strategy it reproduces the legacy ``(time, seq)`` order
-        exactly (``tests/test_scheduler_properties.py`` holds it to
-        that) — but every bucket holding two or more live entries asks
-        the installed strategy which one dispatches next. Only
+        Serves the ``until`` horizon, the ``max_events`` budget, the
+        trace hook, :attr:`tie_breaker` and :meth:`step` (``single``:
+        return True once one callback has executed; False means the
+        queue is empty). Dispatch follows the legacy ``(time, seq)``
+        heap's rule: a cancelled entry is consumed — counted, and
+        reported to a cancelled-aware trace hook — when it reaches the
+        head of its bucket, even past ``until``; otherwise the head
+        dispatches next.
+
+        With a tie-breaker, every bucket holding two or more live
+        entries is a choice point: the strategy picks one of them,
+        presented in schedule order, so always picking index 0
+        reproduces the FIFO order exactly
+        (``tests/test_scheduler_properties.py`` holds it to that). Only
         same-timestamp ties are permutable: choosing never moves an
         event in time, so every explored schedule is a legal ordering
         of the same event set. Same-timestamp children scheduled by the
-        executing callback land in the open bucket and join the next
-        round's candidate set.
-
-        Cancelled entries are filtered (and counted, and reported to a
-        cancelled-aware trace hook) eagerly each time the bucket is
-        inspected. Cancellation is one-way, so this is observationally
-        equivalent to the default lanes' dequeue-time accounting: the
-        final counters match; only the interleaving of skip accounting
-        with execution differs mid-bucket.
+        executing callback join the open bucket and the next round's
+        candidate set.
         """
-        if self._running:
-            raise SchedulingError("run() called re-entrantly")
         self._running = True
         chooser = self.tie_breaker
         buckets = self._buckets
@@ -574,51 +349,47 @@ class Simulator:
                 if bucket.__class__ is not list:
                     # Promote singletons: children scheduled at this
                     # time while the entry runs must join the bucket.
-                    bucket = [bucket]
-                    buckets[time] = bucket
-                if time != self._head_time:
-                    self._head_time = time
-                    self._head_index = 0
-                if self._head_index:
-                    # Entries before the cursor were already consumed
-                    # by the default lanes (mode switched mid-bucket).
+                    bucket = buckets[time] = [bucket]
+                elif time == self._head_time:
+                    # A callback raised out of the full drain: drop the
+                    # entries before its cursor, already consumed.
                     del bucket[: self._head_index]
+                    self._head_time = None
                     self._head_index = 0
-                # Filter cancelled entries, preserving schedule order
-                # among the survivors (the candidate list the strategy
-                # sees is indexed in legacy FIFO order).
-                live = 0
-                for entry in bucket:
-                    if entry.__class__ is Handle and entry.cancelled:
-                        self.skipped_cancelled += 1
-                        if trace_cancelled:
-                            trace(
-                                time, entry.fn, entry.args,
-                                cancelled=True,
-                            )
-                    else:
-                        bucket[live] = entry
-                        live += 1
-                del bucket[live:]
-                if not live:
+                while (
+                    bucket
+                    and bucket[0].__class__ is Handle
+                    and bucket[0].cancelled
+                ):
+                    entry = bucket.pop(0)
+                    self.skipped_cancelled += 1
+                    if trace_cancelled:
+                        trace(time, entry.fn, entry.args, cancelled=True)
+                if not bucket:
                     del buckets[time]
                     heapq.heappop(times)
-                    self._head_time = None
                     continue
                 if until is not None and time > until:
-                    if until > self._now:
-                        self._now = until
-                    return
-                if live == 1:
-                    choice = 0
-                else:
-                    choice = chooser.choose(time, tuple(bucket))
-                    if not 0 <= choice < live:
-                        raise SchedulingError(
-                            "tie breaker chose index {} of {} "
-                            "candidates at t={}".format(choice, live, time)
+                    break
+                index = 0
+                if chooser is not None and len(bucket) > 1:
+                    live = [
+                        i for i, entry in enumerate(bucket)
+                        if entry.__class__ is not Handle or not entry.cancelled
+                    ]
+                    if len(live) > 1:
+                        choice = chooser.choose(
+                            time, tuple([bucket[i] for i in live])
                         )
-                entry = bucket.pop(choice)
+                        if not 0 <= choice < len(live):
+                            raise SchedulingError(
+                                "tie breaker chose index {} of {} "
+                                "candidates at t={}".format(
+                                    choice, len(live), time
+                                )
+                            )
+                        index = live[choice]
+                entry = bucket.pop(index)
                 self._now = time
                 if entry.__class__ is Handle:
                     if trace is not None:
@@ -629,30 +400,15 @@ class Simulator:
                         trace(time, entry, _FAST_ARGS)
                     entry(None, None)
                 executed += 1
+                if single:
+                    return True
                 if max_events is not None and executed > max_events:
                     raise SchedulingError(
                         "exceeded max_events={}".format(max_events)
                     )
             if until is not None and until > self._now:
                 self._now = until
+            return False
         finally:
             self.executed += executed
             self._running = False
-
-    def _drain_cancelled_head(self, time, bucket, i):
-        """Consume cancelled entries at the head of a beyond-horizon bucket.
-
-        The legacy heap dequeued (and counted) cancelled callbacks even
-        past ``until`` as long as they were at the head; this preserves
-        that accounting. Returns True when a live callback was reached
-        (the caller must stop), False when the bucket was exhausted.
-        """
-        while i < len(bucket):
-            entry = bucket[i]
-            if entry.__class__ is not Handle or not entry.cancelled:
-                return True
-            i += 1
-            self._head_index = i
-            self._skip_cancelled(entry)
-        self._close_bucket(time)
-        return False

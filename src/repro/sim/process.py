@@ -25,7 +25,7 @@ return value, so processes can wait on each other (``yield other_process``).
 The pinned resume callbacks are also what the model checker permutes:
 when two processes are due at the same timestamp, their queued resume
 methods share a calendar-queue bucket, and ``repro check`` treats that
-bucket as a choice point (see :meth:`Simulator._run_choice`). The
+bucket as a choice point (see :attr:`Simulator.tie_breaker`). The
 :attr:`Process.name` attribute is how a candidate is labelled in
 witness output — ``repro.check.tiebreak.describe_entry`` renders a
 bound resume method as ``resume:<name>`` — so give long-lived
@@ -58,7 +58,7 @@ class Process(Event):
         self._wake_cb = self._wake
         # Start on the next scheduling round at the current time so that
         # spawning is side-effect free at the call site.
-        sim._schedule_fast(0, self._resume_cb)
+        sim._insert(sim._now, self._resume_cb)
 
     def _resume(self, value, exception):
         # The loop (rather than recursion through the event-callback
@@ -82,8 +82,8 @@ class Process(Event):
                 self.fail(exc)
                 return
             if target.__class__ is int and target >= 0:
-                # Inlined Simulator._schedule_fast — this is the single
-                # hottest statement in the simulator.
+                # Inlined Simulator._insert — this is the single hottest
+                # statement in the simulator.
                 sim = self.sim
                 time = sim._now + target
                 buckets = sim._buckets

@@ -8,12 +8,16 @@ interleavings against :class:`ReferenceScheduler` — a straight
 re-implementation of the legacy heap kept here in the test — and
 asserting the two produce identical logs and counters.
 
-Every dispatch lane of :meth:`Simulator.run` is exercised: the
-no-trace/no-until full drain, the ``until``-horizon lane (driven in
-small increments so buckets are repeatedly suspended and resumed
-mid-drain), the traced general loop, and the :meth:`Simulator.step`
-single-callback path. The randomized plans are built so timestamps
-collide heavily (list buckets), most timestamps stay unique (singleton
+The simulator has two dispatch loops: :meth:`Simulator.run`'s full
+drain, and one instrumented loop behind every other entry mode. One
+property check runs each plan through six entry modes: the full drain,
+:meth:`Simulator.step` one callback at a time, ``run(until=...)`` in
+small hops (so buckets are repeatedly suspended and resumed mid-drain),
+a cancelled-aware trace hook, and a FIFO tie-breaker and an empty
+:class:`~repro.check.tiebreak.ScheduleDriver` (both also hooked). In
+every hooked mode the hook's ordered stream of dequeues must equal the
+reference heap's. The randomized plans are built so timestamps collide
+heavily (list buckets), most timestamps stay unique (singleton
 buckets), callbacks schedule same-timestamp children into the bucket
 currently being drained, and cancellations race the dispatch head.
 """
@@ -49,7 +53,9 @@ class ReferenceScheduler:
 
     Ties break by global schedule-call order (``seq``); cancelled
     entries are dequeued, counted, and skipped — the exact semantics the
-    calendar queue must reproduce.
+    calendar queue must reproduce. :attr:`dequeues` logs every dequeue
+    in order as ``(id, cancelled)``, reading the id :func:`replay` tags
+    each callback with.
     """
 
     def __init__(self):
@@ -58,6 +64,7 @@ class ReferenceScheduler:
         self.now = 0
         self.executed = 0
         self.skipped_cancelled = 0
+        self.dequeues = []
 
     def schedule(self, delay, fn, *args):
         handle = _RefHandle(fn, args)
@@ -68,6 +75,7 @@ class ReferenceScheduler:
     def run(self):
         while self._heap:
             time, _seq, handle = heapq.heappop(self._heap)
+            self.dequeues.append((handle.fn.cb_id, handle.cancelled))
             if handle.cancelled:
                 self.skipped_cancelled += 1
                 continue
@@ -131,7 +139,9 @@ def replay(scheduler, roots, actions, precancelled):
 
     ``scheduler`` only needs ``schedule(delay, fn)`` returning an object
     with ``cancel()``, and a ``now`` attribute/property — satisfied by
-    both :class:`Simulator` and :class:`ReferenceScheduler`.
+    both :class:`Simulator` and :class:`ReferenceScheduler`. Each
+    callback carries its plan id as ``cb_id``, so dequeue streams can be
+    compared across schedulers.
     """
     log = []
     handles = {}
@@ -150,6 +160,7 @@ def replay(scheduler, roots, actions, precancelled):
                     if target is not None:
                         target.cancel()
 
+        callback.cb_id = cb_id
         return callback
 
     for delay, cb_id in roots:
@@ -168,125 +179,94 @@ def reference_outcome(seed):
 
 
 # ---------------------------------------------------------------------------
-# The interleaving property, once per dispatch lane.
+# The interleaving property, once per entry mode.
+
+#: Entry modes whose run installs the cancelled-aware trace hook.
+HOOKED_MODES = ("traced", "fifo", "driver")
+
+
+def check_entry_mode(mode, seed):
+    """Replay plan ``seed`` through one entry mode; hold it to the heap.
+
+    ``drain`` is :meth:`Simulator.run` with nothing instrumented (the
+    full-drain loop); every other mode runs the instrumented loop.
+    ``fifo`` and ``driver`` install a tie-breaker, which makes every
+    multi-entry bucket a choice point: with the FIFO strategy, or a
+    :class:`~repro.check.tiebreak.ScheduleDriver` with no forced
+    decisions (the empty decision string names the default schedule),
+    the realized schedule must be the legacy ``(time, seq)`` order
+    exactly. That equivalence keeps the golden-trace corpus valid while
+    ``repro check`` explores deviations from it.
+    """
+    from repro.check.tiebreak import FifoTieBreaker, ScheduleDriver
+
+    ref_log, reference = reference_outcome(seed)
+    roots, actions, precancelled = build_plan(seed)
+    dequeues = []
+
+    def hook(now, fn, args, cancelled=False):
+        dequeues.append((fn.cb_id, cancelled))
+
+    sim = Simulator(trace=hook if mode in HOOKED_MODES else None)
+    if mode == "fifo":
+        sim.tie_breaker = FifoTieBreaker()
+    elif mode == "driver":
+        sim.tie_breaker = ScheduleDriver(())
+    log = replay(sim, roots, actions, precancelled)
+    if mode == "step":
+        while sim.step():
+            pass
+    elif mode == "until":
+        horizon = 0
+        while sim.pending:
+            horizon += 3
+            assert horizon < 10**6, "runaway schedule"
+            sim.run(until=horizon)
+        sim.run()  # drain any trailing cancelled entries
+    else:
+        sim.run()
+    assert log == ref_log
+    assert sim.executed == reference.executed == len(log)
+    assert sim.skipped_cancelled == reference.skipped_cancelled
+    assert sim.pending == 0
+    if mode in HOOKED_MODES:
+        # The hook saw every dequeue exactly once, in the heap's order.
+        assert dequeues == reference.dequeues
+    if sim.tie_breaker is not None:
+        # Every consulted choice point recorded the FIFO pick.
+        assert sim.tie_breaker.trace
+        assert all(d == 0 for d in sim.tie_breaker.decisions)
+        assert all(a >= 2 for a in sim.tie_breaker.arities)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_drain_matches_reference_heap(seed):
-    """The hottest lane (no trace, no until, no budget) vs the heap."""
-    ref_log, reference = reference_outcome(seed)
-    roots, actions, precancelled = build_plan(seed)
-    sim = Simulator()
-    log = replay(sim, roots, actions, precancelled)
-    sim.run()
-    assert log == ref_log
-    assert sim.executed == reference.executed == len(log)
-    assert sim.skipped_cancelled == reference.skipped_cancelled
-    assert sim.pending == 0
+    check_entry_mode("drain", seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_stepped_drain_matches_reference_heap(seed):
-    """step() — one dequeue per call, buckets suspended between calls."""
-    ref_log, reference = reference_outcome(seed)
-    roots, actions, precancelled = build_plan(seed)
-    sim = Simulator()
-    log = replay(sim, roots, actions, precancelled)
-    while sim.step():
-        pass
-    assert log == ref_log
-    assert sim.executed == reference.executed
-    assert sim.skipped_cancelled == reference.skipped_cancelled
+    check_entry_mode("step", seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_incremental_until_matches_reference_heap(seed):
-    """run(until=...) in small hops: buckets paused/resumed mid-drain."""
-    ref_log, reference = reference_outcome(seed)
-    roots, actions, precancelled = build_plan(seed)
-    sim = Simulator()
-    log = replay(sim, roots, actions, precancelled)
-    horizon = 0
-    while sim.pending:
-        horizon += 3
-        assert horizon < 10**6, "runaway schedule"
-        sim.run(until=horizon)
-    sim.run()  # drain any trailing cancelled entries
-    assert log == ref_log
-    assert sim.executed == reference.executed
-    assert sim.skipped_cancelled == reference.skipped_cancelled
+    check_entry_mode("until", seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_traced_drain_matches_reference_heap(seed):
-    """The general (traced) loop, with the cancelled-aware hook."""
-    ref_log, reference = reference_outcome(seed)
-    roots, actions, precancelled = build_plan(seed)
-    observed = {"executed": 0, "cancelled": 0}
-
-    def hook(now, fn, args, cancelled=False):
-        if cancelled:
-            observed["cancelled"] += 1
-        else:
-            observed["executed"] += 1
-
-    sim = Simulator(trace=hook)
-    log = replay(sim, roots, actions, precancelled)
-    sim.run()
-    assert log == ref_log
-    assert sim.executed == reference.executed
-    assert sim.skipped_cancelled == reference.skipped_cancelled
-    # The hook saw every dequeue exactly once, both streams.
-    assert observed["executed"] == sim.executed
-    assert observed["cancelled"] == sim.skipped_cancelled
+    check_entry_mode("traced", seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fifo_tie_breaker_choice_lane_matches_reference_heap(seed):
-    """The choice lane under the default FIFO strategy IS the legacy
-    order.
-
-    Installing a tie-breaker routes dispatch through
-    ``Simulator._run_choice`` — every multi-entry bucket becomes a
-    choice point. With :class:`~repro.check.tiebreak.FifoTieBreaker`
-    (always pick candidate 0) the realized schedule must reproduce the
-    legacy ``(time, seq)`` heap order exactly, log and counters alike:
-    that equivalence is what keeps the golden-trace corpus valid while
-    ``repro check`` explores deviations from it.
-    """
-    from repro.check.tiebreak import FifoTieBreaker
-
-    ref_log, reference = reference_outcome(seed)
-    roots, actions, precancelled = build_plan(seed)
-    sim = Simulator()
-    sim.tie_breaker = FifoTieBreaker()
-    log = replay(sim, roots, actions, precancelled)
-    sim.run()
-    assert log == ref_log
-    assert sim.executed == reference.executed == len(log)
-    assert sim.skipped_cancelled == reference.skipped_cancelled
-    assert sim.pending == 0
+    check_entry_mode("fifo", seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_empty_schedule_driver_matches_reference_heap(seed):
-    """A :class:`~repro.check.tiebreak.ScheduleDriver` with no forced
-    decisions falls back to FIFO at every choice point — the empty
-    decision string names the default schedule."""
-    from repro.check.tiebreak import ScheduleDriver
-
-    ref_log, reference = reference_outcome(seed)
-    roots, actions, precancelled = build_plan(seed)
-    sim = Simulator()
-    sim.tie_breaker = ScheduleDriver(())
-    log = replay(sim, roots, actions, precancelled)
-    sim.run()
-    assert log == ref_log
-    assert sim.executed == reference.executed
-    assert sim.skipped_cancelled == reference.skipped_cancelled
-    # Every consulted choice point recorded the FIFO pick.
-    assert all(d == 0 for d in sim.tie_breaker.decisions)
-    assert all(a >= 2 for a in sim.tie_breaker.arities)
+    check_entry_mode("driver", seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -441,6 +421,22 @@ class TestCancellationEdgeCases:
         sim.run()
         assert log == ["c"]
         assert sim.now == 10
+
+    def test_live_list_head_beyond_until_keeps_cancelled_tail(self):
+        """A live head past the horizon stops the run before anything
+        behind it is dequeued, cancelled entries included."""
+        sim = Simulator()
+        log = []
+        sim.schedule(10, log.append, "a")
+        sim.schedule(10, log.append, "b").cancel()
+        sim.run(until=5)
+        assert sim.skipped_cancelled == 0
+        assert log == []
+        assert sim.now == 5
+        assert sim.pending == 1
+        sim.run()
+        assert log == ["a"]
+        assert sim.skipped_cancelled == 1
 
     def test_step_skips_cancelled_then_executes_next(self):
         sim = Simulator()

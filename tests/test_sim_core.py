@@ -143,3 +143,50 @@ def test_clock_never_goes_backward():
         sim.schedule(delay, lambda: times.append(sim.now))
     sim.run()
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("until", [None, 10])
+def test_step_inside_run_is_rejected(until):
+    """A callback may not step the queue it is being dispatched from:
+    the dispatch loop still holds its place in the bucket, so a nested
+    step() would run the next same-time entry twice."""
+    sim = Simulator()
+    log = []
+
+    def first():
+        log.append("a")
+        sim.step()
+
+    sim.schedule(5, first)
+    sim.schedule(5, log.append, "b")
+    with pytest.raises(SchedulingError):
+        sim.run(until=until)
+    assert log == ["a"]
+    # Resuming the interrupted bucket runs "b" once, and not "a" again.
+    assert sim.step() is True
+    assert log == ["a", "b"]
+    assert sim.step() is False
+    assert sim.executed == 1  # "a" raised before completing
+
+
+def test_step_honours_tie_breaker():
+    """Stepping a two-entry bucket under a driver makes the same choice,
+    and records the same decision, as run()."""
+    from repro.check.tiebreak import ScheduleDriver
+
+    def build():
+        sim = Simulator()
+        sim.tie_breaker = ScheduleDriver((1,))
+        log = []
+        sim.schedule(5, log.append, "a")
+        sim.schedule(5, log.append, "b")
+        return sim, log
+
+    ran, ran_log = build()
+    ran.run()
+    stepped, stepped_log = build()
+    while stepped.step():
+        pass
+    assert stepped_log == ran_log == ["b", "a"]
+    assert stepped.tie_breaker.trace == ran.tie_breaker.trace == [(2, 1)]
+    assert stepped.executed == ran.executed == 2
