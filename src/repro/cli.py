@@ -848,7 +848,8 @@ def main(argv=None):
         _emit(report.render_table1(rows, validation))
     if args.artifact in ("table2", "all"):
         rows = tables.table2_rows(
-            threads=args.threads, seed=args.seed, apps=args.apps
+            threads=args.threads, seed=args.seed, apps=args.apps,
+            cache=_cache_argument(args),
         )
         _emit(report.render_table2(rows))
     if args.artifact in ("table3", "all"):

@@ -5,9 +5,15 @@ The unit of work stays :func:`repro.experiments.runner.run_experiment`
 same :class:`~repro.experiments.runner.ExperimentResult` whether it runs
 in-process or in a worker. The engine adds, around that unit:
 
-* fan-out over ``multiprocessing`` fork workers with chunked dispatch
-  and result ordering that matches submission order regardless of
-  completion order;
+* dispatch by *unit*: one live simulation plus every pending cell that
+  reads it, so a Baseline cell and its Oracle-Halt and Ideal cells
+  simulate the Baseline once on every path (see
+  :func:`~repro.experiments.runner._shared_baseline`); every other cell
+  is a unit of its own;
+* fan-out over ``multiprocessing`` fork workers, one unit per dispatch
+  by default and, with the default task, the most costly units first,
+  with result ordering that matches submission order regardless of
+  dispatch or completion order;
 * an on-disk :class:`~repro.experiments.cache.ResultCache` so warm
   re-runs perform zero re-simulations;
 * robustness: a per-cell timeout with bounded retry, worker-crash
@@ -42,7 +48,13 @@ from repro.config import MachineConfig
 from repro.errors import CampaignInterrupted, ConfigError, ExperimentError
 from repro.experiments.cache import ResultCache, content_key
 from repro.experiments.preemption import DEFAULT_DRAIN_DEADLINE_S
-from repro.experiments.runner import DEFAULT_SEED
+from repro.experiments.runner import (
+    DEFAULT_SEED,
+    _BASELINE_READERS,
+    _baseline_key,
+    _shared_baseline,
+    _simulation_cost,
+)
 from repro.experiments.watchdog import (
     BEAT,
     BEAT_INDEX,
@@ -225,9 +237,45 @@ def record_engine_metrics(metrics, engine):
         metrics.counter("journal.corrupt_reads").inc(journal.corrupt_reads)
 
 
+def _units(cells, pending, share):
+    """Group pending cell indices into dispatch units, ordered by each
+    unit's first cell.
+
+    With ``share`` (the default task), the untraced ``baseline``,
+    ``oracle-halt`` and ``ideal`` cells of one (app, threads, seed,
+    machine config) form one unit, since they read one Baseline
+    simulation; every other cell is a unit of its own.
+    """
+    units = {}
+    for index in pending:
+        cell = cells[index]
+        key = index
+        if share and not cell.telemetry and cell.config in _BASELINE_READERS:
+            key = _baseline_key(
+                cell.app, cell.threads, cell.seed, cell.machine_config
+            )
+        units.setdefault(key, []).append(index)
+    return list(units.values())
+
+
+def _longest_first(cells, units):
+    """``units`` in a worker pool's dispatch order: longest estimated
+    simulation first, ties in submission order.
+
+    The pool then ends on short units, so no long unit runs alone at the
+    end while the other workers idle (the three Ocean units of a
+    64-thread Figure 5/6 matrix outweigh all other apps' units).
+    """
+    def cost(unit):
+        cell = cells[unit[0]]
+        return _simulation_cost(cell.app, cell.threads)
+
+    return sorted(units, key=cost, reverse=True)
+
+
 def _chunk_worker(chunk, out_queue, task_fn, beat_interval_s=None):
-    """Worker body: run a chunk of cells, posting each result as it
-    completes so a later crash/timeout only loses unfinished cells.
+    """Worker body: run a chunk of units, posting each cell's result as
+    it completes so a later crash/timeout only loses unfinished cells.
 
     ``out_queue`` is a SimpleQueue: ``put`` writes synchronously (no
     feeder thread), so once a cell's put returns, its result survives
@@ -240,13 +288,17 @@ def _chunk_worker(chunk, out_queue, task_fn, beat_interval_s=None):
     if beat_interval_s is not None:
         stop_beats = start_beat_thread(out_queue, beat_interval_s)
     try:
-        for index, cell in chunk:
-            try:
-                result = task_fn(cell)
-            except BaseException as exc:
-                out_queue.put((index, ERR, (type(exc).__name__, str(exc))))
-            else:
-                out_queue.put((index, OK, result))
+        for unit in chunk:
+            with _shared_baseline():
+                for index, cell in unit:
+                    try:
+                        result = task_fn(cell)
+                    except BaseException as exc:
+                        out_queue.put(
+                            (index, ERR, (type(exc).__name__, str(exc)))
+                        )
+                    else:
+                        out_queue.put((index, OK, result))
     finally:
         if stop_beats is not None:
             stop_beats.set()
@@ -286,6 +338,7 @@ def _fork_context():
 class _WorkerState:
     process: Any
     out_queue: Any
+    chunk: list  # units of (index, cell) pairs, as dispatched
     remaining: dict  # index -> cell, in dispatch order
     deadline: float
 
@@ -314,8 +367,10 @@ class ExperimentEngine:
         :class:`CellFailure` records and the rest of the matrix
         completes.
     chunksize:
-        Cells dispatched to a worker at a time. ``None`` auto-sizes to
-        about four chunks per worker.
+        Units dispatched to a worker at a time; ``None`` means one. A
+        unit is a Baseline cell plus the Oracle-Halt and Ideal cells
+        that replay its simulation, or any other single cell. With the
+        default task, units go out longest simulation first.
     backoff_base_s / backoff_cap_s / backoff_seed:
         Retried cells wait ``min(cap, base * 2**(retry-1))`` seconds
         (with deterministic seeded jitter, see :class:`RetryBackoff`)
@@ -427,13 +482,16 @@ class ExperimentEngine:
             pending.append(index)
         task = task_fn or run_cell
         if pending:
+            units = _units(cells, pending, share=task_fn is None)
             context = _fork_context()
             if self.workers > 1 and len(pending) > 1 and context is not None:
+                if task_fn is None:
+                    units = _longest_first(cells, units)
                 self._run_parallel(
-                    context, cells, pending, results, task, use_cache
+                    context, cells, units, results, task, use_cache
                 )
             else:
-                self._run_serial(cells, pending, results, task, use_cache)
+                self._run_serial(cells, units, results, task, use_cache)
         if self.journal is not None:
             failures = sum(
                 1 for r in results if isinstance(r, CellFailure)
@@ -542,67 +600,71 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     # serial path
 
-    def _run_serial(self, cells, pending, results, task, use_cache):
+    def _run_serial(self, cells, units, results, task, use_cache):
+        for unit in units:
+            with _shared_baseline():
+                for index in unit:
+                    self._run_serial_cell(
+                        cells[index], index, results, task, use_cache
+                    )
+
+    def _run_serial_cell(self, cell, index, results, task, use_cache):
         journal = self.journal
-        for index in pending:
-            if self._preempted():
-                self._raise_interrupted(results)
-            cell = cells[index]
+        if self._preempted():
+            self._raise_interrupted(results)
+        if journal is not None:
+            journal.record_dispatched(cell_id(cell, index), index=index)
+        try:
+            result = task(cell)
+        except Exception as exc:
+            results[index] = CellFailure(
+                cell=cell, kind="error",
+                error_type=type(exc).__name__, message=str(exc),
+            )
+            self.stats.failures += 1
             if journal is not None:
-                journal.record_dispatched(cell_id(cell, index), index=index)
-            try:
-                result = task(cell)
-            except Exception as exc:
-                results[index] = CellFailure(
-                    cell=cell, kind="error",
-                    error_type=type(exc).__name__, message=str(exc),
+                journal.record_failed_permanent(
+                    cell_id(cell, index), index=index, kind="error",
+                    message="{}: {}".format(type(exc).__name__, exc),
                 )
-                self.stats.failures += 1
-                if journal is not None:
-                    journal.record_failed_permanent(
-                        cell_id(cell, index), index=index, kind="error",
-                        message="{}: {}".format(
-                            type(exc).__name__, exc
-                        ),
-                    )
-            else:
-                results[index] = result
-                self.stats.executed += 1
-                key = None
-                if use_cache:
-                    key = cell.key()
-                    self._cache_store(key, result)
-                if journal is not None:
-                    journal.record_completed(
-                        cell_id(cell, index), index=index, key=key,
-                    )
-                self._note_completion(results)
+        else:
+            results[index] = result
+            self.stats.executed += 1
+            key = None
+            if use_cache:
+                key = cell.key()
+                self._cache_store(key, result)
+            if journal is not None:
+                journal.record_completed(
+                    cell_id(cell, index), index=index, key=key,
+                )
+            self._note_completion(results)
 
     # ------------------------------------------------------------------
     # parallel path
 
-    def _chunks(self, cells, pending):
+    def _chunks(self, cells, units):
         """Initial work queue: ``(eligible_at, chunk)`` pairs.
 
-        ``eligible_at`` is a ``time.monotonic()`` instant before which
-        the chunk must not be dispatched; fresh work is eligible
-        immediately (0.0) and only backoff-delayed retries carry a
-        future instant.
+        A chunk is a list of ``chunksize`` units, each a list of
+        ``(index, cell)`` pairs. ``eligible_at`` is a
+        ``time.monotonic()`` instant before which the chunk must not be
+        dispatched; fresh work is eligible immediately (0.0) and only
+        backoff-delayed retries carry a future instant.
         """
-        size = self.chunksize
-        if size is None:
-            size = max(1, -(-len(pending) // (self.workers * 4)))
+        size = self.chunksize or 1
         work = deque()
-        for start in range(0, len(pending), size):
-            work.append(
-                (0.0, [(i, cells[i]) for i in pending[start:start + size]])
-            )
+        for start in range(0, len(units), size):
+            work.append((0.0, [
+                [(i, cells[i]) for i in unit]
+                for unit in units[start:start + size]
+            ]))
         return work
 
-    def _run_parallel(self, context, cells, pending, results, task,
+    def _run_parallel(self, context, cells, units, results, task,
                       use_cache):
-        work = self._chunks(cells, pending)
-        attempts = {index: 1 for index in pending}
+        work = self._chunks(cells, units)
+        attempts = {index: 1 for unit in units for index in unit}
         active = []
         timeout = self.timeout if self.timeout is not None else float("inf")
         journal = self.journal
@@ -692,7 +754,7 @@ class ExperimentEngine:
                         message=message, attempt=attempts[index],
                     )
                 attempts[index] += 1
-                work.append((time.monotonic() + delay, [(index, cell)]))
+                work.append((time.monotonic() + delay, [[(index, cell)]]))
             else:
                 results[index] = CellFailure(
                     cell=cell, kind=kind, message=message,
@@ -730,8 +792,9 @@ class ExperimentEngine:
                 process.start()
                 if monitor is not None:
                     monitor.register(process.pid)
+                remaining = dict(pair for unit in chunk for pair in unit)
                 if journal is not None:
-                    for index, cell in chunk:
+                    for index, cell in remaining.items():
                         journal.record_dispatched(
                             cell_id(cell, index), index=index,
                             attempt=attempts[index],
@@ -739,7 +802,8 @@ class ExperimentEngine:
                 active.append(_WorkerState(
                     process=process,
                     out_queue=out_queue,
-                    remaining=dict(chunk),
+                    chunk=chunk,
+                    remaining=remaining,
                     deadline=time.monotonic() + timeout,
                 ))
 
@@ -758,11 +822,15 @@ class ExperimentEngine:
 
         def requeue_innocents(state):
             # Cells behind the one that struck out never started; they
-            # are requeued without an attempt charged.
-            innocent = [
-                (i, c) for i, c in state.remaining.items()
-                if results[i] is _PENDING
-            ]
+            # are requeued, in their units, without an attempt charged.
+            innocent = []
+            for unit in state.chunk:
+                unit = [
+                    (i, c) for i, c in unit
+                    if i in state.remaining and results[i] is _PENDING
+                ]
+                if unit:
+                    innocent.append(unit)
             if innocent:
                 work.append((0.0, innocent))
 

@@ -4,14 +4,21 @@ The unit of work is :func:`run_experiment`; :func:`run_app` produces all
 five configurations for one application (sharing one Baseline run for
 the two derived oracles); :func:`run_matrix` sweeps applications —
 everything Figures 5 and 6 need.
+
+The engine gets the same sharing while still calling
+:func:`run_experiment` once per cell: it runs a Baseline cell and the
+derived cells that replay it inside :func:`_shared_baseline`, where the
+untraced, fault-free Baseline and derived cells of one (app, threads,
+seed, machine config) read one Baseline simulation.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.config import MachineConfig
 from repro.energy.accounting import EnergyAccount
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkloadError
 from repro.experiments.configs import (
     CONFIG_NAMES,
     DERIVED_CONFIGS,
@@ -171,6 +178,71 @@ def _run_live(
     return run
 
 
+#: Configurations whose cells read the Baseline simulation.
+_BASELINE_READERS = ("baseline",) + DERIVED_CONFIGS
+
+#: The one-entry Baseline slot :func:`_shared_baseline` arms: ``None``
+#: outside the block, else ``[key, run]`` of the last Baseline simulated
+#: inside it. Module state rather than an argument, so every cell still
+#: runs through ``run_experiment`` with exactly its own fields.
+_baseline_slot = None
+
+
+@contextmanager
+def _shared_baseline():
+    """Let the Baseline and derived cells run in the block share one
+    Baseline simulation.
+
+    The slot keeps only the latest Baseline run, and the engine wraps
+    each unit (a Baseline cell plus the derived cells that replay it)
+    in its own block, so the run is dropped as soon as its unit ends.
+    Traced or fault-injected cells never share: their result carries,
+    or is shaped by, their own simulation.
+    """
+    global _baseline_slot
+    _baseline_slot = [None, None]
+    try:
+        yield
+    finally:
+        _baseline_slot = None
+
+
+def _baseline_key(app, threads, seed, machine_config):
+    """What identifies one Baseline simulation."""
+    return app, threads, seed, machine_config or MachineConfig()
+
+
+def _simulation_cost(app, threads):
+    """Relative host cost of one live simulation of ``app``: its dynamic
+    barrier instances times the threads that check in at each. ``0`` for
+    an application :func:`get_model` does not know (its cell fails at
+    once)."""
+    try:
+        return get_model(app).dynamic_instances * threads
+    except WorkloadError:
+        return 0
+
+
+def _baseline_run(app, threads, seed, machine_config, tracer, fault_plan):
+    """The Baseline run a Baseline or derived cell reads, from the armed
+    slot when the cell may share it."""
+    slot = _baseline_slot
+    shared = slot is not None and tracer is None and (
+        fault_plan is None or fault_plan.is_noop
+    )
+    if shared:
+        key = _baseline_key(app, threads, seed, machine_config)
+        if slot[0] == key:
+            return slot[1]
+    run = _run_live(
+        app, "baseline", threads, seed, machine_config, {},
+        telemetry=tracer, fault_plan=fault_plan,
+    )
+    if shared:
+        slot[:] = key, run
+    return run
+
+
 def _coerce_tracer(telemetry):
     """Normalize ``run_experiment``'s ``telemetry`` argument.
 
@@ -192,6 +264,12 @@ def run_experiment(
 ):
     """Run one cell; derived configurations run their Baseline first.
 
+    Inside :func:`_shared_baseline`, an untraced, fault-free Baseline or
+    derived cell reuses the Baseline run an earlier cell of the same
+    (app, threads, seed, machine config) left in the block, so the
+    engine simulates it once per unit. The result is field-identical
+    either way.
+
     With ``telemetry`` truthy (``True`` or a
     :class:`~repro.telemetry.tracer.Tracer`), the simulation is traced
     and the result carries a
@@ -204,18 +282,21 @@ def run_experiment(
     :class:`ExperimentResult`.
     """
     tracer = _coerce_tracer(telemetry)
-    if config in LIVE_CONFIGS:
+    if config in _BASELINE_READERS:
+        # The Baseline barrier takes no thrifty overrides.
+        run = _baseline_run(
+            app, threads, seed, machine_config, tracer, fault_plan
+        )
+        if config == "baseline":
+            result = _live_result(app, config, run)
+        else:
+            result = _derived_result(app, config, run)
+    elif config in LIVE_CONFIGS:
         run = _run_live(
             app, config, threads, seed, machine_config, thrifty_overrides,
             telemetry=tracer, fault_plan=fault_plan,
         )
         result = _live_result(app, config, run)
-    elif config in DERIVED_CONFIGS:
-        baseline_run = _run_live(
-            app, "baseline", threads, seed, machine_config, {},
-            telemetry=tracer, fault_plan=fault_plan,
-        )
-        result = _derived_result(app, config, baseline_run)
     else:
         raise ConfigError(
             "unknown configuration {!r}; choose from {}".format(
@@ -273,8 +354,9 @@ def run_matrix(
     (one shared Baseline run per app feeds the derived oracles); any
     other setting routes through the
     :class:`~repro.experiments.parallel.ExperimentEngine`, which fans
-    cells out over processes and/or the on-disk result cache. Both
-    paths produce field-identical results for the same seed.
+    cells out over processes and/or the on-disk result cache and also
+    simulates each Baseline once for its derived cells. Both paths
+    produce field-identical results for the same seed.
 
     ``cache`` is ``None`` (off), ``True`` (default directory), a path,
     or a :class:`~repro.experiments.cache.ResultCache`. With

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from repro.config import DEFAULT_SLEEP_STATES, MachineConfig
 from repro.energy.tdp import calibrate_tdp_max
 from repro.energy.wattch import WattchModel
-from repro.experiments.runner import DEFAULT_SEED, _run_live
+from repro.experiments.parallel import ExperimentCell, ExperimentEngine
+from repro.experiments.runner import DEFAULT_SEED
 from repro.machine import System
 from repro.workloads.splash2 import (
     SPLASH2_NAMES,
@@ -101,24 +102,31 @@ def table1_rows(machine_config=None):
     return rows, validation
 
 
-def table2_rows(threads=64, seed=DEFAULT_SEED, apps=None):
+def table2_rows(threads=64, seed=DEFAULT_SEED, apps=None, cache=None):
     """Re-measure Table 2: barrier imbalance per application.
+
+    The Baseline cells run through the
+    :class:`~repro.experiments.parallel.ExperimentEngine`, so with
+    ``cache`` (a result-cache directory, ``True`` for the default one,
+    or ``None`` for none) they are the very cells a Figure 5/6 matrix
+    of the same threads and seed already cached.
 
     Returns rows of (application, problem size, paper %, measured %).
     """
     apps = tuple(apps or SPLASH2_NAMES)
-    rows = []
-    for app in apps:
-        run = _run_live(app, "baseline", threads, seed, None, {})
-        rows.append(
-            (
-                app,
-                TABLE2_PROBLEM_SIZE[app],
-                100.0 * TABLE2_IMBALANCE[app],
-                100.0 * run.barrier_imbalance(),
-            )
+    results = ExperimentEngine(cache=cache, strict=True).run_cells(
+        ExperimentCell.make(app, "baseline", threads=threads, seed=seed)
+        for app in apps
+    )
+    return [
+        (
+            app,
+            TABLE2_PROBLEM_SIZE[app],
+            100.0 * TABLE2_IMBALANCE[app],
+            100.0 * result.barrier_imbalance,
         )
-    return rows
+        for app, result in zip(apps, results)
+    ]
 
 
 def table3_rows():

@@ -12,9 +12,12 @@ os.environ.setdefault(
     "REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-test-cache-")
 )
 
+import pytest
+
 from repro.config import MachineConfig
 from repro.machine import System
 from repro.predict import LastValuePredictor, TimingDomain
+from repro.workloads import WorkloadRunner
 
 
 def make_system(n_nodes=4, detailed=True, **overrides):
@@ -58,3 +61,24 @@ def staggered_schedules(n_threads, n_instances, base_ns, step_ns):
         [base_ns + thread * step_ns] * n_instances
         for thread in range(n_threads)
     ]
+
+
+@pytest.fixture
+def count_simulations(monkeypatch, tmp_path):
+    """Count live simulations, those of forked workers included.
+
+    Returns a callable giving the number of ``WorkloadRunner.run`` calls
+    so far. Each call appends one line to a file, and forked engine
+    workers inherit the patch, so their runs are counted too.
+    """
+    log = tmp_path / "simulations.log"
+    log.touch()
+    run = WorkloadRunner.run
+
+    def logged_run(self):
+        with open(log, "a") as handle:
+            handle.write(self.model.name + "\n")
+        return run(self)
+
+    monkeypatch.setattr(WorkloadRunner, "run", logged_run)
+    return lambda: len(log.read_text().splitlines())

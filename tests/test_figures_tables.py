@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import figures, report, tables
-from repro.experiments.runner import run_app
+from repro.experiments.runner import run_app, run_matrix
 
 THREADS = 16
 
@@ -47,6 +47,17 @@ class TestTable2:
         assert "16k particles" in size
         assert paper == pytest.approx(16.56)
         assert 0 < measured < 100
+
+    def test_reads_the_baselines_a_cached_matrix_computed(
+        self, count_simulations, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        uncached = tables.table2_rows(threads=8, apps=("fmm",))
+        run_matrix(apps=("fmm",), threads=8, cache=cache)
+        simulated = count_simulations()
+        rows = tables.table2_rows(threads=8, apps=("fmm",), cache=cache)
+        assert count_simulations() == simulated
+        assert rows == uncached
 
     def test_render(self):
         rows = tables.table2_rows(threads=THREADS, apps=("radiosity",))

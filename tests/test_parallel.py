@@ -18,7 +18,15 @@ from repro.experiments.parallel import (
     ExperimentEngine,
     _fork_context,
 )
-from repro.experiments.runner import ExperimentResult, run_matrix
+from repro.experiments.runner import (
+    ExperimentResult,
+    _shared_baseline,
+    _simulation_cost,
+    run_app,
+    run_experiment,
+    run_matrix,
+)
+from repro.faults.plan import FaultPlan
 
 APPS = ("fmm", "radix")
 SEEDS = (1, 2)
@@ -73,8 +81,8 @@ class TestDeterminism:
         assert not one["fmm"]["baseline"].identical(two["fmm"]["baseline"])
 
     def test_engine_serial_path_matches_legacy(self):
-        # workers=1 through the engine (cells, no baseline sharing)
-        # must still equal the classic run_app loop.
+        # workers=1 through the engine (one run_experiment call per
+        # cell, in units) must still equal the classic run_app loop.
         engine = ExperimentEngine(workers=1, strict=True)
         via_engine = engine.run_matrix(
             APPS, configs=CONFIGS, threads=THREADS, seed=1
@@ -95,7 +103,125 @@ class TestDeterminism:
         assert_matrices_identical(serial, chunked)
 
 
+class TestBaselineSharing:
+    """A Baseline simulates once per unit: its Oracle-Halt and Ideal
+    cells replay that run on every engine path."""
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_five_configs_cost_three_simulations(
+        self, workers, count_simulations
+    ):
+        reference = run_app("fmm", threads=THREADS)
+        assert count_simulations() == 3
+        engine = ExperimentEngine(workers=workers, strict=True)
+        matrix = engine.run_matrix(("fmm",), threads=THREADS)
+        assert count_simulations() == 3 + 3
+        assert engine.stats.executed == 5
+        assert_matrices_identical({"fmm": reference}, matrix)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_cached_baseline_leaves_derived_cells_one_simulation(
+        self, workers, count_simulations, tmp_path
+    ):
+        engine = ExperimentEngine(
+            workers=workers, cache=tmp_path / "cache", strict=True
+        )
+        engine.run_cells(
+            [ExperimentCell.make("fmm", "baseline", threads=THREADS)]
+        )
+        assert count_simulations() == 1
+        matrix = engine.run_matrix(
+            ("fmm",), configs=("baseline", "oracle-halt", "ideal"),
+            threads=THREADS,
+        )
+        assert count_simulations() == 2
+        assert engine.stats.cache_hits == 1
+        reference = run_app(
+            "fmm", threads=THREADS,
+            configs=("baseline", "oracle-halt", "ideal"),
+        )
+        assert_matrices_identical({"fmm": reference}, matrix)
+
+    def test_traced_derived_cell_simulates_its_own_baseline(
+        self, count_simulations
+    ):
+        cells = [
+            ExperimentCell.make("fmm", "baseline", threads=THREADS),
+            ExperimentCell.make(
+                "fmm", "ideal", threads=THREADS, telemetry=True
+            ),
+            ExperimentCell.make("fmm", "oracle-halt", threads=THREADS),
+        ]
+        out = ExperimentEngine(workers=1, strict=True).run_cells(cells)
+        # The untraced pair shares one run; the traced cell needs its
+        # own, since its result carries that simulation's events.
+        assert count_simulations() == 2
+        traced = run_experiment("fmm", "ideal", threads=THREADS,
+                                telemetry=True)
+        assert out[1].telemetry is not None
+        assert_results_identical(traced, out[1])
+
+    def test_traced_or_faulted_cells_never_read_the_slot(
+        self, count_simulations
+    ):
+        stall = FaultPlan(seed=3, stall_probability=0.5)
+        with _shared_baseline():
+            run_experiment("fmm", "baseline", threads=THREADS)
+            traced = run_experiment(
+                "fmm", "ideal", threads=THREADS, telemetry=True
+            )
+            faulted = run_experiment(
+                "fmm", "oracle-halt", threads=THREADS, fault_plan=stall
+            )
+            shared = run_experiment("fmm", "oracle-halt", threads=THREADS)
+        assert count_simulations() == 3
+        assert_results_identical(
+            run_experiment("fmm", "ideal", threads=THREADS, telemetry=True),
+            traced,
+        )
+        assert_results_identical(
+            run_experiment(
+                "fmm", "oracle-halt", threads=THREADS, fault_plan=stall
+            ),
+            faulted,
+        )
+        assert not faulted.identical(shared)  # the plan does perturb
+        assert_results_identical(
+            run_experiment("fmm", "oracle-halt", threads=THREADS), shared
+        )
+
+
 class TestOrdering:
+    def test_pool_dispatches_longest_simulation_first(self, monkeypatch):
+        # Ocean's 480 barrier instances outweigh fmm's and radix's 24,
+        # so its unit goes out first; equal costs keep submission order.
+        dispatched = []
+        run_parallel = ExperimentEngine._run_parallel
+
+        def recording(self, context, cells, units, *rest):
+            dispatched.extend(
+                [cells[i].app for i in unit] for unit in units
+            )
+            return run_parallel(self, context, cells, units, *rest)
+
+        monkeypatch.setattr(ExperimentEngine, "_run_parallel", recording)
+        cells = [
+            ExperimentCell.make(app, config, threads=2)
+            for app, config in (
+                ("fmm", "baseline"), ("radix", "thrifty"),
+                ("ocean", "baseline"), ("fmm", "ideal"), ("ocean", "ideal"),
+            )
+        ]
+        out = ExperimentEngine(workers=2, strict=True).run_cells(cells)
+        if _fork_context() is not None:
+            assert dispatched == [
+                ["ocean", "ocean"], ["fmm", "fmm"], ["radix"],
+            ]
+        serial = ExperimentEngine(workers=1, strict=True).run_cells(cells)
+        for got, want in zip(out, serial):
+            assert_results_identical(want, got)
+        assert _simulation_cost("no-such-app", 2) == 0
+
     def test_results_in_submission_order_despite_completion_order(self):
         # Later cells finish first; results must still land by index.
         def task(cell):

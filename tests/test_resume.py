@@ -59,12 +59,12 @@ class TriggerAfter:
         return False
 
 
-def _reference_json(tmp_path, seed, **engine_kwargs):
+def _reference_json(tmp_path, seed, apps=APPS, **engine_kwargs):
     engine = ExperimentEngine(
         cache=tmp_path / "ref-cache-{}".format(seed), **engine_kwargs
     )
     matrix = engine.run_matrix(
-        APPS, configs=CONFIGS, threads=THREADS, seed=seed,
+        apps, configs=CONFIGS, threads=THREADS, seed=seed,
     )
     return matrix_to_json(matrix)
 
@@ -142,9 +142,13 @@ class TestKillAndResumeProperty:
         assert out_path.read_bytes() == ref_path.read_bytes()
 
     def test_parallel_preemption_drains_then_resumes(self, tmp_path):
+        # Two apps: each app's cells form two units (its Baseline with
+        # the Oracle-Halt cell replaying it, and Thrifty), so 2 workers
+        # leave some units undispatched at the first supervision round.
+        apps = APPS + ("radix",)
         seed = 1
-        reference = _reference_json(tmp_path, seed)
-        total = len(APPS) * len(CONFIGS)
+        reference = _reference_json(tmp_path, seed, apps=apps)
+        total = len(apps) * len(CONFIGS)
         root = tmp_path / "runs"
         cache_dir = tmp_path / "cache"
         journal = RunJournal.create({"seed": seed}, run_id="p", root=root)
@@ -154,7 +158,7 @@ class TestKillAndResumeProperty:
         )
         with pytest.raises(CampaignInterrupted) as excinfo:
             engine.run_matrix(
-                APPS, configs=CONFIGS, threads=THREADS, seed=seed,
+                apps, configs=CONFIGS, threads=THREADS, seed=seed,
             )
         # In-flight workers drained gracefully: their completions are
         # journaled and cached; only never-dispatched work remains.
@@ -168,7 +172,7 @@ class TestKillAndResumeProperty:
             journal=RunJournal.open("p", root=root),
         )
         matrix = second.run_matrix(
-            APPS, configs=CONFIGS, threads=THREADS, seed=seed,
+            apps, configs=CONFIGS, threads=THREADS, seed=seed,
         )
         assert second.stats.cache_hits == done
         assert matrix_to_json(matrix) == reference
