@@ -12,6 +12,8 @@
 * :mod:`repro.experiments.report` — plain-text rendering;
 * :mod:`repro.experiments.parallel` — the process-pool engine fanning
   cells over workers with deterministic ordering and fault isolation;
+* :mod:`repro.experiments.pool` — the watchdog-supervised fork worker
+  pool the engine and ``repro serve`` run cells on;
 * :mod:`repro.experiments.cache` — the content-addressed on-disk
   result cache that makes warm re-runs free;
 * :mod:`repro.experiments.journal` — the durable append-only run

@@ -10,17 +10,18 @@ in-process or in a worker. The engine adds, around that unit:
   simulate the Baseline once on every path (see
   :func:`~repro.experiments.runner._shared_baseline`); every other cell
   is a unit of its own;
-* fan-out over ``multiprocessing`` fork workers, one unit per dispatch
-  by default and, with the default task, the most costly units first,
-  with result ordering that matches submission order regardless of
-  dispatch or completion order;
+* fan-out over a :class:`~repro.experiments.pool.WorkerPool` of
+  persistent fork workers, one unit per job and, with the default task,
+  the most costly units first, with result ordering that matches
+  submission order regardless of dispatch or completion order;
 * an on-disk :class:`~repro.experiments.cache.ResultCache` so warm
   re-runs perform zero re-simulations;
 * robustness: a per-cell timeout with bounded retry, worker-crash
-  isolation (a dead worker costs only its unfinished cells, which are
-  retried and then recorded as structured :class:`CellFailure` records
-  while the rest of the matrix completes), and a strict mode that
-  raises :class:`~repro.errors.ExperimentError` instead;
+  isolation (a dead worker costs only its unit's unfinished cells,
+  which are retried and then recorded as structured
+  :class:`CellFailure` records while the rest of the matrix completes),
+  and a strict mode that raises :class:`~repro.errors.ExperimentError`
+  instead;
 * crash safety: an optional durable
   :class:`~repro.experiments.journal.RunJournal` records per-cell
   dispatch/completion/failure (fsynced per line) plus periodic
@@ -36,7 +37,6 @@ count the engine returns field-identical results in identical order
 (``tests/test_parallel.py`` enforces this).
 """
 
-import multiprocessing
 import os
 import random
 import time
@@ -47,6 +47,7 @@ from typing import Any, Optional
 from repro.config import MachineConfig
 from repro.errors import CampaignInterrupted, ConfigError, ExperimentError
 from repro.experiments.cache import ResultCache, content_key
+from repro.experiments.pool import OK, WorkerPool, _fork_context, run_cell
 from repro.experiments.preemption import DEFAULT_DRAIN_DEADLINE_S
 from repro.experiments.runner import (
     DEFAULT_SEED,
@@ -55,26 +56,10 @@ from repro.experiments.runner import (
     _shared_baseline,
     _simulation_cost,
 )
-from repro.experiments.watchdog import (
-    BEAT,
-    BEAT_INDEX,
-    HeartbeatMonitor,
-    WatchdogPolicy,
-    start_beat_thread,
-)
+from repro.experiments.watchdog import WatchdogPolicy
 
 #: Placeholder for a cell whose result has not been produced yet.
 _PENDING = object()
-
-#: Worker→supervisor message status tags. Public because the serve
-#: worker pool speaks the same queue protocol (results plus the
-#: watchdog's heartbeat messages) as the batch engine's chunk workers.
-OK = "ok"
-ERR = "error"
-
-#: How long (seconds) to keep draining a finished/terminated worker's
-#: queue for results that were in flight when it stopped.
-_DRAIN_BUDGET_S = 0.25
 
 _POLL_S = 0.01
 
@@ -175,10 +160,10 @@ class RetryBackoff:
     ``delay_for(attempt)`` (attempt numbering starts at 1 for the first
     *retry*) returns ``min(cap, base * 2**(attempt-1))`` scaled by a
     jitter factor drawn uniformly from [0.5, 1.0) — decorrelating the
-    retry times of cells that failed together (e.g. all chunks of one
-    dead worker) without sacrificing reproducibility: the jitter RNG is
-    seeded from ``seed`` alone, so a fixed seed yields the same retry
-    schedule on every run.
+    retry times of cells that failed together (e.g. the unfinished
+    cells of one dead worker) without sacrificing reproducibility: the
+    jitter RNG is seeded from ``seed`` alone, so a fixed seed yields the
+    same retry schedule on every run.
     """
 
     def __init__(self, base_s=0.05, cap_s=2.0, seed=0):
@@ -199,21 +184,6 @@ class RetryBackoff:
             raise ConfigError("attempt numbering starts at 1")
         raw = min(self.cap_s, self.base_s * (2 ** (attempt - 1)))
         return raw * (0.5 + 0.5 * self._rng.random())
-
-
-def run_cell(cell):
-    """Default task: one ``run_experiment`` call (the bit-exact unit).
-
-    Shared by the batch engine and the serve worker pool, so a cell
-    computes the identical result whichever execution path ran it.
-    """
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment(
-        cell.app, cell.config, threads=cell.threads, seed=cell.seed,
-        machine_config=cell.machine_config, telemetry=cell.telemetry,
-        **dict(cell.overrides)
-    )
 
 
 def record_engine_metrics(metrics, engine):
@@ -237,24 +207,31 @@ def record_engine_metrics(metrics, engine):
         metrics.counter("journal.corrupt_reads").inc(journal.corrupt_reads)
 
 
+def _unit_key(cell):
+    """The Baseline simulation ``cell`` may share with the other cells
+    of its dispatch unit, or None when the cell is a unit of its own.
+
+    The untraced ``baseline``, ``oracle-halt`` and ``ideal`` cells of
+    one (app, threads, seed, machine config) read one Baseline
+    simulation. The campaign server groups its queued jobs by the same
+    rule.
+    """
+    if cell.telemetry or cell.config not in _BASELINE_READERS:
+        return None
+    return _baseline_key(
+        cell.app, cell.threads, cell.seed, cell.machine_config
+    )
+
+
 def _units(cells, pending, share):
     """Group pending cell indices into dispatch units, ordered by each
-    unit's first cell.
-
-    With ``share`` (the default task), the untraced ``baseline``,
-    ``oracle-halt`` and ``ideal`` cells of one (app, threads, seed,
-    machine config) form one unit, since they read one Baseline
-    simulation; every other cell is a unit of its own.
+    unit's first cell: by :func:`_unit_key` with ``share`` (the default
+    task), else one unit per cell.
     """
     units = {}
     for index in pending:
-        cell = cells[index]
-        key = index
-        if share and not cell.telemetry and cell.config in _BASELINE_READERS:
-            key = _baseline_key(
-                cell.app, cell.threads, cell.seed, cell.machine_config
-            )
-        units.setdefault(key, []).append(index)
+        key = _unit_key(cells[index]) if share else None
+        units.setdefault(index if key is None else key, []).append(index)
     return list(units.values())
 
 
@@ -273,37 +250,6 @@ def _longest_first(cells, units):
     return sorted(units, key=cost, reverse=True)
 
 
-def _chunk_worker(chunk, out_queue, task_fn, beat_interval_s=None):
-    """Worker body: run a chunk of units, posting each cell's result as
-    it completes so a later crash/timeout only loses unfinished cells.
-
-    ``out_queue`` is a SimpleQueue: ``put`` writes synchronously (no
-    feeder thread), so once a cell's put returns, its result survives
-    even an immediate SIGKILL of this worker. With ``beat_interval_s``
-    set, a daemon thread posts heartbeat messages onto the same queue
-    so the supervisor's watchdog can tell a wedged worker from a slow
-    one.
-    """
-    stop_beats = None
-    if beat_interval_s is not None:
-        stop_beats = start_beat_thread(out_queue, beat_interval_s)
-    try:
-        for unit in chunk:
-            with _shared_baseline():
-                for index, cell in unit:
-                    try:
-                        result = task_fn(cell)
-                    except BaseException as exc:
-                        out_queue.put(
-                            (index, ERR, (type(exc).__name__, str(exc)))
-                        )
-                    else:
-                        out_queue.put((index, OK, result))
-    finally:
-        if stop_beats is not None:
-            stop_beats.set()
-
-
 def cell_id(cell, index):
     """Stable journal identity for one submitted cell.
 
@@ -319,30 +265,6 @@ def cell_id(cell, index):
     return "cell#{}".format(index)
 
 
-def _fork_context():
-    """The fork multiprocessing context, or None when unsupported.
-
-    Fork is required (not just preferred): it inherits the parent's
-    loaded modules and lets tests/task functions pass closures without
-    pickling. Platforms without it degrade to the serial path.
-    """
-    try:
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-    except Exception:
-        pass
-    return None
-
-
-@dataclass
-class _WorkerState:
-    process: Any
-    out_queue: Any
-    chunk: list  # units of (index, cell) pairs, as dispatched
-    remaining: dict  # index -> cell, in dispatch order
-    deadline: float
-
-
 class ExperimentEngine:
     """Fan experiment cells out over worker processes, cached.
 
@@ -350,7 +272,14 @@ class ExperimentEngine:
     ----------
     workers:
         Process count. ``None`` means ``os.cpu_count()``; ``1`` (the
-        default) selects the serial in-process path.
+        default) selects the serial in-process path. A parallel
+        ``run_cells`` call forks at most this many persistent workers
+        (fewer when it has fewer units), one
+        :class:`~repro.experiments.pool.WorkerPool` per call, and
+        sends each worker one unit at a time: a Baseline cell plus the
+        Oracle-Halt and Ideal cells that replay its simulation, or any
+        other single cell. With the default task, units go out longest
+        simulation first.
     cache:
         ``None`` (no caching), ``True`` (default directory), a path, or
         a :class:`ResultCache`.
@@ -366,11 +295,6 @@ class ExperimentEngine:
         failure; when False, failures are returned in-place as
         :class:`CellFailure` records and the rest of the matrix
         completes.
-    chunksize:
-        Units dispatched to a worker at a time; ``None`` means one. A
-        unit is a Baseline cell plus the Oracle-Halt and Ideal cells
-        that replay its simulation, or any other single cell. With the
-        default task, units go out longest simulation first.
     backoff_base_s / backoff_cap_s / backoff_seed:
         Retried cells wait ``min(cap, base * 2**(retry-1))`` seconds
         (with deterministic seeded jitter, see :class:`RetryBackoff`)
@@ -392,9 +316,9 @@ class ExperimentEngine:
     preemption:
         Any object with a boolean ``requested`` attribute — typically
         a :class:`~repro.experiments.preemption.PreemptionGuard`. Once
-        truthy, the engine stops dispatching, drains in-flight workers
-        until the guard's ``drain_deadline_s`` passes (then kills
-        them), flushes the journal, and raises
+        truthy, the engine stops dispatching, lets busy workers finish
+        their units until the guard's ``drain_deadline_s`` passes (then
+        kills them), flushes the journal, and raises
         :class:`~repro.errors.CampaignInterrupted`.
     tracer:
         Optional :class:`~repro.telemetry.tracer.Tracer` receiving the
@@ -402,7 +326,7 @@ class ExperimentEngine:
     """
 
     def __init__(self, workers=1, cache=None, timeout=None, retries=1,
-                 strict=False, chunksize=None, backoff_base_s=0.05,
+                 strict=False, backoff_base_s=0.05,
                  backoff_cap_s=2.0, backoff_seed=0, journal=None,
                  watchdog=None, preemption=None, tracer=None,
                  checkpoint_every=8):
@@ -414,14 +338,11 @@ class ExperimentEngine:
             raise ConfigError("timeout must be positive or None")
         if retries < 0:
             raise ConfigError("retries must be non-negative")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigError("chunksize must be >= 1")
         self.workers = workers
         self.cache = ResultCache.coerce(cache)
         self.timeout = timeout
         self.retries = retries
         self.strict = strict
-        self.chunksize = chunksize
         RetryBackoff(backoff_base_s, backoff_cap_s, backoff_seed)  # validate
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
@@ -483,13 +404,15 @@ class ExperimentEngine:
         task = task_fn or run_cell
         if pending:
             units = _units(cells, pending, share=task_fn is None)
-            context = _fork_context()
-            if self.workers > 1 and len(pending) > 1 and context is not None:
+            parallel = self.workers > 1 and len(pending) > 1
+            if parallel and _fork_context() is not None:
                 if task_fn is None:
                     units = _longest_first(cells, units)
-                self._run_parallel(
-                    context, cells, units, results, task, use_cache
+                pool = WorkerPool(
+                    min(self.workers, len(units)), task=task,
+                    watchdog=self.watchdog, timeout=self.timeout,
                 )
+                self._run_parallel(pool, cells, units, results, use_cache)
             else:
                 self._run_serial(cells, units, results, task, use_cache)
         if self.journal is not None:
@@ -643,44 +566,32 @@ class ExperimentEngine:
     # ------------------------------------------------------------------
     # parallel path
 
-    def _chunks(self, cells, units):
-        """Initial work queue: ``(eligible_at, chunk)`` pairs.
-
-        A chunk is a list of ``chunksize`` units, each a list of
-        ``(index, cell)`` pairs. ``eligible_at`` is a
-        ``time.monotonic()`` instant before which the chunk must not be
-        dispatched; fresh work is eligible immediately (0.0) and only
-        backoff-delayed retries carry a future instant.
+    def _run_parallel(self, pool, cells, units, results, use_cache):
+        """Run ``units`` (lists of cell indices) on ``pool``, supervising
+        it from this process until every cell has a result or failure.
         """
-        size = self.chunksize or 1
-        work = deque()
-        for start in range(0, len(units), size):
-            work.append((0.0, [
-                [(i, cells[i]) for i in unit]
-                for unit in units[start:start + size]
-            ]))
-        return work
-
-    def _run_parallel(self, context, cells, units, results, task,
-                      use_cache):
-        work = self._chunks(cells, units)
+        # (eligible_at, unit) pairs: fresh units are eligible at once,
+        # backoff-delayed retries at a later time.monotonic() instant.
+        work = deque((0.0, unit) for unit in units)
         attempts = {index: 1 for unit in units for index in unit}
-        active = []
-        timeout = self.timeout if self.timeout is not None else float("inf")
+        unsettled = len(attempts)
         journal = self.journal
-        watchdog = self.watchdog
-        monitor = HeartbeatMonitor(watchdog) if watchdog is not None else None
         # Fresh backoff per parallel run so the retry schedule depends
         # only on the seed and the retry sequence, not engine history.
         backoff = RetryBackoff(
             self.backoff_base_s, self.backoff_cap_s, self.backoff_seed
         )
 
+        def settle(index, value):
+            nonlocal unsettled
+            results[index] = value
+            unsettled -= 1
+
         def record(index, status, payload):
             if results[index] is not _PENDING:
-                return  # late duplicate from a terminated worker
+                return  # settled already; never count a cell twice
             if status == OK:
-                results[index] = payload
+                settle(index, payload)
                 self.stats.executed += 1
                 key = None
                 if use_cache:
@@ -693,11 +604,11 @@ class ExperimentEngine:
                 self._note_completion(results)
             else:
                 error_type, message = payload
-                results[index] = CellFailure(
+                settle(index, CellFailure(
                     cell=cells[index], kind="error",
                     error_type=error_type, message=message,
                     attempts=attempts[index],
-                )
+                ))
                 self.stats.failures += 1
                 if journal is not None:
                     # A raising cell is deterministic — never retried —
@@ -710,39 +621,8 @@ class ExperimentEngine:
                         retry_delays=self.cell_retry_delays.get(index, []),
                     )
 
-        def consume(state, message):
-            index, status, payload = message
-            state.remaining.pop(index, None)
-            state.deadline = time.monotonic() + timeout
-            record(index, status, payload)
-
-        def poll(state):
-            # Heartbeats ride the result queue; they feed the monitor
-            # and are never surfaced as messages.
-            try:
-                while not state.out_queue.empty():
-                    message = state.out_queue.get()
-                    if message[0] == BEAT_INDEX and message[1] == BEAT:
-                        if monitor is not None:
-                            monitor.beat(state.process.pid)
-                        continue
-                    return message
-            except (EOFError, OSError):
-                pass
-            return None
-
-        def drain(state, budget):
-            stop_at = time.monotonic() + budget
-            while True:
-                message = poll(state)
-                if message is not None:
-                    consume(state, message)
-                elif time.monotonic() >= stop_at:
-                    return
-                else:
-                    time.sleep(_POLL_S)
-
-        def retire(index, cell, kind, message=""):
+        def retire(index, kind, message):
+            cell = cells[index]
             if attempts[index] <= self.retries:
                 delay = backoff.delay_for(attempts[index])
                 self.stats.retries += 1
@@ -754,12 +634,12 @@ class ExperimentEngine:
                         message=message, attempt=attempts[index],
                     )
                 attempts[index] += 1
-                work.append((time.monotonic() + delay, [[(index, cell)]]))
+                work.append((time.monotonic() + delay, [index]))
             else:
-                results[index] = CellFailure(
+                settle(index, CellFailure(
                     cell=cell, kind=kind, message=message,
                     attempts=attempts[index],
-                )
+                ))
                 self.stats.failures += 1
                 if journal is not None:
                     journal.record_failed_permanent(
@@ -768,187 +648,91 @@ class ExperimentEngine:
                         retry_delays=self.cell_retry_delays.get(index, []),
                     )
 
-        def launch():
-            # One bounded pass: each queued chunk is examined at most
-            # once, and chunks still inside their backoff window keep
-            # their relative order at the back of the queue.
-            now = time.monotonic()
-            beat_interval = (
-                watchdog.beat_interval_s if watchdog is not None else None
-            )
-            for _ in range(len(work)):
-                if len(active) >= self.workers:
-                    return
-                eligible_at, chunk = work.popleft()
-                if eligible_at > now:
-                    work.append((eligible_at, chunk))
-                    continue
-                out_queue = context.SimpleQueue()
-                process = context.Process(
-                    target=_chunk_worker,
-                    args=(chunk, out_queue, task, beat_interval),
-                    daemon=True,
-                )
-                process.start()
-                if monitor is not None:
-                    monitor.register(process.pid)
-                remaining = dict(pair for unit in chunk for pair in unit)
+        def strike(keys, kind, message):
+            # A unit runs in order, so its first unfinished cell is the
+            # one that overran or hung; the cells behind it never
+            # started and go back, as one unit, with no attempt charged.
+            if keys:
+                retire(keys[0], kind, message)
+            if keys[1:]:
+                work.append((0.0, keys[1:]))
+
+        def handle(event):
+            kind, pid = event[0], event[1]
+            if kind == "result":
+                record(*event[2:])
+            elif kind == "crashed":
+                for index in event[2]:
+                    retire(index, "crashed", "worker {} exited".format(pid))
+            elif kind == "timeout":
+                strike(event[2], "timeout", "exceeded {:.3g}s".format(
+                    self.timeout))
+            elif kind == "stalled":
+                # Wedged worker: beats stopped (the process is frozen,
+                # not slow — a busy cell is the timeout's job).
+                keys, stale_s = event[2], event[3]
+                self.stats.stalled += 1
                 if journal is not None:
-                    for index, cell in remaining.items():
+                    journal.record_worker_stalled(pid, sorted(keys), stale_s)
+                if self.tracer is not None and self.tracer.enabled:
+                    from repro.telemetry.events import WorkerStalled
+
+                    self.tracer.emit(WorkerStalled(
+                        ts=0, worker=pid, cells=len(keys),
+                        stale_s=round(stale_s, 3),
+                    ))
+                strike(keys, "stalled", "no heartbeat for {:.2f}s".format(
+                    stale_s))
+
+        def launch():
+            # One bounded pass: each queued unit is examined at most
+            # once, and units still inside their backoff window keep
+            # their relative order at the back of the queue.
+            idle = pool.idle_workers()
+            now = time.monotonic()
+            for _ in range(len(work)):
+                if not idle:
+                    return
+                eligible_at, unit = work.popleft()
+                if eligible_at > now or not pool.dispatch(
+                    idle.pop(0), [(index, cells[index]) for index in unit]
+                ):
+                    work.append((eligible_at, unit))
+                    continue
+                if journal is not None:
+                    for index in unit:
                         journal.record_dispatched(
-                            cell_id(cell, index), index=index,
+                            cell_id(cells[index], index), index=index,
                             attempt=attempts[index],
                         )
-                active.append(_WorkerState(
-                    process=process,
-                    out_queue=out_queue,
-                    chunk=chunk,
-                    remaining=remaining,
-                    deadline=time.monotonic() + timeout,
-                ))
 
-        def stop(state):
-            process = state.process
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-            if process.is_alive():
-                # SIGKILL also reaps workers SIGTERM cannot reach (a
-                # SIGSTOPped process leaves TERM pending forever).
-                process.kill()
-                process.join(timeout=1.0)
-            if monitor is not None:
-                monitor.forget(process.pid)
-
-        def requeue_innocents(state):
-            # Cells behind the one that struck out never started; they
-            # are requeued, in their units, without an attempt charged.
-            innocent = []
-            for unit in state.chunk:
-                unit = [
-                    (i, c) for i, c in unit
-                    if i in state.remaining and results[i] is _PENDING
-                ]
-                if unit:
-                    innocent.append(unit)
-            if innocent:
-                work.append((0.0, innocent))
-
-        def preempt_shutdown():
-            # Stop dispatch, give in-flight workers the drain deadline
-            # to finish their current cells, then kill the rest. Every
-            # completion recorded during the drain reaches the cache
-            # and journal as usual, so nothing finished is lost.
-            work.clear()
+        def preempt():
+            # Stop dispatch and give busy workers the drain deadline to
+            # finish their units; pool.stop() then kills the rest.
+            # Every completion recorded meanwhile reaches the cache and
+            # journal as usual, so nothing finished is lost.
             stop_at = time.monotonic() + self._drain_deadline_s()
-            while active and time.monotonic() < stop_at:
-                for state in list(active):
-                    while True:
-                        message = poll(state)
-                        if message is None:
-                            break
-                        consume(state, message)
-                    if not state.remaining or not state.process.is_alive():
-                        state.process.join(timeout=1.0)
-                        active.remove(state)
-                if active:
+            while len(pool.idle_workers()) < len(pool) and (
+                time.monotonic() < stop_at
+            ):
+                events = pool.poll()
+                for event in events:
+                    if event[0] == "result":
+                        record(*event[2:])
+                if not events:
                     time.sleep(_POLL_S)
-            for state in list(active):
-                stop(state)
-                drain(state, _DRAIN_BUDGET_S)
-                active.remove(state)
             self._raise_interrupted(results)
 
+        pool.start()
         try:
-            launch()
-            while active or work:
-                if self._preempted():
-                    preempt_shutdown()
-                progressed = False
-                for state in list(active):
-                    while True:
-                        message = poll(state)
-                        if message is None:
-                            break
-                        consume(state, message)
-                        progressed = True
-                    if not state.remaining:
-                        state.process.join(timeout=5.0)
-                        if monitor is not None:
-                            monitor.forget(state.process.pid)
-                        active.remove(state)
-                        progressed = True
-                    elif not state.process.is_alive():
-                        # Crashed mid-chunk: salvage queued results, then
-                        # retry (or fail) the cells that never finished.
-                        drain(state, _DRAIN_BUDGET_S)
-                        for index, cell in list(state.remaining.items()):
-                            retire(
-                                index, cell, "crashed",
-                                "worker exited with code {}".format(
-                                    state.process.exitcode
-                                ),
-                            )
-                        state.process.join(timeout=1.0)
-                        if monitor is not None:
-                            monitor.forget(state.process.pid)
-                        active.remove(state)
-                        progressed = True
-                    elif time.monotonic() >= state.deadline:
-                        # The chunk runs in order, so the first remaining
-                        # cell is the one over budget; later cells never
-                        # started and are requeued without penalty.
-                        stuck = next(iter(state.remaining))
-                        stop(state)
-                        drain(state, _DRAIN_BUDGET_S)
-                        if stuck in state.remaining:
-                            cell = state.remaining.pop(stuck)
-                            retire(
-                                stuck, cell, "timeout",
-                                "exceeded {:.3g}s".format(timeout),
-                            )
-                        requeue_innocents(state)
-                        active.remove(state)
-                        progressed = True
-                    elif (
-                        monitor is not None
-                        and monitor.is_stale(state.process.pid)
-                    ):
-                        # Wedged worker: beats stopped (the process is
-                        # frozen, not slow — a busy cell is the timeout
-                        # branch's job). Kill it, strike the cell it
-                        # was on, requeue the rest.
-                        stale_s = monitor.staleness(state.process.pid)
-                        pid = state.process.pid
-                        monitor.declare_stall(pid)
-                        self.stats.stalled += 1
-                        if journal is not None:
-                            journal.record_worker_stalled(
-                                pid, sorted(state.remaining), stale_s,
-                            )
-                        if self.tracer is not None and self.tracer.enabled:
-                            from repro.telemetry.events import WorkerStalled
-
-                            self.tracer.emit(WorkerStalled(
-                                ts=0, worker=pid,
-                                cells=len(state.remaining),
-                                stale_s=round(stale_s, 3),
-                            ))
-                        stop(state)
-                        drain(state, _DRAIN_BUDGET_S)
-                        stuck = next(iter(state.remaining), None)
-                        if stuck is not None:
-                            cell = state.remaining.pop(stuck)
-                            retire(
-                                stuck, cell, "stalled",
-                                "no heartbeat for {:.2f}s".format(stale_s),
-                            )
-                        requeue_innocents(state)
-                        active.remove(state)
-                        progressed = True
+            while unsettled:
                 launch()
-                if not progressed:
+                if self._preempted():
+                    preempt()
+                events = pool.poll()
+                for event in events:
+                    handle(event)
+                if not events:
                     time.sleep(_POLL_S)
         finally:
-            for state in active:
-                stop(state)
+            pool.stop()

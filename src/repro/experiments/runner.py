@@ -5,16 +5,16 @@ five configurations for one application (sharing one Baseline run for
 the two derived oracles); :func:`run_matrix` sweeps applications —
 everything Figures 5 and 6 need.
 
-The engine gets the same sharing while still calling
-:func:`run_experiment` once per cell: it runs a Baseline cell and the
-derived cells that replay it inside :func:`_shared_baseline`, where the
-untraced, fault-free Baseline and derived cells of one (app, threads,
-seed, machine config) read one Baseline simulation.
+Sharing never bypasses :func:`run_experiment`: :func:`run_app` and the
+engine's workers run a Baseline cell and the derived cells that replay
+it inside :func:`_shared_baseline`, where the untraced, fault-free
+Baseline and derived cells of one (app, threads, seed, machine config)
+read one Baseline simulation.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.config import MachineConfig
 from repro.energy.accounting import EnergyAccount
@@ -313,33 +313,18 @@ def run_app(
 ):
     """All requested configurations for one application.
 
-    The Baseline simulation is shared by the two derived oracles, so a
-    full five-way comparison costs three live runs.
+    The cells run in one :func:`_shared_baseline` block, so the Baseline
+    simulation is shared by the two derived oracles and a full five-way
+    comparison costs three live runs.
     """
-    configs = tuple(configs or CONFIG_NAMES)
-    results: Dict[str, ExperimentResult] = {}
-    baseline_run = None
-    need_baseline = (
-        "baseline" in configs
-        or any(config in DERIVED_CONFIGS for config in configs)
-    )
-    if need_baseline:
-        baseline_run = _run_live(
-            app, "baseline", threads, seed, machine_config, {}
-        )
-    for config in configs:
-        if config == "baseline":
-            results[config] = _live_result(app, config, baseline_run)
-        elif config in DERIVED_CONFIGS:
-            results[config] = _derived_result(app, config, baseline_run)
-        elif config in LIVE_CONFIGS:
-            run = _run_live(
-                app, config, threads, seed, machine_config, {}
+    with _shared_baseline():
+        return {
+            config: run_experiment(
+                app, config, threads=threads, seed=seed,
+                machine_config=machine_config,
             )
-            results[config] = _live_result(app, config, run)
-        else:
-            raise ConfigError("unknown configuration {!r}".format(config))
-    return results
+            for config in configs or CONFIG_NAMES
+        }
 
 
 def run_matrix(

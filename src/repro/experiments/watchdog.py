@@ -141,9 +141,9 @@ def start_beat_thread(out_queue, interval_s):
     """Worker-side heartbeat: post ``(BEAT_INDEX, BEAT, n)`` onto the
     result queue every ``interval_s`` until the returned event is set.
 
-    The thread is a daemon, so a worker that finishes its chunk exits
-    without joining it; the supervisor ignores beats from workers it
-    has already retired.
+    The thread is a daemon, so a worker that exits on its retirement
+    sentinel does not join it; the supervisor ignores beats from
+    workers it has already retired.
     """
     stop = threading.Event()
 

@@ -6,16 +6,18 @@ stream live, and share one content-addressed result cache across every
 campaign so overlapping submissions never recompute a cell.
 
 The package deliberately *reuses* the batch layers instead of
-paralleling them — workers run the engine's
-:func:`~repro.experiments.parallel.run_cell`, liveness rides the
-:mod:`~repro.experiments.watchdog` heartbeats, durability rides
+paralleling them — cells run on the engine's own
+:class:`~repro.experiments.pool.WorkerPool`, one unit per job (a
+Baseline cell travels with the Oracle-Halt and Ideal cells replaying
+it), liveness rides the :mod:`~repro.experiments.watchdog`
+heartbeats, durability rides
 :class:`~repro.experiments.journal.RunJournal`, and cancellation and
 shutdown ride the preemption protocol — so a served campaign is
 bit-identical, journal-compatible, and resume-compatible with its
 ``repro figure5`` equivalent.
 
 * :mod:`repro.serve.http` — minimal stdlib asyncio HTTP/1.1;
-* :mod:`repro.serve.pool` — hotplug watchdog-supervised worker pool;
+* :mod:`repro.serve.pool` — the engine's hotplug worker pool;
 * :mod:`repro.serve.campaigns` — specs, campaign state, recovery;
 * :mod:`repro.serve.server` — the dispatcher + API endpoint;
 * :mod:`repro.serve.client` — the blocking client the CLI uses.

@@ -1,395 +1,15 @@
-"""Hotplug worker pool for the campaign service.
+"""The campaign service's hotplug worker pool.
 
-The batch engine's pool is sized once and dissolved when its matrix
-finishes. A long-running service needs the opposite: workers that
-outlive any one campaign, can *join and leave mid-campaign* (operator
-grows the pool for a big sweep, shrinks it to give the machine back),
-and are supervised continuously rather than per-run.
-
-:class:`WorkerPool` reuses the engine's building blocks wholesale so
-the execution semantics stay identical:
-
-* workers run :func:`repro.experiments.parallel.run_cell` (the same
-  bit-exact unit the batch engine runs) and speak the same queue
-  protocol — ``(key, OK, result)`` / ``(key, ERR, (type, msg))``
-  messages with the watchdog's ``(BEAT_INDEX, BEAT, n)`` heartbeats
-  riding the same :class:`~multiprocessing.SimpleQueue`;
-* liveness comes from :mod:`repro.experiments.watchdog`: each worker
-  runs :func:`~repro.experiments.watchdog.start_beat_thread`, the pool
-  feeds a :class:`~repro.experiments.watchdog.HeartbeatMonitor`, and a
-  worker whose beats go stale is killed and reported so the dispatcher
-  can requeue its cell through the normal retry accounting.
-
-Unlike the engine's chunked dispatch, the pool dispatches **one cell
-at a time** to an idle worker: a service interleaves cells from many
-campaigns, so there is no chunk to plan ahead. The supervisor drives
-everything through :meth:`WorkerPool.poll` — a non-blocking sweep that
-drains queues, adjudicates liveness, and reports what changed as plain
-tuples; the pool itself never touches campaign state.
+The service runs its cells on the batch engine's
+:class:`~repro.experiments.pool.WorkerPool`, re-exported here under the
+service's own path (the benchmark harness in ``perfbench/layers.py``
+imports and patches it from here): the same class, so the same
+workers, unit dispatch, queue protocol and watchdog supervision, and a
+served cell computes exactly what a batch cell does. The pool lives
+under :mod:`repro.experiments` so batch runs never import this asyncio
+and HTTP package.
 """
 
-import os
-import signal
-import sys
-import time
+from repro.experiments.pool import WorkerPool
 
-from repro.errors import ConfigError
-from repro.experiments.parallel import ERR, OK, _fork_context, run_cell
-from repro.experiments.watchdog import (
-    BEAT,
-    BEAT_INDEX,
-    HeartbeatMonitor,
-    WatchdogPolicy,
-    start_beat_thread,
-)
-
-#: Seconds to wait for a terminated worker before escalating to kill.
-_STOP_GRACE_S = 1.0
-
-
-def _pool_worker(inbox, outbox, task, beat_interval_s, child_setup=None):
-    """Worker body: serve cells off ``inbox`` until the None sentinel.
-
-    Results are posted synchronously (SimpleQueue has no feeder
-    thread), so once a put returns the result survives even an
-    immediate SIGKILL. ``BaseException`` is caught per cell: a worker
-    survives a failing cell and stays available for the next one.
-
-    ``child_setup`` runs first, inside the forked child: fork copies
-    every open descriptor of the supervisor, so a worker spawned while
-    the server is listening would otherwise inherit the listening
-    socket — and after a SIGKILL of the server, orphaned workers would
-    keep the port bound, blocking the restart that is supposed to
-    resume their campaigns. The server uses this hook to close its
-    listener in the child.
-    """
-    if child_setup is not None:
-        try:
-            child_setup()
-        except Exception as exc:
-            # A failed cleanup must not take the worker down, but it
-            # must not be invisible either (a swallowed error here once
-            # hid a leaked listening socket).
-            print(
-                "worker {}: child_setup failed: {!r}".format(
-                    os.getpid(), exc
-                ),
-                file=sys.stderr,
-            )
-    stop_beats = None
-    if beat_interval_s is not None:
-        stop_beats = start_beat_thread(outbox, beat_interval_s)
-    try:
-        while True:
-            item = inbox.get()
-            if item is None:
-                return
-            key, cell = item
-            try:
-                result = task(cell)
-            except BaseException as exc:
-                outbox.put((key, ERR, (type(exc).__name__, str(exc))))
-            else:
-                outbox.put((key, OK, result))
-    finally:
-        if stop_beats is not None:
-            stop_beats.set()
-
-
-class _Worker:
-    """Supervisor-side record of one worker process."""
-
-    def __init__(self, process, inbox, outbox):
-        self.process = process
-        self.inbox = inbox
-        self.outbox = outbox
-        #: Cache key of the cell this worker is running (None = idle).
-        self.key = None
-        #: True once the worker was sent the retirement sentinel; its
-        #: eventual death is a planned departure, not a crash.
-        self.draining = False
-
-    @property
-    def pid(self):
-        return self.process.pid
-
-    def busy(self):
-        return self.key is not None
-
-
-class WorkerPool:
-    """A resizable, watchdog-supervised pool of cell workers.
-
-    Parameters
-    ----------
-    size:
-        Initial worker count (>= 1).
-    task:
-        The per-cell function (defaults to the engine's
-        :func:`~repro.experiments.parallel.run_cell`); injectable so
-        tests can run sleepy or crashy tasks.
-    watchdog:
-        Anything :meth:`WatchdogPolicy.coerce` accepts; ``None``
-        disables staleness supervision (crash detection remains).
-    """
-
-    def __init__(self, size, task=None, watchdog=True):
-        if size < 1:
-            raise ConfigError("pool size must be >= 1")
-        self.target = size
-        self.task = task or run_cell
-        self.policy = WatchdogPolicy.coerce(watchdog)
-        self.monitor = (
-            HeartbeatMonitor(self.policy) if self.policy else None
-        )
-        self._context = _fork_context()
-        if self._context is None:
-            raise ConfigError(
-                "the campaign service needs the fork start method, "
-                "which this platform does not support"
-            )
-        self._workers = {}  # pid -> _Worker
-        self._started = False
-        #: Optional callable run first thing inside each forked worker
-        #: (e.g. the server closing its inherited listening socket).
-        #: Read at spawn time, so it may be assigned after start().
-        self.child_setup = None
-
-    # -- lifecycle -----------------------------------------------------
-
-    def start(self):
-        """Spawn the initial workers; returns their pids."""
-        self._started = True
-        return [self._spawn() for _ in range(self.target)]
-
-    def _spawn(self):
-        inbox = self._context.SimpleQueue()
-        outbox = self._context.SimpleQueue()
-        beat = self.policy.beat_interval_s if self.policy else None
-        process = self._context.Process(
-            target=_pool_worker,
-            args=(inbox, outbox, self.task, beat, self.child_setup),
-            daemon=True,
-        )
-        process.start()
-        worker = _Worker(process, inbox, outbox)
-        self._workers[process.pid] = worker
-        if self.monitor is not None:
-            self.monitor.register(process.pid)
-        return process.pid
-
-    def stop(self):
-        """Retire every worker: sentinel, grace period, then kill."""
-        self.target = 0
-        for worker in self._workers.values():
-            self._retire(worker)
-        deadline = time.monotonic() + _STOP_GRACE_S
-        for worker in self._workers.values():
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                self._kill(worker)
-        for worker in self._workers.values():
-            self._forget(worker)
-        self._workers.clear()
-
-    # -- sizing --------------------------------------------------------
-
-    def resize(self, target):
-        """Change the worker count; returns the pids told to retire.
-
-        Growth happens in the next :meth:`poll` (which maintains the
-        target). Shrinking retires idle workers immediately and marks
-        busy ones *draining* — they finish their current cell, post
-        its result, then exit on the sentinel, so a shrink never
-        abandons work.
-        """
-        if target < 1:
-            raise ConfigError("pool size must be >= 1")
-        self.target = target
-        retired = []
-        excess = self._population() - target
-        if excess <= 0:
-            return retired
-        candidates = sorted(
-            self._workers.values(),
-            key=lambda w: (w.busy(), w.pid),
-        )
-        for worker in candidates:
-            if excess <= 0:
-                break
-            if worker.draining:
-                continue
-            self._retire(worker)
-            retired.append(worker.pid)
-            excess -= 1
-        return retired
-
-    def _population(self):
-        """Workers counting toward the target (drainers are leaving)."""
-        return sum(1 for w in self._workers.values() if not w.draining)
-
-    def _retire(self, worker):
-        worker.draining = True
-        try:
-            worker.inbox.put(None)
-        except (OSError, ValueError):
-            pass  # already dead; poll() will reap it
-
-    def _kill(self, worker):
-        process = worker.process
-        try:
-            process.terminate()
-            process.join(0.2)
-            if process.is_alive():
-                process.kill()
-                process.join(0.2)
-        except (OSError, ValueError):
-            pass
-
-    def _forget(self, worker):
-        if self.monitor is not None:
-            self.monitor.forget(worker.pid)
-        for queue in (worker.inbox, worker.outbox):
-            try:
-                queue.close()
-            except (AttributeError, OSError):
-                pass
-
-    # -- dispatch ------------------------------------------------------
-
-    def idle_workers(self):
-        """Pids ready for a cell, in stable (pid) order."""
-        return [
-            w.pid for w in sorted(
-                self._workers.values(), key=lambda w: w.pid
-            )
-            if not w.busy() and not w.draining and w.process.is_alive()
-        ]
-
-    def dispatch(self, pid, key, cell):
-        """Hand ``cell`` (cache-keyed ``key``) to an idle worker.
-
-        Returns False when the worker can no longer accept (died or
-        started draining since :meth:`idle_workers`); the caller keeps
-        the cell queued.
-        """
-        worker = self._workers.get(pid)
-        if worker is None or worker.busy() or worker.draining:
-            return False
-        try:
-            worker.inbox.put((key, cell))
-        except (OSError, ValueError):
-            return False
-        worker.key = key
-        return True
-
-    # -- supervision ---------------------------------------------------
-
-    def poll(self):
-        """One non-blocking supervision sweep; returns change events.
-
-        Event tuples, in emission order:
-
-        * ``("result", pid, key, status, payload)`` — a worker posted
-          a cell result (``status`` is ``OK``/``ERR``);
-        * ``("left", pid, reason)`` — a worker exited; ``reason`` is
-          ``"retired"`` (planned) or ``"stalled"`` (watchdog kill);
-        * ``("crashed", pid, key)`` — a worker died unplanned; ``key``
-          is the cell it was running (None if idle);
-        * ``("stalled", pid, key, stale_s)`` — the watchdog declared
-          the worker hung (a kill + ``left`` follows in the same
-          sweep);
-        * ``("joined", pid)`` — a replacement/growth worker spawned.
-
-        Queues are drained *before* liveness checks so the final
-        results of a worker that died after posting are never lost.
-        """
-        events = []
-        for worker in list(self._workers.values()):
-            events.extend(self._drain(worker))
-        for worker in list(self._workers.values()):
-            if not worker.process.is_alive():
-                events.extend(self._reap(worker))
-            elif (
-                self.monitor is not None
-                and not worker.draining
-                and self.monitor.is_stale(worker.pid)
-            ):
-                stale_s = self.monitor.staleness(worker.pid)
-                self.monitor.declare_stall(worker.pid)
-                events.append(
-                    ("stalled", worker.pid, worker.key, stale_s)
-                )
-                self._kill(worker)
-                events.extend(self._reap(worker, stalled=True))
-        if self._started:
-            while self._population() < self.target:
-                events.append(("joined", self._spawn()))
-        return events
-
-    def _drain(self, worker):
-        events = []
-        try:
-            while not worker.outbox.empty():
-                key, status, payload = worker.outbox.get()
-                if key == BEAT_INDEX and status == BEAT:
-                    if self.monitor is not None:
-                        self.monitor.beat(worker.pid)
-                    continue
-                if self.monitor is not None:
-                    # A result proves liveness as well as any beat.
-                    self.monitor.beat(worker.pid)
-                if worker.key == key:
-                    worker.key = None
-                events.append(
-                    ("result", worker.pid, key, status, payload)
-                )
-        except (EOFError, OSError):
-            pass  # queue torn down under us; liveness check follows
-        return events
-
-    def _reap(self, worker, stalled=False):
-        """Remove a dead worker, reporting how it left."""
-        events = []
-        if stalled:
-            events.append(("left", worker.pid, "stalled"))
-        elif worker.draining:
-            events.append(("left", worker.pid, "retired"))
-        else:
-            events.append(("crashed", worker.pid, worker.key))
-        self._forget(worker)
-        self._workers.pop(worker.pid, None)
-        return events
-
-    # -- introspection -------------------------------------------------
-
-    def describe(self):
-        """JSON-ready snapshot for the ``GET /pool`` endpoint."""
-        workers = []
-        for worker in sorted(self._workers.values(), key=lambda w: w.pid):
-            workers.append({
-                "pid": worker.pid,
-                "busy": worker.busy(),
-                "cell_key": worker.key,
-                "draining": worker.draining,
-                "alive": worker.process.is_alive(),
-                "staleness_s": (
-                    round(self.monitor.staleness(worker.pid), 3)
-                    if self.monitor is not None else None
-                ),
-            })
-        return {
-            "target": self.target,
-            "workers": workers,
-            "stalls": (
-                self.monitor.stalls if self.monitor is not None else 0
-            ),
-        }
-
-    def __len__(self):
-        return len(self._workers)
-
-
-def kill_worker(pid):
-    """Test/chaos helper: SIGKILL one pool worker outright."""
-    os.kill(pid, signal.SIGKILL)
+__all__ = ["WorkerPool"]

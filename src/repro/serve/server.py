@@ -1,7 +1,7 @@
 """The campaign server: asyncio loop, dispatcher, and HTTP API.
 
 ``repro serve`` runs one :class:`CampaignServer`: a single-threaded
-asyncio process supervising a :class:`~repro.serve.pool.WorkerPool`
+asyncio process supervising a :class:`~repro.experiments.pool.WorkerPool`
 and serving the HTTP+JSON API. Everything mutable lives on the one
 event loop — HTTP handlers and the supervision tick interleave but
 never run concurrently — so the server needs no locks.
@@ -10,7 +10,10 @@ Dispatch is **job-based, not campaign-based**: the unit in the queue
 is a :class:`_CellJob`, keyed by the cell's content-address (the same
 key the result cache uses). Overlapping campaigns that share a cell
 share its job — the cell computes once and every waiter settles from
-the single result. Submission therefore dedups at three levels:
+the single result. A worker takes the head-of-queue job together with
+every queued job that reads the same Baseline simulation (the batch
+engine's unit rule), so a Baseline cell and its Oracle-Halt and Ideal
+cells simulate the Baseline once. Submission dedups at three levels:
 
 1. cache hit — the cell already has a durable result; settle now;
 2. job hit — the cell is queued or running for another campaign;
@@ -22,8 +25,9 @@ journaled (dispatch/completion/failure per cell, fsynced), so a
 SIGKILLed server replays its journals on restart, restores completed
 cells from the result cache, and re-enqueues only the remainder.
 Worker failures reuse the watchdog/requeue semantics: a crashed or
-stalled worker costs one attempt on the cell it was running, and the
-cell becomes a structured failure only after exhausting its retries.
+stalled worker costs one attempt on the cell it was running, the cells
+of its unit behind that one are requeued uncharged, and a cell becomes
+a structured failure only after exhausting its retries.
 
 API surface (all JSON; exit codes match the batch CLI):
 
@@ -51,7 +55,8 @@ from dataclasses import asdict
 from repro import __version__
 from repro.errors import ConfigError, ServeError
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import ERR, OK, CellFailure, cell_id
+from repro.experiments.parallel import CellFailure, _unit_key, cell_id
+from repro.experiments.pool import ERR, OK, WorkerPool
 from repro.experiments.preemption import EXIT_RESUMABLE, PreemptionGuard
 from repro.serve.campaigns import (
     CANCELLED,
@@ -69,7 +74,6 @@ from repro.serve.http import (
     Router,
     make_connection_handler,
 )
-from repro.serve.pool import WorkerPool
 from repro.telemetry.events import (
     CampaignCancelled,
     CampaignFinished,
@@ -343,35 +347,34 @@ class CampaignServer:
                 _, pid, key, status, payload = event
                 self._on_result(key, status, payload)
             elif kind == "crashed":
-                _, pid, key = event
+                _, pid, keys = event
                 self._emit(
                     WorkerLeft(ts=0, worker=pid, pool_size=len(self.pool),
                                reason="crashed"),
                     self._live_campaigns(),
                 )
-                if key is not None:
-                    self._strike(key, "crashed", "worker died")
+                self._strike_unit(keys, "crashed", "worker died")
             elif kind == "stalled":
-                _, pid, key, stale_s = event
-                job = self.jobs.get(key)
-                waiters = job.waiters if job is not None else []
-                for campaign, index in waiters:
+                _, pid, keys, stale_s = event
+                stalled = {}  # campaign -> its cells on the worker
+                for key in filter(self.jobs.__contains__, keys):
+                    for campaign, index in self.jobs[key].waiters:
+                        stalled.setdefault(campaign, []).append(
+                            cell_id(campaign.cells[index], index)
+                        )
+                for campaign, cells in stalled.items():
                     campaign.journal.record_worker_stalled(
-                        worker=pid,
-                        cells=[cell_id(campaign.cells[index], index)],
-                        stale_s=stale_s,
+                        worker=pid, cells=cells, stale_s=stale_s,
                     )
                 self._emit(
                     WorkerStalled(
-                        ts=0, worker=pid,
-                        cells=1 if key is not None else 0,
+                        ts=0, worker=pid, cells=len(keys),
                         stale_s=round(stale_s, 3),
                     ),
-                    [c for c, _ in waiters],
+                    list(stalled),
                 )
-                if key is not None:
-                    self._strike(key, "stalled", "no heartbeat for "
-                                 "{:.2f}s".format(stale_s))
+                self._strike_unit(keys, "stalled", "no heartbeat for "
+                                  "{:.2f}s".format(stale_s))
             elif kind == "left":
                 _, pid, reason = event
                 self._emit(
@@ -409,6 +412,18 @@ class CampaignServer:
                 key, "error", "{}: {}".format(error_type, message),
             )
 
+    def _strike_unit(self, keys, kind, message):
+        """A unit's worker died: the cell it was running (the first
+        unfinished) loses an attempt; the rest never started and are
+        requeued ahead of fresh work with none charged."""
+        for key in reversed(keys[1:]):
+            job = self.jobs.get(key)
+            if job is not None:
+                job.pid = None
+                self.queue.insert(0, key)
+        if keys:
+            self._strike(keys[0], kind, message)
+
     def _strike(self, key, kind, message):
         """One failed attempt at a job: requeue or fail permanently."""
         job = self.jobs.get(key)
@@ -432,6 +447,22 @@ class CampaignServer:
         for campaign, index in job.waiters:
             self._settle(campaign, index, failure)
 
+    def _unit(self, head):
+        """``head`` plus every queued, not-running job that reads the
+        same Baseline simulation, in queue order: one pool job."""
+        share = _unit_key(head.cell)
+        unit = [head]
+        if share is None:
+            return unit
+        for key in self.queue:
+            job = self.jobs.get(key)
+            if (
+                job is not None and job.pid is None and job not in unit
+                and _unit_key(job.cell) == share
+            ):
+                unit.append(job)
+        return unit
+
     def _dispatch(self):
         if self._stopping:
             return
@@ -443,17 +474,19 @@ class CampaignServer:
                 self.queue.pop(0)  # withdrawn or already running
                 continue
             pid = idle[0]
-            if not self.pool.dispatch(pid, key, job.cell):
+            unit = self._unit(job)
+            if not self.pool.dispatch(pid, [(j.key, j.cell) for j in unit]):
                 idle.pop(0)  # worker died/drained since listed
                 continue
-            self.queue.pop(0)
+            self.queue.pop(0)  # the others' entries are skipped later
             idle.pop(0)
-            job.pid = pid
-            for campaign, index in job.waiters:
-                campaign.journal.record_dispatched(
-                    cell_id(campaign.cells[index], index), index=index,
-                    attempt=job.attempts + 1, key=key,
-                )
+            for job in unit:
+                job.pid = pid
+                for campaign, index in job.waiters:
+                    campaign.journal.record_dispatched(
+                        cell_id(campaign.cells[index], index), index=index,
+                        attempt=job.attempts + 1, key=job.key,
+                    )
 
     # ------------------------------------------------------------------
     # recovery

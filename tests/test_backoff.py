@@ -58,7 +58,7 @@ class TestEngineBackoff:
         # Two cells so the engine takes the parallel path (the serial
         # path would run the SIGKILL in this very process).
         engine = ExperimentEngine(
-            workers=2, retries=2, chunksize=1, backoff_base_s=0.01,
+            workers=2, retries=2, backoff_base_s=0.01,
             backoff_cap_s=0.05, backoff_seed=3,
         )
         engine.run_cells(
@@ -104,7 +104,7 @@ class TestEngineBackoff:
             {"kind": "backoff-test"}, run_id="bk", root=tmp_path,
         )
         engine = ExperimentEngine(
-            workers=2, retries=2, chunksize=1, backoff_base_s=0.01,
+            workers=2, retries=2, backoff_base_s=0.01,
             backoff_cap_s=0.05, backoff_seed=3, journal=journal,
         )
         out = engine.run_cells(

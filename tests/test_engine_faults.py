@@ -13,7 +13,12 @@ import time
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.parallel import CellFailure, ExperimentEngine
+from repro.experiments import runner
+from repro.experiments.parallel import (
+    CellFailure,
+    ExperimentCell,
+    ExperimentEngine,
+)
 
 
 def _task(cell):
@@ -36,6 +41,34 @@ def _task(cell):
 
 def _cells(*specs):
     return [dict(spec, name="cell{}".format(i)) for i, spec in enumerate(specs)]
+
+
+_UNIT = ("baseline", "oracle-halt", "ideal")
+
+
+def _unit_cells():
+    """One dispatch unit: a Baseline cell and the two derived cells that
+    replay its simulation, run in this order by one worker."""
+    return [ExperimentCell.make("fmm", config, threads=4) for config in _UNIT]
+
+
+def _doom(monkeypatch, config, fate):
+    """Run ``fate`` before every ``config`` cell. The patch is in place
+    before the engine forks its workers, so they inherit it."""
+    run_experiment = runner.run_experiment
+
+    def doomed(app, cell_config, **kwargs):
+        if cell_config == config:
+            fate()
+        return run_experiment(app, cell_config, **kwargs)
+
+    monkeypatch.setattr(runner, "run_experiment", doomed)
+
+
+def _assert_reference(results, indices):
+    for index in indices:
+        reference = runner.run_experiment("fmm", _UNIT[index], threads=4)
+        assert reference.identical(results[index])
 
 
 class TestRaisingCell:
@@ -91,18 +124,16 @@ class TestTimeout:
         assert failure.kind == "timeout"
         assert elapsed < 10  # the 30s sleep was actually cut short
 
-    def test_innocent_chunkmates_are_rescued(self):
-        # A hung cell in the middle of a chunk must not take down the
-        # cells queued behind it in the same worker.
-        engine = ExperimentEngine(
-            workers=2, timeout=0.5, retries=0, chunksize=3
-        )
-        out = engine.run_cells(
-            _cells({"action": "hang"}, {}, {}), task_fn=_task
-        )
+    def test_innocent_chunkmates_are_rescued(self, monkeypatch):
+        # A hung Baseline cell must not take down the derived cells
+        # queued behind it in the same dispatch unit.
+        _doom(monkeypatch, "baseline", lambda: time.sleep(30))
+        engine = ExperimentEngine(workers=2, timeout=0.5, retries=0)
+        out = engine.run_cells(_unit_cells())
+        monkeypatch.undo()
         assert isinstance(out[0], CellFailure)
         assert out[0].kind == "timeout"
-        assert out[1] == "cell1" and out[2] == "cell2"
+        _assert_reference(out, (1, 2))
 
 
 class TestWorkerCrash:
@@ -137,12 +168,12 @@ class TestWorkerCrash:
         assert failure.attempts == 3  # initial try + two retries
         assert engine.stats.retries == 2
 
-    def test_completed_chunkmates_survive_a_late_crash(self):
-        # Worker finishes two cells, then dies on the third: the two
-        # finished results must be salvaged from the queue.
-        engine = ExperimentEngine(workers=2, retries=0, chunksize=3)
-        out = engine.run_cells(
-            _cells({}, {}, {"action": "die"}), task_fn=_task
-        )
-        assert out[0] == "cell0" and out[1] == "cell1"
+    def test_completed_chunkmates_survive_a_late_crash(self, monkeypatch):
+        # Worker finishes two cells of its unit, then dies on the third:
+        # the two finished results must be salvaged from the queue.
+        _doom(monkeypatch, "ideal", lambda: os._exit(1))
+        engine = ExperimentEngine(workers=2, retries=0)
+        out = engine.run_cells(_unit_cells())
+        monkeypatch.undo()
+        _assert_reference(out, (0, 1))
         assert isinstance(out[2], CellFailure)

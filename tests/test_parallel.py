@@ -8,6 +8,7 @@ two applications and two seeds, plus the engine's ordering and
 degradation behavior.
 """
 
+import os
 import time
 
 import pytest
@@ -91,16 +92,6 @@ class TestDeterminism:
             apps=APPS, configs=CONFIGS, threads=THREADS, seed=1, workers=1
         )
         assert_matrices_identical(legacy, via_engine)
-
-    def test_chunked_dispatch_preserves_results(self):
-        serial = run_matrix(
-            apps=APPS, configs=CONFIGS, threads=THREADS, seed=1
-        )
-        engine = ExperimentEngine(workers=2, chunksize=4, strict=True)
-        chunked = engine.run_matrix(
-            APPS, configs=CONFIGS, threads=THREADS, seed=1
-        )
-        assert_matrices_identical(serial, chunked)
 
 
 class TestBaselineSharing:
@@ -238,8 +229,16 @@ class TestOrdering:
             "slow", "medium", "fast"
         ]
 
+    def test_units_share_persistent_workers(self):
+        # One pool per run: ten units go to two long-lived workers
+        # instead of one forked process each.
+        engine = ExperimentEngine(workers=2)
+        pids = engine.run_cells(range(10), task_fn=lambda _: os.getpid())
+        assert len(set(pids)) <= 2
+        assert os.getpid() not in pids
+
     def test_many_cells_few_workers(self):
-        engine = ExperimentEngine(workers=2, chunksize=3)
+        engine = ExperimentEngine(workers=2)
         payloads = list(range(20))
         out = engine.run_cells(payloads, task_fn=lambda n: n * n)
         assert out == [n * n for n in payloads]

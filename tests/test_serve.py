@@ -17,8 +17,10 @@ import pytest
 
 from repro.errors import ConfigError, ServeError
 from repro.experiments.cache import ResultCache
+from repro.experiments.export import matrix_to_records
 from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import CellFailure
+from repro.experiments.runner import run_app
 from repro.experiments.watchdog import WatchdogPolicy
 from repro.serve.campaigns import (
     CANCELLED,
@@ -137,6 +139,17 @@ def _crash_on_die(cell):
     return cell
 
 
+def _exit_on_three(cell):
+    if cell == 3:
+        os._exit(1)
+    return cell
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 def _hang_on_hang(cell):
     if cell == "hang":
         os.kill(os.getpid(), signal.SIGSTOP)
@@ -169,7 +182,7 @@ class TestWorkerPool:
         try:
             pool.start()
             for pid, n in zip(pool.idle_workers(), (2, 3)):
-                assert pool.dispatch(pid, "k{}".format(n), n)
+                assert pool.dispatch(pid, [("k{}".format(n), n)])
             events = _poll_until(
                 pool, lambda evs: len(_results(evs)) == 2,
             )
@@ -212,7 +225,7 @@ class TestWorkerPool:
         try:
             pool.start()
             busy = pool.idle_workers()[0]
-            assert pool.dispatch(busy, "k", 21)
+            assert pool.dispatch(busy, [("k", 21)])
             retired = pool.resize(1)
             # The idle worker is retired first; the busy one keeps its
             # cell and still posts the result.
@@ -229,7 +242,7 @@ class TestWorkerPool:
         try:
             pool.start()
             victim = pool.idle_workers()[0]
-            assert pool.dispatch(victim, "kd", "die")
+            assert pool.dispatch(victim, [("kd", "die")])
             events = _poll_until(
                 pool,
                 lambda evs: any(e[0] == "crashed" for e in evs)
@@ -237,8 +250,41 @@ class TestWorkerPool:
             )
             crash = next(e for e in events if e[0] == "crashed")
             assert crash[1] == victim
-            assert crash[2] == "kd"
+            assert crash[2] == ["kd"]
             assert len(pool.idle_workers()) == 2
+        finally:
+            pool.stop()
+
+    def test_crash_mid_unit_reports_only_unfinished_cells(self):
+        pool = WorkerPool(1, task=_exit_on_three, watchdog=None)
+        try:
+            pool.start()
+            (pid,) = pool.idle_workers()
+            assert pool.dispatch(pid, [("k1", 1), ("k2", 2), ("k3", 3)])
+            events = _poll_until(
+                pool, lambda evs: any(e[0] == "crashed" for e in evs),
+            )
+            crash = events.index(("crashed", pid, ["k3"]))
+            assert [e[2:] for e in _results(events[:crash])] == [
+                ("k1", "ok", 1), ("k2", "ok", 2),
+            ]
+            assert not _results(events[crash:])
+        finally:
+            pool.stop()
+
+    def test_unit_overrunning_timeout_is_killed_and_reported(self):
+        pool = WorkerPool(1, task=_sleep, watchdog=None, timeout=0.3)
+        try:
+            pool.start()
+            (pid,) = pool.idle_workers()
+            assert pool.dispatch(pid, [("k1", 0.0), ("k2", 30.0), ("k3", 0)])
+            events = _poll_until(
+                pool, lambda evs: any(e[0] == "joined" for e in evs),
+            )
+            assert [e[2:] for e in _results(events)] == [("k1", "ok", 0.0)]
+            assert ("timeout", pid, ["k2", "k3"]) in events
+            assert ("left", pid, "timeout") in events
+            assert pid not in pool.idle_workers()
         finally:
             pool.stop()
 
@@ -247,7 +293,7 @@ class TestWorkerPool:
         try:
             pool.start()
             victim = pool.idle_workers()[0]
-            assert pool.dispatch(victim, "kh", "hang")
+            assert pool.dispatch(victim, [("kh", "hang")])
             events = _poll_until(
                 pool,
                 lambda evs: any(e[0] == "stalled" for e in evs)
@@ -255,7 +301,7 @@ class TestWorkerPool:
             )
             stall = next(e for e in events if e[0] == "stalled")
             assert stall[1] == victim
-            assert stall[2] == "kh"
+            assert stall[2] == ["kh"]
             assert stall[3] >= _FAST_WATCHDOG.stale_after_s
             left = next(e for e in events if e[0] == "left")
             assert left[2] == "stalled"
@@ -281,7 +327,7 @@ class TestWorkerPool:
             # A completed roundtrip proves the worker ran child_setup
             # (it runs before the serve loop).
             pid = pool.idle_workers()[0]
-            assert pool.dispatch(pid, "k", 4)
+            assert pool.dispatch(pid, [("k", 4)])
             _poll_until(pool, lambda evs: len(_results(evs)) == 1)
             listener.close()
             # With the worker's inherited copy closed, the port must
@@ -432,6 +478,29 @@ class TestDispatcher:
         server.cancel(campaign.run_id)
         server._on_result(keys[0], "ok", {"late": True})
         assert server.cache.get(keys[0]) == {"late": True}
+
+
+class TestUnitDispatch:
+    def test_served_app_simulates_its_baseline_once(
+        self, tmp_path, count_simulations
+    ):
+        # The Baseline job goes out with the queued Oracle-Halt and
+        # Ideal jobs replaying it: five cells, three simulations.
+        server = _server(tmp_path, task=None)
+        campaign = server.submit({"apps": ["fmm"], "threads": 8})
+        server.pool.start()
+        try:
+            deadline = time.monotonic() + 120.0
+            while campaign.state != DONE:
+                assert time.monotonic() < deadline, campaign.status_payload()
+                server.tick()
+                time.sleep(0.01)
+        finally:
+            server.pool.stop()
+        assert count_simulations() == 3
+        assert server.executed == 5
+        reference = {"fmm": run_app("fmm", threads=8)}
+        assert campaign.records() == matrix_to_records(reference)
 
 
 class TestRecovery:

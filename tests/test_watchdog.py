@@ -135,7 +135,7 @@ _FAST_WATCHDOG = WatchdogPolicy(beat_interval_s=0.02, stale_after_s=0.3)
 class TestEngineSupervision:
     def test_stalled_worker_killed_and_cell_retried(self, tmp_path):
         engine = ExperimentEngine(
-            workers=2, retries=2, chunksize=1, backoff_base_s=0.0,
+            workers=2, retries=2, backoff_base_s=0.0,
             watchdog=_FAST_WATCHDOG,
         )
         out = engine.run_cells(
@@ -151,7 +151,7 @@ class TestEngineSupervision:
 
     def test_stall_exhausts_retries_into_structured_failure(self):
         engine = ExperimentEngine(
-            workers=2, retries=0, chunksize=1, watchdog=_FAST_WATCHDOG,
+            workers=2, retries=0, watchdog=_FAST_WATCHDOG,
         )
         out = engine.run_cells(
             [{"name": "c0", "action": "hang"}, {"name": "c1"}],
@@ -168,7 +168,7 @@ class TestEngineSupervision:
             {"kind": "watchdog-test"}, run_id="wd", root=tmp_path,
         )
         engine = ExperimentEngine(
-            workers=2, retries=1, chunksize=1, backoff_base_s=0.0,
+            workers=2, retries=1, backoff_base_s=0.0,
             watchdog=_FAST_WATCHDOG, journal=journal,
         )
         out = engine.run_cells(
