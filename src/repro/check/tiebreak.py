@@ -11,7 +11,6 @@ same interleaving, which is what the explorer's visited-schedule
 hashing and the counterexample artifacts are built on.
 """
 
-import hashlib
 import random
 
 
@@ -105,22 +104,3 @@ class ScheduleDriver(TieBreaker):
 def schedule_key(trace):
     """Hashable identity of one realized decision trace."""
     return tuple(trace)
-
-
-def schedule_digest(trace):
-    """Short stable hex digest of a realized trace (for reports)."""
-    text = ";".join("{}:{}".format(a, c) for a, c in trace)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
-
-
-def describe_entry(entry):
-    """Human label for one bucket entry (witness/debug output)."""
-    owner = getattr(entry, "__self__", None)
-    if owner is not None:
-        name = getattr(owner, "name", None)
-        if name:
-            return "resume:{}".format(name)
-    fn = getattr(entry, "fn", None)
-    if fn is not None:
-        return getattr(fn, "__qualname__", repr(fn))
-    return getattr(entry, "__qualname__", repr(entry))

@@ -754,7 +754,6 @@ def _run_cache_command(args):
     stats = dict(cache.stats())
     stats["entries"] = len(cache)
     stats["size_bytes"] = cache.size_bytes()
-    stats["layout"] = cache.layout()
     stats["cache_dir"] = str(cache.cache_dir)
     print(json.dumps(stats, indent=2, sort_keys=True))
     return EXIT_OK

@@ -123,12 +123,6 @@ class Cache:
             self._count_dirty(set_index, -1)
         return state
 
-    def resident_lines(self):
-        """All ``(line, state)`` pairs currently cached."""
-        for cache_set in self._sets:
-            if cache_set:
-                yield from cache_set.items()
-
     def dirty_lines(self):
         """Line addresses currently in MODIFIED state.
 

@@ -50,10 +50,6 @@ class LineLock:
         # from allocating a fresh pre-succeeded event per acquire.
         self._granted = sim.event().succeed()
 
-    @property
-    def locked(self):
-        return self._locked
-
     def acquire(self):
         """An event that succeeds once the lock is held by the caller."""
         if not self._locked:

@@ -95,10 +95,6 @@ class MemorySystem:
         """Functional read without timing (for assertions and oracles)."""
         return self._values.get(addr, 0)
 
-    def poke(self, addr, value):
-        """Functional write without timing (workload initialization)."""
-        self._values[addr] = value
-
     # -- public transaction API (generators) ------------------------------
 
     def load(self, node, addr):

@@ -332,7 +332,7 @@ def fsck_run(run_dir, repair=False):
 def fsck_cache(cache_dir, repair=False):
     """Audit (and optionally repair) a result-cache tree.
 
-    Every entry (sharded and legacy-flat) must unpickle; corrupt
+    Every entry in a 2-hex shard directory must unpickle; corrupt
     entries are quarantined — the cache would have treated them as
     misses anyway, but leaving them means every warm run pays the
     load-and-evict cost and the operator never hears about it.
@@ -342,11 +342,9 @@ def fsck_cache(cache_dir, repair=False):
     if not cache_dir.is_dir():
         return report  # an absent cache is vacuously clean
     quarantine_root = cache_dir / _QUARANTINE_DIR
-    shard_dirs = sorted(
-        entry for entry in cache_dir.iterdir()
-        if entry.is_dir() and _SHARD_RE.match(entry.name)
-    )
-    for directory in [cache_dir] + shard_dirs:
+    for directory in sorted(cache_dir.iterdir()):
+        if not (directory.is_dir() and _SHARD_RE.match(directory.name)):
+            continue
         for entry in sorted(directory.glob("*.pkl")):
             if not _CACHE_ENTRY_RE.match(entry.name):
                 continue

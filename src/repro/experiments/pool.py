@@ -92,7 +92,15 @@ def _pool_worker(inbox, outbox, task, beat_interval_s, child_setup=None):
     keep the port bound, blocking the restart that is supposed to
     resume their campaigns. The server uses this hook to close its
     listener in the child.
+
+    The worker first closes its copies of the supervisor's ends of its
+    two pipes. Only the supervisor and workers forked after this one
+    then hold its inbox's write end, so when the supervisor dies the
+    last-forked worker reads EOF, exits, and releases its siblings'
+    ends in turn: no worker outlives its supervisor.
     """
+    inbox._writer.close()
+    outbox._reader.close()
     if child_setup is not None:
         try:
             child_setup()
@@ -120,6 +128,8 @@ def _pool_worker(inbox, outbox, task, beat_interval_s, child_setup=None):
                         outbox.put((key, ERR, error))
                     else:
                         outbox.put((key, OK, result))
+    except (EOFError, BrokenPipeError):
+        pass  # the supervisor is gone: nobody is left to serve
     finally:
         if stop_beats is not None:
             stop_beats.set()

@@ -335,19 +335,18 @@ def run_matrix(
 ):
     """The full evaluation sweep: {app: {config: ExperimentResult}}.
 
-    ``workers=1`` with caching disabled takes the classic serial path
-    (one shared Baseline run per app feeds the derived oracles); any
-    other setting routes through the
-    :class:`~repro.experiments.parallel.ExperimentEngine`, which fans
-    cells out over processes and/or the on-disk result cache and also
-    simulates each Baseline once for its derived cells. Both paths
-    produce field-identical results for the same seed.
+    Every call runs on an
+    :class:`~repro.experiments.parallel.ExperimentEngine`: serially
+    in-process at ``workers=1``, else fanned out over worker processes,
+    with the on-disk result cache when ``cache`` is given. Either way
+    each Baseline simulates once for its derived cells, and the results
+    are field-identical for the same seed.
 
     ``cache`` is ``None`` (off), ``True`` (default directory), a path,
-    or a :class:`~repro.experiments.cache.ResultCache`. With
-    ``strict=False`` a failing cell is returned in-place as a
-    :class:`~repro.experiments.parallel.CellFailure` instead of
-    raising.
+    or a :class:`~repro.experiments.cache.ResultCache`. A failing cell
+    raises :class:`~repro.errors.ExperimentError`; with
+    ``strict=False`` it is returned in-place as a
+    :class:`~repro.experiments.parallel.CellFailure` instead.
 
     ``metrics`` is an optional
     :class:`~repro.telemetry.metrics.MetricsRegistry`; when given, the
@@ -361,38 +360,13 @@ def run_matrix(
     (a :class:`~repro.experiments.preemption.PreemptionGuard`-like
     object turning SIGTERM/SIGINT into a graceful
     :class:`~repro.errors.CampaignInterrupted`), and ``watchdog`` (a
-    hung-worker heartbeat policy). Any of them forces the engine path
-    even at ``workers=1`` with no cache.
+    hung-worker heartbeat policy).
     """
-    from repro.workloads.splash2 import SPLASH2_NAMES
-
-    apps = tuple(apps or SPLASH2_NAMES)
-    crash_safe = (
-        journal is not None or preemption is not None
-        or watchdog is not None
-    )
-    if workers == 1 and cache is None and not crash_safe:
-        matrix = {
-            app: run_app(
-                app, threads=threads, seed=seed,
-                machine_config=machine_config, configs=configs,
-            )
-            for app in apps
-        }
-        if metrics is not None:
-            # Mirror the engine-path counter set exactly, so serial and
-            # parallel runs print byte-identical CLI summaries.
-            from repro.experiments.parallel import EngineStats
-
-            cells = sum(len(row) for row in matrix.values())
-            mirror = EngineStats(submitted=cells, executed=cells)
-            for name, value in mirror.as_dict().items():
-                metrics.counter("engine.{}".format(name)).inc(value)
-        return matrix
     from repro.experiments.parallel import (
         ExperimentEngine,
         record_engine_metrics,
     )
+    from repro.workloads.splash2 import SPLASH2_NAMES
 
     engine = ExperimentEngine(
         workers=workers, cache=cache, timeout=timeout,
@@ -401,8 +375,8 @@ def run_matrix(
     )
     try:
         matrix = engine.run_matrix(
-            apps, configs=configs, threads=threads, seed=seed,
-            machine_config=machine_config,
+            apps or SPLASH2_NAMES, configs=configs, threads=threads,
+            seed=seed, machine_config=machine_config,
         )
     finally:
         # Recorded even on CampaignInterrupted: a preempted run's

@@ -13,7 +13,8 @@ from typing import List
 from repro.config import MachineConfig
 from repro.errors import ConfigError
 from repro.experiments.metrics import energy_savings, slowdown
-from repro.experiments.runner import DEFAULT_SEED, run_app
+from repro.experiments.parallel import ExperimentCell, ExperimentEngine
+from repro.experiments.runner import DEFAULT_SEED
 
 
 @dataclass
@@ -54,9 +55,10 @@ def thread_scaling(
     """Run one application across machine sizes.
 
     Each point uses a machine with exactly ``threads`` nodes (the
-    paper's dedicated mode). ``workers``/``cache`` fan the
-    (size x configuration) cells out through the parallel engine;
-    the defaults keep the classic serial loop.
+    paper's dedicated mode). The (size x configuration) cells run on
+    the parallel engine: serially in-process at ``workers=1``, else
+    fanned out over worker processes, through the result cache when
+    ``cache`` is given.
     """
     thread_counts = tuple(thread_counts)
     for threads in thread_counts:
@@ -64,20 +66,6 @@ def thread_scaling(
             raise ConfigError(
                 "thread counts must be powers of two >= 2 (hypercube)"
             )
-    if workers == 1 and cache is None:
-        return [
-            _scaling_point(
-                app, threads,
-                run_app(
-                    app, threads=threads, seed=seed,
-                    machine_config=MachineConfig(n_nodes=threads),
-                    configs=_SCALING_CONFIGS,
-                ),
-            )
-            for threads in thread_counts
-        ]
-    from repro.experiments.parallel import ExperimentCell, ExperimentEngine
-
     engine = ExperimentEngine(workers=workers, cache=cache, strict=True)
     cells = [
         ExperimentCell.make(
@@ -128,7 +116,6 @@ def latency_scaling(
     through the parallel engine.
     """
     from repro.config import DEFAULT_SLEEP_STATES
-    from repro.experiments.parallel import ExperimentCell, ExperimentEngine
 
     factors = tuple(factors)
     engine = ExperimentEngine(workers=workers, cache=cache, strict=True)

@@ -121,16 +121,6 @@ class HeartbeatMonitor:
     def is_stale(self, worker):
         return self.staleness(worker) >= self.policy.stale_after_s
 
-    def workers(self):
-        """Every worker currently tracked, in registration-stable
-        sorted order."""
-        return tuple(sorted(self._last_beat, key=repr))
-
-    def stale_workers(self):
-        """The tracked workers whose beats have gone stale right now —
-        the set a supervising pool should kill and replace."""
-        return tuple(w for w in self.workers() if self.is_stale(w))
-
     def declare_stall(self, worker):
         """Record one stall verdict and stop tracking the worker."""
         self.stalls += 1

@@ -61,9 +61,6 @@ class MpBarrier:
         #: Local per-rank release timestamps (each rank's own clock).
         self._release_ts = [0] * self.n_ranks
 
-    def release_timestamp(self, rank):
-        return self._release_ts[rank]
-
     def wait(self, rank):
         """Pass the barrier from ``rank`` (generator)."""
         endpoint = self.endpoints[rank]

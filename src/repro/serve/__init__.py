@@ -11,10 +11,10 @@ paralleling them — cells run on the engine's own
 Baseline cell travels with the Oracle-Halt and Ideal cells replaying
 it), liveness rides the :mod:`~repro.experiments.watchdog`
 heartbeats, durability rides
-:class:`~repro.experiments.journal.RunJournal`, and cancellation and
-shutdown ride the preemption protocol — so a served campaign is
-bit-identical, journal-compatible, and resume-compatible with its
-``repro figure5`` equivalent.
+:class:`~repro.experiments.journal.RunJournal`, and shutdown rides the
+preemption protocol — so a served campaign is bit-identical,
+journal-compatible, and resume-compatible with its ``repro figure5``
+equivalent.
 
 * :mod:`repro.serve.http` — minimal stdlib asyncio HTTP/1.1;
 * :mod:`repro.serve.pool` — the engine's hotplug worker pool;

@@ -45,20 +45,6 @@ CANCELLED = "cancelled"
 STREAM_END = object()
 
 
-class CancelToken:
-    """Satisfies the engine's preemption protocol (`requested` attr)
-    for one campaign, so cancellation reuses the same cooperative
-    machinery batch preemption does."""
-
-    def __init__(self):
-        self.requested = False
-        self.reason = "cancelled"
-
-    def cancel(self, reason="cancelled"):
-        self.requested = True
-        self.reason = reason
-
-
 def normalize_spec(payload):
     """Validate a submission payload into the canonical spec dict.
 
@@ -156,7 +142,6 @@ class Campaign:
         self.results = [None] * len(self.cells)
         self.journal = journal
         self.state = QUEUED
-        self.cancel_token = CancelToken()
         self.events = []       # serialized event dicts, append-only
         self.subscribers = []  # live asyncio.Queue fan-out targets
         self.cached = 0        # cells served straight from the cache
@@ -332,7 +317,6 @@ class CampaignStore:
                 self._campaigns[run_id] = campaign
             elif state.cancellations:
                 campaign.state = CANCELLED
-                campaign.cancel_token.cancel()
                 self._campaigns[run_id] = campaign
             else:
                 campaign.resumed = True

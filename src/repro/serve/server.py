@@ -311,7 +311,6 @@ class CampaignServer:
         campaign = self.store.get(run_id)
         if campaign.state in (DONE, CANCELLED):
             return campaign
-        campaign.cancel_token.cancel(reason)
         campaign.state = CANCELLED
         campaign.journal.record_cancelled(
             reason=reason, completed=campaign.completed,

@@ -26,10 +26,9 @@ The pinned resume callbacks are also what the model checker permutes:
 when two processes are due at the same timestamp, their queued resume
 methods share a calendar-queue bucket, and ``repro check`` treats that
 bucket as a choice point (see :attr:`Simulator.tie_breaker`). The
-:attr:`Process.name` attribute is how a candidate is labelled in
-witness output — ``repro.check.tiebreak.describe_entry`` renders a
-bound resume method as ``resume:<name>`` — so give long-lived
-processes stable, meaningful names.
+:attr:`Process.name` attribute is how ``repro check`` names a thread
+still blocked when a run drains in its lost-wakeup verdicts, so give
+long-lived processes stable, meaningful names.
 """
 
 from heapq import heappush

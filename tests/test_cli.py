@@ -317,7 +317,6 @@ class TestCacheCommand:
         assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 0
-        assert stats["layout"] == {"sharded": 0, "flat": 0}
         assert stats["cache_dir"] == str(tmp_path)
 
     def test_prune_and_clear(self, capsys, tmp_path):

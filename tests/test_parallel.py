@@ -13,8 +13,9 @@ import time
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments.parallel import (
+    CellFailure,
     ExperimentCell,
     ExperimentEngine,
     _fork_context,
@@ -88,9 +89,10 @@ class TestDeterminism:
         via_engine = engine.run_matrix(
             APPS, configs=CONFIGS, threads=THREADS, seed=1
         )
-        legacy = run_matrix(
-            apps=APPS, configs=CONFIGS, threads=THREADS, seed=1, workers=1
-        )
+        legacy = {
+            app: run_app(app, threads=THREADS, seed=1, configs=CONFIGS)
+            for app in APPS
+        }
         assert_matrices_identical(legacy, via_engine)
 
 
@@ -255,6 +257,22 @@ class TestDegradation:
 
     def test_fork_context_available_on_linux(self):
         assert _fork_context() is not None
+
+    def test_non_strict_serial_matrix_returns_failures_in_place(self):
+        # workers=1 without a cache runs on the engine like every other
+        # setting, so strict=False keeps a failing cell in place and
+        # the strict default raises ExperimentError.
+        matrix = run_matrix(
+            apps=("nosuchapp",), configs=("baseline",), threads=THREADS,
+            workers=1, strict=False,
+        )
+        failure = matrix["nosuchapp"]["baseline"]
+        assert isinstance(failure, CellFailure)
+        assert failure.error_type == "WorkloadError"
+        with pytest.raises(ExperimentError):
+            run_matrix(
+                apps=("nosuchapp",), configs=("baseline",), threads=THREADS,
+            )
 
     def test_single_cell_stays_in_process(self):
         # One pending cell never pays process overhead.

@@ -10,6 +10,7 @@ HTTP, checked for dedup and clean shutdown.
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 
@@ -20,6 +21,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.export import matrix_to_records
 from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import CellFailure
+from repro.experiments.preemption import PreemptionGuard
 from repro.experiments.runner import run_app
 from repro.experiments.watchdog import WatchdogPolicy
 from repro.serve.campaigns import (
@@ -174,6 +176,32 @@ def _poll_until(pool, predicate, timeout=10.0):
 
 def _results(events):
     return [e for e in events if e[0] == "result"]
+
+
+def _gone_or_zombie(pid):
+    """True once ``pid`` has exited: no such process, or a zombie its
+    new parent never reaps (not every init waits for orphans)."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as handle:
+            stat = handle.read()
+    except OSError:
+        return True
+    # The state letter follows the parenthesised command name.
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _guarded_supervisor(write_fd):
+    """Forked child body: own a watchdog pool behind a PreemptionGuard,
+    as ``repro serve`` does, report the worker pids, wait to be killed."""
+    try:
+        with PreemptionGuard():
+            pool = WorkerPool(2, watchdog=True)
+            pids = pool.start()
+            os.write(write_fd, " ".join(map(str, pids)).encode() + b"\n")
+            while True:
+                time.sleep(1.0)
+    finally:
+        os._exit(1)
 
 
 class TestWorkerPool:
@@ -341,6 +369,41 @@ class TestWorkerPool:
                 probe.close()
         finally:
             pool.stop()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc",
+    )
+    def test_workers_exit_when_their_supervisor_is_killed(self):
+        # A SIGKILLed supervisor runs no cleanup: its workers must see
+        # their inbox reach EOF and leave on their own, even though the
+        # supervisor's guard latches the SIGTERM they inherit.
+        read_fd, write_fd = os.pipe()
+        supervisor = os.fork()
+        if supervisor == 0:
+            os.close(read_fd)
+            _guarded_supervisor(write_fd)
+        os.close(write_fd)
+        workers = []
+        try:
+            with os.fdopen(read_fd) as reader:
+                workers = [int(pid) for pid in reader.readline().split()]
+            assert len(workers) == 2
+            os.kill(supervisor, signal.SIGKILL)
+            os.waitpid(supervisor, 0)
+            supervisor = None
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if all(_gone_or_zombie(pid) for pid in workers):
+                    break
+                time.sleep(0.05)
+            assert [p for p in workers if not _gone_or_zombie(p)] == []
+        finally:
+            if supervisor is not None:
+                os.kill(supervisor, signal.SIGKILL)
+                os.waitpid(supervisor, 0)
+            for pid in workers:
+                if not _gone_or_zombie(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_describe_shape(self):
         pool = WorkerPool(2, task=_double, watchdog=_FAST_WATCHDOG)
