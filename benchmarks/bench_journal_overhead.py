@@ -1,11 +1,11 @@
 """Journaling overhead: what crash safety costs per cell.
 
 Every journaled cell pays two fsynced appends (``dispatched``,
-``completed``) plus a periodic checkpoint. Against a real simulation
-(tens of milliseconds and up) that must be noise; this benchmark pins
-the cost down with a trivial task so the journal itself dominates, and
-asserts a loose per-cell budget that only a pathological regression
-(e.g. rewriting the whole file per append) would break.
+``completed``). Against a real simulation (tens of milliseconds and
+up) that must be noise; this benchmark pins the cost down with a
+trivial task so the journal itself dominates, and asserts a loose
+per-cell budget that only a pathological regression (e.g. rewriting
+the whole file per append) would break.
 """
 
 import os

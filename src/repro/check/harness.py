@@ -16,7 +16,7 @@ decision string back in and get the identical interleaving.
 from dataclasses import dataclass, field
 
 from repro.config import MachineConfig
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.check.oracles import (
     SCHEDULE_CRASH,
     check_no_lost_wakeup,
@@ -24,9 +24,9 @@ from repro.check.oracles import (
 )
 from repro.check.tiebreak import ScheduleDriver
 from repro.experiments.configs import (
-    CONFIG_NAMES,
     LIVE_CONFIGS,
     barrier_factory_for,
+    check_configs,
 )
 from repro.experiments.runner import DEFAULT_SEED
 from repro.faults.chaos import DEFAULT_DEADLINE_NS
@@ -80,15 +80,8 @@ def _explored_config(config):
     means exploring the Baseline simulation they are derived from
     (exactly how chaos audits them).
     """
-    if config in LIVE_CONFIGS:
-        return config
-    if config in CONFIG_NAMES:
-        return "baseline"
-    raise ConfigError(
-        "unknown configuration {!r}; choose from {}".format(
-            config, ", ".join(CONFIG_NAMES)
-        )
-    )
+    check_configs((config,))
+    return config if config in LIVE_CONFIGS else "baseline"
 
 
 def run_schedule(

@@ -62,7 +62,7 @@ Exit codes
 import argparse
 import sys
 
-from repro.errors import CampaignInterrupted, ServeError
+from repro.errors import CampaignInterrupted, ConfigError, ServeError
 from repro.experiments import figures, tables
 from repro.experiments import report
 from repro.experiments.preemption import EXIT_RESUMABLE, PreemptionGuard
@@ -358,18 +358,14 @@ def _resume_hint(args, run_id):
 
 def _run_cell_command(args):
     """The run / trace / metrics telemetry commands: one traced cell."""
-    from repro.experiments.configs import CONFIG_NAMES
+    from repro.experiments.configs import check_configs
     from repro.experiments.runner import run_experiment
     from repro.telemetry.export import metrics_to_csv, write_chrome_trace
 
-    if args.config not in CONFIG_NAMES:
-        print(
-            "unknown configuration {!r}; choose from {}".format(
-                args.config, ", ".join(CONFIG_NAMES)
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    try:
+        check_configs((args.config,))
+    except ConfigError as exc:
+        return _usage(str(exc))
     result = run_experiment(
         args.app, args.config, threads=args.threads, seed=args.seed,
         telemetry=True,
@@ -500,8 +496,7 @@ def _run_check_command(args):
         witness_path,
         write_counterexample,
     )
-    from repro.errors import ConfigError
-    from repro.experiments.configs import CONFIG_NAMES
+    from repro.experiments.configs import CONFIG_NAMES, check_configs
 
     if args.replay:
         try:
@@ -535,14 +530,10 @@ def _run_check_command(args):
         app, configs = spec.app, (spec.base_config,)
     else:
         app = args.app
-        configs = tuple(args.configs or CONFIG_NAMES)
-        unknown = [c for c in configs if c not in CONFIG_NAMES]
-        if unknown:
-            return _usage(
-                "unknown configuration(s) {}; choose from {}".format(
-                    ", ".join(map(repr, unknown)), ", ".join(CONFIG_NAMES)
-                )
-            )
+        try:
+            configs = check_configs(args.configs or CONFIG_NAMES)
+        except ConfigError as exc:
+            return _usage(str(exc))
 
     for config in configs:
         try:

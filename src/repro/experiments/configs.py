@@ -32,6 +32,20 @@ CONFIG_SHORT = {
 LIVE_CONFIGS = ("baseline", "thrifty-halt", "thrifty")
 DERIVED_CONFIGS = ("oracle-halt", "ideal")
 
+def check_configs(names):
+    """``names`` as a tuple, or :class:`~repro.errors.ConfigError` if
+    any is not one of :data:`CONFIG_NAMES`."""
+    names = tuple(names)
+    unknown = [name for name in names if name not in CONFIG_NAMES]
+    if unknown:
+        raise ConfigError(
+            "unknown configuration(s) {}; choose from {}".format(
+                ", ".join(map(repr, unknown)), ", ".join(CONFIG_NAMES)
+            )
+        )
+    return names
+
+
 #: Sleep-state menus of the derived (perfect-prediction) configurations.
 ORACLE_STATES = {
     "oracle-halt": (SLEEP1_HALT,),

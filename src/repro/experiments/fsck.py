@@ -18,12 +18,11 @@ Classification (:data:`FSCK_STATUSES`):
 ``corrupt``
     A malformed record *before* the tail (the fsync-per-line contract
     says this never happens on a healthy disk, so it means real
-    corruption), an unreadable checkpoint/payload/cache entry, or an
+    corruption), an unreadable payload or cache entry, or an
     unparseable ``spec.json``. Journals are repaired by truncating
     from the first bad line — the prefix is still consistent, and any
-    dropped ``completed`` record only costs a re-run. Checkpoints are
-    deleted (derived data; replay rebuilds them). Payloads and cache
-    entries are quarantined so they re-run as misses. A corrupt
+    dropped ``completed`` record only costs a re-run. Payloads and
+    cache entries are quarantined so they re-run as misses. A corrupt
     ``spec.json`` is **unrepairable**: without the spec the run cannot
     be verified or resumed.
 ``orphaned``
@@ -76,7 +75,7 @@ class Finding:
     """
 
     path: str
-    kind: str       # journal | checkpoint | payload | spec | cache-entry | stray
+    kind: str       # journal | payload | spec | cache-entry | stray
     status: str     # one of FSCK_STATUSES
     detail: str = ""
     repair: str = ""
@@ -267,33 +266,6 @@ def fsck_run(run_dir, repair=False):
                 finding.repaired = True
             except OSError as exc:
                 finding.detail += " (truncate failed: {})".format(exc)
-
-    # checkpoint.json — derived data: corrupt means delete, replay
-    # rebuilds the snapshot from the record stream.
-    checkpoint_path = run_dir / "checkpoint.json"
-    if checkpoint_path.is_file():
-        report.scanned += 1
-        try:
-            with open(checkpoint_path, "r", encoding="utf-8") as fh:
-                json.load(fh)
-        except (OSError, ValueError) as exc:
-            finding = report.add(Finding(
-                path=str(checkpoint_path), kind="checkpoint",
-                status="corrupt",
-                detail="{}: {}".format(type(exc).__name__, exc),
-                repair="delete (derived; replay rebuilds it)",
-            ))
-            if repair:
-                try:
-                    checkpoint_path.unlink()
-                    finding.repaired = True
-                except OSError as exc:
-                    finding.detail += " (delete failed: {})".format(exc)
-        else:
-            report.add(Finding(
-                path=str(checkpoint_path), kind="checkpoint",
-                status="intact",
-            ))
 
     # results/ payload store — corrupt payloads are quarantined (they
     # re-run as misses); files that are not payloads at all are

@@ -7,16 +7,15 @@ makes every campaign restartable:
 * a **run directory** (``<root>/<run_id>/``) holds an atomically
   written ``spec.json`` (the campaign's full parameter set plus its
   canonical hash), an append-only ``journal.jsonl`` of per-cell
-  lifecycle records, an atomically replaced ``checkpoint.json``
-  progress snapshot, and a ``results/`` payload store for campaigns
+  lifecycle records, and a ``results/`` payload store for campaigns
   whose outputs are not content-addressed elsewhere (chaos reports);
 * every journal line is flushed and fsynced before the append returns,
   so a record survives an immediate SIGKILL of the writer;
 * replay tolerates a torn tail: a truncated final line (the crash
   happened mid-append) is ignored, never an error;
-* ``spec.json``, ``checkpoint.json``, and every payload are written
-  with the tmp-file + ``os.replace`` idiom (:func:`atomic_write_bytes`),
-  so readers only ever observe complete files.
+* ``spec.json`` and every payload are written with the tmp-file +
+  ``os.replace`` idiom (:func:`atomic_write_bytes`), so readers only
+  ever observe complete files.
 
 Every durability-critical syscall routes through the storage fault
 seams of :mod:`repro.faults.storage`, so the claims above are testable
@@ -25,8 +24,7 @@ Writes *degrade gracefully*: a full or failing disk costs the record
 (counted in :attr:`RunJournal.write_errors`, surfaced as a
 ``storage.fault`` telemetry event and a one-line warning), never the
 campaign — on resume an unrecorded cell simply re-runs. Reads that
-find corruption (:meth:`RunJournal.read_checkpoint`,
-:meth:`RunJournal.load_payload`) are counted in
+find corruption (:meth:`RunJournal.load_payload`) are counted in
 :attr:`RunJournal.corrupt_reads` and warned about once, because a
 climbing corrupt-read count is how an operator learns a disk is going
 bad; ``repro fsck`` audits and repairs the same tree offline.
@@ -75,7 +73,6 @@ JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
 
 _SPEC_FILE = "spec.json"
 _JOURNAL_FILE = "journal.jsonl"
-_CHECKPOINT_FILE = "checkpoint.json"
 _RESULTS_DIR = "results"
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -87,7 +84,6 @@ RECORD_KINDS = (
     "failed",
     "failed-permanent",
     "worker-stalled",
-    "checkpoint",
     "interrupted",
     "cancelled",
     "resumed",
@@ -155,7 +151,6 @@ class JournalState:
     interruptions: int = 0
     cancellations: int = 0
     resumes: int = 0
-    checkpoints: int = 0
     finished: bool = False
     torn_tail: bool = False
 
@@ -183,7 +178,7 @@ class RunJournal:
         self._seq = 0
         #: Optional tracer receiving ``storage.fault`` events.
         self.tracer = None
-        #: Durable appends/snapshots lost to a failing disk (degraded,
+        #: Durable appends and payloads lost to a failing disk (degraded,
         #: not raised: losing a record costs a re-run, never the run).
         self.write_errors = 0
         #: Reads that found corruption where a record should have been.
@@ -381,58 +376,6 @@ class RunJournal:
         self.append("finished", completed=completed, failed=failed)
 
     # ------------------------------------------------------------------
-    # checkpoint snapshot
-
-    def checkpoint(self, completed, total, tracer=None):
-        """Atomically replace ``checkpoint.json`` and journal the event.
-
-        With a ``tracer`` (enabled), a
-        :class:`~repro.telemetry.events.CheckpointWritten` event is
-        emitted so campaign observability rides the same stream as
-        everything else.
-
-        A failing disk degrades like :meth:`append`: the snapshot is
-        derived data (replay reconstructs it from the record stream),
-        so losing it costs nothing but a slower resume.
-        """
-        path = self.run_dir / _CHECKPOINT_FILE
-        try:
-            atomic_write_text(
-                path,
-                json.dumps(
-                    {"run_id": self.run_id, "completed": completed,
-                     "total": total},
-                    sort_keys=True, indent=2,
-                ) + "\n",
-            )
-        except OSError as exc:
-            self._note_write_error("checkpoint", path, exc)
-        self.append("checkpoint", completed=completed, total=total)
-        if tracer is not None and tracer.enabled:
-            from repro.telemetry.events import CheckpointWritten
-
-            tracer.emit(CheckpointWritten(
-                ts=0, run_id=self.run_id, completed=completed, total=total,
-            ))
-
-    def read_checkpoint(self):
-        """The last checkpoint snapshot, or ``None`` if never written.
-
-        A checkpoint that exists but cannot be parsed is *corruption*,
-        not absence — it is counted in :attr:`corrupt_reads` and warned
-        about, instead of being silently swallowed.
-        """
-        path = self.run_dir / _CHECKPOINT_FILE
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            self._note_corrupt_read("checkpoint", path, exc)
-            return None
-
-    # ------------------------------------------------------------------
     # payload store (campaigns without a content-addressed cache)
 
     def _payload_path(self, cell_id):
@@ -527,8 +470,6 @@ class RunJournal:
                 state.cancellations += 1
             elif kind == "resumed":
                 state.resumes += 1
-            elif kind == "checkpoint":
-                state.checkpoints += 1
             elif kind == "finished":
                 state.finished = True
             self._seq = max(self._seq, body.get("seq", 0))

@@ -5,28 +5,29 @@ The unit of work stays :func:`repro.experiments.runner.run_experiment`
 same :class:`~repro.experiments.runner.ExperimentResult` whether it runs
 in-process or in a worker. The engine adds, around that unit:
 
-* dispatch by *unit*: one live simulation plus every pending cell that
-  reads it, so a Baseline cell and its Oracle-Halt and Ideal cells
-  simulate the Baseline once on every path (see
-  :func:`~repro.experiments.runner._shared_baseline`); every other cell
-  is a unit of its own;
+* dispatch by *unit* from a :class:`UnitQueue`: one live simulation
+  plus every queued cell that reads it, so a Baseline cell and its
+  Oracle-Halt and Ideal cells simulate the Baseline once on every path
+  (see :func:`~repro.experiments.runner._shared_baseline`); every other
+  cell is a unit of its own;
 * fan-out over a :class:`~repro.experiments.pool.WorkerPool` of
   persistent fork workers, one unit per job and, with the default task,
-  the most costly units first, with result ordering that matches
+  the most costly cells queued first, with result ordering that matches
   submission order regardless of dispatch or completion order;
 * an on-disk :class:`~repro.experiments.cache.ResultCache` so warm
   re-runs perform zero re-simulations;
-* robustness: a per-cell timeout with bounded retry, worker-crash
-  isolation (a dead worker costs only its unit's unfinished cells,
-  which are retried and then recorded as structured
-  :class:`CellFailure` records while the rest of the matrix completes),
-  and a strict mode that raises :class:`~repro.errors.ExperimentError`
-  instead;
+* robustness: the :class:`UnitQueue` failure policy ``repro serve``
+  shares — a cell that raises fails at once; a crash, timeout or stall
+  costs one attempt on the cell its worker was running, which retries
+  after a seeded :class:`RetryBackoff` delay, while the rest of its
+  unit is requeued uncharged — so a failing cell ends as a structured
+  :class:`CellFailure` record while the rest of the matrix completes,
+  or, in strict mode, raises :class:`~repro.errors.ExperimentError`;
 * crash safety: an optional durable
   :class:`~repro.experiments.journal.RunJournal` records per-cell
-  dispatch/completion/failure (fsynced per line) plus periodic
-  checkpoints, a heartbeat :mod:`~repro.experiments.watchdog` kills
-  and requeues workers whose beats go stale, and a cooperative
+  dispatch/completion/failure (fsynced per line), a heartbeat
+  :mod:`~repro.experiments.watchdog` kills and requeues workers whose
+  beats go stale, and a cooperative
   ``preemption`` guard turns SIGTERM/SIGINT into a graceful, resumable
   stop (:class:`~repro.errors.CampaignInterrupted`);
 * graceful degradation to a plain serial loop when ``workers=1``, when
@@ -40,14 +41,14 @@ count the engine returns field-identical results in identical order
 import os
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.config import MachineConfig
 from repro.errors import CampaignInterrupted, ConfigError, ExperimentError
 from repro.experiments.cache import ResultCache, content_key
-from repro.experiments.pool import OK, WorkerPool, _fork_context, run_cell
+from repro.experiments.configs import CONFIG_NAMES, check_configs
+from repro.experiments.pool import ERR, OK, WorkerPool, _fork_context, run_cell
 from repro.experiments.preemption import DEFAULT_DRAIN_DEADLINE_S
 from repro.experiments.runner import (
     DEFAULT_SEED,
@@ -117,6 +118,14 @@ class CellFailure:
     error_type: str = ""
     message: str = ""
     attempts: int = 1
+
+    @property
+    def detail(self):
+        """The message a journal records: ``"Type: message"`` for a
+        cell that raised, else the message alone."""
+        if self.error_type:
+            return "{}: {}".format(self.error_type, self.message)
+        return self.message
 
     def describe(self):
         label = getattr(self.cell, "app", None)
@@ -213,8 +222,7 @@ def _unit_key(cell):
 
     The untraced ``baseline``, ``oracle-halt`` and ``ideal`` cells of
     one (app, threads, seed, machine config) read one Baseline
-    simulation. The campaign server groups its queued jobs by the same
-    rule.
+    simulation.
     """
     if cell.telemetry or cell.config not in _BASELINE_READERS:
         return None
@@ -223,31 +231,161 @@ def _unit_key(cell):
     )
 
 
-def _units(cells, pending, share):
-    """Group pending cell indices into dispatch units, ordered by each
-    unit's first cell: by :func:`_unit_key` with ``share`` (the default
-    task), else one unit per cell.
+class UnitQueue:
+    """The cells waiting for a worker, and the one failure policy of the
+    batch engine and the campaign server.
+
+    Cells are pushed under a caller's key (the engine's cell index, the
+    server's content key). A *unit* is the first eligible queued cell
+    plus, with ``share``, every eligible queued cell with the same
+    :func:`_unit_key`; one worker runs it in order inside one
+    Baseline-sharing block. :meth:`settle` applies the policy to each
+    :meth:`~repro.experiments.pool.WorkerPool.poll` event:
+
+    * a cell that raises fails at once: the simulator is deterministic,
+      so a retry would raise again;
+    * a crash, timeout or stall charges one attempt to the cell its
+      worker was running, which goes back to the head of the queue
+      after a ``backoff`` delay until its ``retries`` run out; the
+      cells of its unit behind it never started and go back uncharged.
     """
-    units = {}
-    for index in pending:
-        key = _unit_key(cells[index]) if share else None
-        units.setdefault(index if key is None else key, []).append(index)
-    return list(units.values())
 
+    def __init__(self, pool, retries, backoff, share=True):
+        self.pool = pool
+        self.retries = retries
+        self.backoff = backoff
+        self.share = share
+        #: Attempt number of each unsettled cell's current or next run.
+        self.attempts = {}
+        #: Backoff delays each unsettled cell was given, in order.
+        self.delays = {}
+        self._cells = {}     # unsettled key -> cell
+        self._shares = {}    # unsettled key -> its _unit_key
+        self._ready_at = {}  # unsettled key -> time.monotonic() it may run
+        self._waiting = []   # queued keys, in dispatch order
+        self._running = set()
 
-def _longest_first(cells, units):
-    """``units`` in a worker pool's dispatch order: longest estimated
-    simulation first, ties in submission order.
+    def __len__(self):
+        """Cells not yet settled, queued or running."""
+        return len(self._cells)
 
-    The pool then ends on short units, so no long unit runs alone at the
-    end while the other workers idle (the three Ocean units of a
-    64-thread Figure 5/6 matrix outweigh all other apps' units).
-    """
-    def cost(unit):
-        cell = cells[unit[0]]
-        return _simulation_cost(cell.app, cell.threads)
+    def push(self, key, cell):
+        """Queue a fresh cell behind every waiting one."""
+        self._cells[key] = cell
+        self._shares[key] = _unit_key(cell) if self.share else None
+        self._ready_at[key] = 0.0
+        self.attempts[key] = 1
+        self._waiting.append(key)
 
-    return sorted(units, key=cost, reverse=True)
+    def withdraw(self, key):
+        """Drop a queued cell. Returns False, dropping nothing, when the
+        cell is running: only its worker's event can settle it."""
+        if key in self._running:
+            return False
+        if key in self._cells:
+            self._waiting.remove(key)
+            self._forget(key)
+        return True
+
+    def pop(self):
+        """Take the next unit eligible now off the queue and mark it
+        running: ``(key, cell)`` pairs in run order, or None when no
+        queued cell is eligible."""
+        now = time.monotonic()
+        ready = [key for key in self._waiting if self._ready_at[key] <= now]
+        if not ready:
+            return None
+        share = self._shares[ready[0]]
+        unit = ready[:1] if share is None else [
+            key for key in ready if self._shares[key] == share
+        ]
+        for key in unit:
+            self._waiting.remove(key)
+            self._running.add(key)
+        return [(key, self._cells[key]) for key in unit]
+
+    def dispatch(self):
+        """Hand one unit to each idle worker of the pool; returns the
+        keys dispatched. A unit the pool refuses stays at the head."""
+        sent = []
+        for pid in self.pool.idle_workers():
+            unit = self.pop()
+            if unit is None:
+                break
+            keys = [key for key, _ in unit]
+            if self.pool.dispatch(pid, unit):
+                sent.extend(keys)
+            else:
+                self._requeue(keys)
+        return sent
+
+    def settle(self, event):
+        """Apply one pool event to the running cells it names.
+
+        Returns ``(key, outcome, final)`` for each cell the event
+        decides: ``outcome`` is the cell's result or a
+        :class:`CellFailure`, and ``final`` is False for a failed
+        attempt that will be retried. Events naming cells that are not
+        running here are ignored.
+        """
+        kind = event[0]
+        if kind == "result":
+            _, _, key, status, payload = event
+            if key not in self._running:
+                return []
+            if status == ERR:
+                error_type, message = payload
+                payload = CellFailure(
+                    cell=self._cells[key], kind="error",
+                    error_type=error_type, message=message,
+                    attempts=self.attempts[key],
+                )
+            self._forget(key)
+            return [(key, payload, True)]
+        if kind == "crashed":
+            message = "worker {} exited".format(event[1])
+        elif kind == "timeout":
+            message = "exceeded {:.3g}s".format(self.pool.timeout)
+        elif kind == "stalled":
+            message = "no heartbeat for {:.2f}s".format(event[3])
+        else:
+            return []
+        # A unit runs in order, so its first unfinished cell is the one
+        # the worker was running; the cells behind it never started.
+        head, tail = event[2][:1], event[2][1:]
+        self._requeue([key for key in tail if key in self._running])
+        return [
+            self._charge(key, kind, message)
+            for key in head if key in self._running
+        ]
+
+    def _charge(self, key, kind, message):
+        attempt = self.attempts[key]
+        failure = CellFailure(
+            cell=self._cells[key], kind=kind, message=message,
+            attempts=attempt,
+        )
+        if attempt > self.retries:
+            self._forget(key)
+            return key, failure, True
+        delay = self.backoff.delay_for(attempt)
+        self.delays.setdefault(key, []).append(delay)
+        self.attempts[key] = attempt + 1
+        self._ready_at[key] = time.monotonic() + delay
+        self._requeue([key])
+        return key, failure, False
+
+    def _requeue(self, keys):
+        """Put running ``keys`` back at the head of the queue, in order."""
+        self._running.difference_update(keys)
+        self._waiting[:0] = keys
+
+    def _forget(self, key):
+        self._running.discard(key)
+        self.delays.pop(key, None)
+        for table in (self._cells, self._shares, self._ready_at,
+                      self.attempts):
+            del table[key]
 
 
 def cell_id(cell, index):
@@ -274,12 +412,12 @@ class ExperimentEngine:
         Process count. ``None`` means ``os.cpu_count()``; ``1`` (the
         default) selects the serial in-process path. A parallel
         ``run_cells`` call forks at most this many persistent workers
-        (fewer when it has fewer units), one
+        (fewer when it has fewer cells to run), one
         :class:`~repro.experiments.pool.WorkerPool` per call, and
         sends each worker one unit at a time: a Baseline cell plus the
         Oracle-Halt and Ideal cells that replay its simulation, or any
-        other single cell. With the default task, units go out longest
-        simulation first.
+        other single cell. With the default task, cells are queued
+        longest simulation first.
     cache:
         ``None`` (no caching), ``True`` (default directory), a path, or
         a :class:`ResultCache`.
@@ -287,8 +425,10 @@ class ExperimentEngine:
         Per-cell wall-clock budget in seconds (parallel path only — a
         serial in-process cell cannot be preempted). ``None`` disables.
     retries:
-        Extra attempts granted to a cell whose worker timed out or
-        crashed. Cells that *raise* are deterministic and never retried.
+        Extra attempts granted to a cell whose worker crashed, timed
+        out or stalled while running it; the cells of its unit that
+        had not started go back uncharged (see :class:`UnitQueue`).
+        Cells that *raise* are deterministic and never retried.
     strict:
         When True, ``run_cells``/``run_matrix`` raise
         :class:`~repro.errors.ExperimentError` if any cell ends in
@@ -304,8 +444,7 @@ class ExperimentEngine:
     journal:
         Optional :class:`~repro.experiments.journal.RunJournal`; every
         cell's dispatch, completion, and failure is durably appended,
-        with a checkpoint snapshot every ``checkpoint_every``
-        completions, so a killed run can be resumed.
+        so a killed run can be resumed.
     watchdog:
         ``None`` (off), ``True`` (default policy), a beat interval in
         seconds, or a :class:`~repro.experiments.watchdog.
@@ -319,17 +458,18 @@ class ExperimentEngine:
         truthy, the engine stops dispatching, lets busy workers finish
         their units until the guard's ``drain_deadline_s`` passes (then
         kills them), flushes the journal, and raises
-        :class:`~repro.errors.CampaignInterrupted`.
+        :class:`~repro.errors.CampaignInterrupted` unless every cell
+        settled meanwhile.
     tracer:
         Optional :class:`~repro.telemetry.tracer.Tracer` receiving the
-        engine-level events (``WorkerStalled``, ``CheckpointWritten``).
+        engine-level ``WorkerStalled`` events and the journal's and
+        cache's ``StorageFault`` events.
     """
 
     def __init__(self, workers=1, cache=None, timeout=None, retries=1,
                  strict=False, backoff_base_s=0.05,
                  backoff_cap_s=2.0, backoff_seed=0, journal=None,
-                 watchdog=None, preemption=None, tracer=None,
-                 checkpoint_every=8):
+                 watchdog=None, preemption=None, tracer=None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
@@ -347,8 +487,6 @@ class ExperimentEngine:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.backoff_seed = backoff_seed
-        if checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be >= 1")
         self.journal = journal
         self.watchdog = WatchdogPolicy.coerce(watchdog)
         self.preemption = preemption
@@ -357,7 +495,6 @@ class ExperimentEngine:
             # Storage faults the journal degrades over ride the same
             # telemetry stream as every other engine event.
             journal.tracer = tracer
-        self.checkpoint_every = checkpoint_every
         self.stats = EngineStats()
         #: Backoff delays applied to retries, in the order they were
         #: scheduled (accumulates across runs, like ``stats``).
@@ -378,14 +515,12 @@ class ExperimentEngine:
         :class:`CellFailure`. With the default task (``task_fn=None``)
         the cache is consulted first and fed on success; a custom
         ``task_fn`` bypasses the cache (its inputs are not content-
-        addressed).
+        addressed) and runs each cell as a unit of its own.
         """
         cells = list(cells)
         self.stats.submitted += len(cells)
         results = [_PENDING] * len(cells)
         use_cache = self.cache is not None and task_fn is None
-        self.cell_retry_delays = {}
-        self._completions_since_checkpoint = 0
         pending = []
         for index, cell in enumerate(cells):
             if use_cache:
@@ -401,20 +536,43 @@ class ExperimentEngine:
                         )
                     continue
             pending.append(index)
-        task = task_fn or run_cell
-        if pending:
-            units = _units(cells, pending, share=task_fn is None)
-            parallel = self.workers > 1 and len(pending) > 1
-            if parallel and _fork_context() is not None:
-                if task_fn is None:
-                    units = _longest_first(cells, units)
-                pool = WorkerPool(
-                    min(self.workers, len(units)), task=task,
-                    watchdog=self.watchdog, timeout=self.timeout,
+        pool = None
+        if (
+            self.workers > 1 and len(pending) > 1
+            and _fork_context() is not None
+        ):
+            pool = WorkerPool(
+                min(self.workers, len(pending)), task=task_fn,
+                watchdog=self.watchdog, timeout=self.timeout,
+            )
+            if task_fn is None:
+                # Longest simulation first, ties in submission order:
+                # the pool then ends on short units, so no long unit
+                # runs alone at the end while the other workers idle
+                # (the three Ocean units of a 64-thread Figure 5/6
+                # matrix outweigh all other apps' units).
+                pending.sort(
+                    key=lambda index: _simulation_cost(
+                        cells[index].app, cells[index].threads
+                    ),
+                    reverse=True,
                 )
-                self._run_parallel(pool, cells, units, results, use_cache)
-            else:
-                self._run_serial(cells, units, results, task, use_cache)
+        queue = UnitQueue(
+            pool, self.retries,
+            RetryBackoff(
+                self.backoff_base_s, self.backoff_cap_s, self.backoff_seed
+            ),
+            share=task_fn is None,
+        )
+        for index in pending:
+            queue.push(index, cells[index])
+        self.cell_retry_delays = {}
+        if pool is not None:
+            self._run_parallel(queue, cells, results, use_cache)
+        else:
+            self._run_serial(
+                queue, cells, results, task_fn or run_cell, use_cache
+            )
         if self.journal is not None:
             failures = sum(
                 1 for r in results if isinstance(r, CellFailure)
@@ -437,16 +595,7 @@ class ExperimentEngine:
     def run_matrix(self, apps, configs=None, threads=64, seed=DEFAULT_SEED,
                    machine_config=None):
         """The full sweep as ``{app: {config: result-or-failure}}``."""
-        from repro.experiments.configs import CONFIG_NAMES
-
-        configs = tuple(configs or CONFIG_NAMES)
-        unknown = [c for c in configs if c not in CONFIG_NAMES]
-        if unknown:
-            raise ConfigError(
-                "unknown configuration(s) {}; choose from {}".format(
-                    ", ".join(map(repr, unknown)), ", ".join(CONFIG_NAMES)
-                )
-            )
+        configs = check_configs(configs or CONFIG_NAMES)
         apps = tuple(apps)
         cells = [
             ExperimentCell.make(
@@ -480,16 +629,6 @@ class ExperimentEngine:
             self.preemption, "drain_deadline_s", DEFAULT_DRAIN_DEADLINE_S
         )
 
-    def _note_completion(self, results):
-        """Checkpoint cadence: a journal snapshot every N completions."""
-        if self.journal is None:
-            return
-        self._completions_since_checkpoint += 1
-        if self._completions_since_checkpoint >= self.checkpoint_every:
-            self._completions_since_checkpoint = 0
-            done = sum(1 for r in results if r is not _PENDING)
-            self.journal.checkpoint(done, len(results), tracer=self.tracer)
-
     def _raise_interrupted(self, results):
         """Journal the stop and raise the resumable interrupt."""
         done = sum(1 for r in results if r is not _PENDING)
@@ -520,219 +659,114 @@ class ExperimentEngine:
                 error=self.cache.last_write_error or "",
             ))
 
-    # ------------------------------------------------------------------
-    # serial path
-
-    def _run_serial(self, cells, units, results, task, use_cache):
-        for unit in units:
-            with _shared_baseline():
-                for index in unit:
-                    self._run_serial_cell(
-                        cells[index], index, results, task, use_cache
-                    )
-
-    def _run_serial_cell(self, cell, index, results, task, use_cache):
+    def _settle(self, queue, cells, event, results, use_cache):
+        """Record what ``queue``'s failure policy decided for the cells
+        ``event`` names: results, retries and permanent failures."""
         journal = self.journal
-        if self._preempted():
-            self._raise_interrupted(results)
-        if journal is not None:
-            journal.record_dispatched(cell_id(cell, index), index=index)
-        try:
-            result = task(cell)
-        except Exception as exc:
-            results[index] = CellFailure(
-                cell=cell, kind="error",
-                error_type=type(exc).__name__, message=str(exc),
-            )
-            self.stats.failures += 1
-            if journal is not None:
-                journal.record_failed_permanent(
-                    cell_id(cell, index), index=index, kind="error",
-                    message="{}: {}".format(type(exc).__name__, exc),
-                )
-        else:
-            results[index] = result
-            self.stats.executed += 1
-            key = None
-            if use_cache:
-                key = cell.key()
-                self._cache_store(key, result)
-            if journal is not None:
-                journal.record_completed(
-                    cell_id(cell, index), index=index, key=key,
-                )
-            self._note_completion(results)
-
-    # ------------------------------------------------------------------
-    # parallel path
-
-    def _run_parallel(self, pool, cells, units, results, use_cache):
-        """Run ``units`` (lists of cell indices) on ``pool``, supervising
-        it from this process until every cell has a result or failure.
-        """
-        # (eligible_at, unit) pairs: fresh units are eligible at once,
-        # backoff-delayed retries at a later time.monotonic() instant.
-        work = deque((0.0, unit) for unit in units)
-        attempts = {index: 1 for unit in units for index in unit}
-        unsettled = len(attempts)
-        journal = self.journal
-        # Fresh backoff per parallel run so the retry schedule depends
-        # only on the seed and the retry sequence, not engine history.
-        backoff = RetryBackoff(
-            self.backoff_base_s, self.backoff_cap_s, self.backoff_seed
-        )
-
-        def settle(index, value):
-            nonlocal unsettled
-            results[index] = value
-            unsettled -= 1
-
-        def record(index, status, payload):
-            if results[index] is not _PENDING:
-                return  # settled already; never count a cell twice
-            if status == OK:
-                settle(index, payload)
-                self.stats.executed += 1
-                key = None
-                if use_cache:
-                    key = cells[index].key()
-                    self._cache_store(key, payload)
-                if journal is not None:
-                    journal.record_completed(
-                        cell_id(cells[index], index), index=index, key=key,
-                    )
-                self._note_completion(results)
-            else:
-                error_type, message = payload
-                settle(index, CellFailure(
-                    cell=cells[index], kind="error",
-                    error_type=error_type, message=message,
-                    attempts=attempts[index],
-                ))
-                self.stats.failures += 1
-                if journal is not None:
-                    # A raising cell is deterministic — never retried —
-                    # so an error here is already permanent.
-                    journal.record_failed_permanent(
-                        cell_id(cells[index], index), index=index,
-                        kind="error",
-                        message="{}: {}".format(error_type, message),
-                        attempts=attempts[index],
-                        retry_delays=self.cell_retry_delays.get(index, []),
-                    )
-
-        def retire(index, kind, message):
-            cell = cells[index]
-            if attempts[index] <= self.retries:
-                delay = backoff.delay_for(attempts[index])
+        for index, outcome, final in queue.settle(event):
+            ident = cell_id(cells[index], index)
+            if not final:
+                delay = queue.delays[index][-1]
                 self.stats.retries += 1
                 self.retry_delays.append(delay)
                 self.cell_retry_delays.setdefault(index, []).append(delay)
                 if journal is not None:
                     journal.record_failed(
-                        cell_id(cell, index), index=index, kind=kind,
-                        message=message, attempt=attempts[index],
+                        ident, index=index, kind=outcome.kind,
+                        message=outcome.message, attempt=outcome.attempts,
                     )
-                attempts[index] += 1
-                work.append((time.monotonic() + delay, [index]))
-            else:
-                settle(index, CellFailure(
-                    cell=cell, kind=kind, message=message,
-                    attempts=attempts[index],
-                ))
+                continue
+            results[index] = outcome
+            if isinstance(outcome, CellFailure):
                 self.stats.failures += 1
                 if journal is not None:
                     journal.record_failed_permanent(
-                        cell_id(cell, index), index=index, kind=kind,
-                        message=message, attempts=attempts[index],
+                        ident, index=index, kind=outcome.kind,
+                        message=outcome.detail, attempts=outcome.attempts,
                         retry_delays=self.cell_retry_delays.get(index, []),
                     )
+                continue
+            self.stats.executed += 1
+            key = None
+            if use_cache:
+                key = cells[index].key()
+                self._cache_store(key, outcome)
+            if journal is not None:
+                journal.record_completed(ident, index=index, key=key)
 
-        def strike(keys, kind, message):
-            # A unit runs in order, so its first unfinished cell is the
-            # one that overran or hung; the cells behind it never
-            # started and go back, as one unit, with no attempt charged.
-            if keys:
-                retire(keys[0], kind, message)
-            if keys[1:]:
-                work.append((0.0, keys[1:]))
+    # ------------------------------------------------------------------
+    # serial path
 
-        def handle(event):
-            kind, pid = event[0], event[1]
-            if kind == "result":
-                record(*event[2:])
-            elif kind == "crashed":
-                for index in event[2]:
-                    retire(index, "crashed", "worker {} exited".format(pid))
-            elif kind == "timeout":
-                strike(event[2], "timeout", "exceeded {:.3g}s".format(
-                    self.timeout))
-            elif kind == "stalled":
-                # Wedged worker: beats stopped (the process is frozen,
-                # not slow — a busy cell is the timeout's job).
-                keys, stale_s = event[2], event[3]
-                self.stats.stalled += 1
-                if journal is not None:
-                    journal.record_worker_stalled(pid, sorted(keys), stale_s)
-                if self.tracer is not None and self.tracer.enabled:
-                    from repro.telemetry.events import WorkerStalled
-
-                    self.tracer.emit(WorkerStalled(
-                        ts=0, worker=pid, cells=len(keys),
-                        stale_s=round(stale_s, 3),
-                    ))
-                strike(keys, "stalled", "no heartbeat for {:.2f}s".format(
-                    stale_s))
-
-        def launch():
-            # One bounded pass: each queued unit is examined at most
-            # once, and units still inside their backoff window keep
-            # their relative order at the back of the queue.
-            idle = pool.idle_workers()
-            now = time.monotonic()
-            for _ in range(len(work)):
-                if not idle:
-                    return
-                eligible_at, unit = work.popleft()
-                if eligible_at > now or not pool.dispatch(
-                    idle.pop(0), [(index, cells[index]) for index in unit]
-                ):
-                    work.append((eligible_at, unit))
-                    continue
-                if journal is not None:
-                    for index in unit:
-                        journal.record_dispatched(
-                            cell_id(cells[index], index), index=index,
-                            attempt=attempts[index],
+    def _run_serial(self, queue, cells, results, task, use_cache):
+        for unit in iter(queue.pop, None):
+            with _shared_baseline():
+                for index, cell in unit:
+                    if self._preempted():
+                        self._raise_interrupted(results)
+                    if self.journal is not None:
+                        self.journal.record_dispatched(
+                            cell_id(cell, index), index=index,
                         )
+                    try:
+                        outcome = OK, task(cell)
+                    except Exception as exc:
+                        outcome = ERR, (type(exc).__name__, str(exc))
+                    self._settle(
+                        queue, cells, ("result", None, index) + outcome,
+                        results, use_cache,
+                    )
 
-        def preempt():
-            # Stop dispatch and give busy workers the drain deadline to
-            # finish their units; pool.stop() then kills the rest.
-            # Every completion recorded meanwhile reaches the cache and
-            # journal as usual, so nothing finished is lost.
-            stop_at = time.monotonic() + self._drain_deadline_s()
-            while len(pool.idle_workers()) < len(pool) and (
-                time.monotonic() < stop_at
-            ):
-                events = pool.poll()
-                for event in events:
-                    if event[0] == "result":
-                        record(*event[2:])
-                if not events:
-                    time.sleep(_POLL_S)
-            self._raise_interrupted(results)
+    # ------------------------------------------------------------------
+    # parallel path
 
+    def _run_parallel(self, queue, cells, results, use_cache):
+        """Supervise ``queue.pool`` from this process, dispatch → poll →
+        settle, until every cell has a result or failure."""
+        pool = queue.pool
+        journal = self.journal
+        stop_at = None
         pool.start()
         try:
-            while unsettled:
-                launch()
-                if self._preempted():
-                    preempt()
+            while queue:
+                if stop_at is None:
+                    for index in queue.dispatch():
+                        if journal is not None:
+                            journal.record_dispatched(
+                                cell_id(cells[index], index), index=index,
+                                attempt=queue.attempts[index],
+                            )
+                    if self._preempted():
+                        # Stop dispatch and give busy workers the drain
+                        # deadline to finish their units; pool.stop()
+                        # then kills the rest. Every completion settled
+                        # meanwhile reaches the cache and journal as
+                        # usual, so nothing finished is lost.
+                        stop_at = time.monotonic() + self._drain_deadline_s()
+                if stop_at is not None and (
+                    len(pool.idle_workers()) == len(pool)
+                    or time.monotonic() >= stop_at
+                ):
+                    self._raise_interrupted(results)
                 events = pool.poll()
                 for event in events:
-                    handle(event)
+                    if event[0] == "stalled":
+                        self._note_stall(*event[1:])
+                    self._settle(queue, cells, event, results, use_cache)
                 if not events:
                     time.sleep(_POLL_S)
         finally:
             pool.stop()
+
+    def _note_stall(self, pid, keys, stale_s):
+        """A wedged worker: its beats stopped (the process is frozen,
+        not slow — a busy cell is the timeout's job)."""
+        self.stats.stalled += 1
+        if self.journal is not None:
+            self.journal.record_worker_stalled(pid, sorted(keys), stale_s)
+        if self.tracer is not None and self.tracer.enabled:
+            from repro.telemetry.events import WorkerStalled
+
+            self.tracer.emit(WorkerStalled(
+                ts=0, worker=pid, cells=len(keys),
+                stale_s=round(stale_s, 3),
+            ))

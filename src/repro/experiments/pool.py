@@ -13,7 +13,10 @@ the same way:
 * the worker posts ``(key, OK, result)`` or ``(key, ERR, (type, msg))``
   as each cell finishes, with the watchdog's ``(BEAT_INDEX, BEAT, n)``
   heartbeats riding the same :class:`~multiprocessing.SimpleQueue`, so
-  a worker that dies costs only its unit's unfinished cells;
+  a worker that dies loses no finished result: its event lists only
+  the unit's unfinished cells, in run order, and the caller's
+  :class:`~repro.experiments.parallel.UnitQueue` charges only the
+  first, the cell that was running;
 * liveness comes from :mod:`repro.experiments.watchdog`: a worker whose
   beats go stale is killed, and so is one whose current cell overruns
   the pool's per-cell ``timeout``;

@@ -18,13 +18,13 @@ from typing import Optional
 
 from repro.config import MachineConfig
 from repro.energy.accounting import EnergyAccount
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import WorkloadError
 from repro.experiments.configs import (
     CONFIG_NAMES,
     DERIVED_CONFIGS,
-    LIVE_CONFIGS,
     ORACLE_STATES,
     barrier_factory_for,
+    check_configs,
 )
 from repro.machine import System
 from repro.sync import ThriftyBarrier, oracle_rerun
@@ -281,6 +281,7 @@ def run_experiment(
     or a no-op plan leaves the machine untouched. Returns an
     :class:`ExperimentResult`.
     """
+    check_configs((config,))
     tracer = _coerce_tracer(telemetry)
     if config in _BASELINE_READERS:
         # The Baseline barrier takes no thrifty overrides.
@@ -291,18 +292,12 @@ def run_experiment(
             result = _live_result(app, config, run)
         else:
             result = _derived_result(app, config, run)
-    elif config in LIVE_CONFIGS:
+    else:
         run = _run_live(
             app, config, threads, seed, machine_config, thrifty_overrides,
             telemetry=tracer, fault_plan=fault_plan,
         )
         result = _live_result(app, config, run)
-    else:
-        raise ConfigError(
-            "unknown configuration {!r}; choose from {}".format(
-                config, ", ".join(CONFIG_NAMES)
-            )
-        )
     if tracer is not None:
         result.telemetry = tracer.snapshot()
     return result

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigError
 from repro.experiments.configs import (
     CONFIG_NAMES,
-    DERIVED_CONFIGS,
     LIVE_CONFIGS,
+    check_configs,
 )
 from repro.experiments.runner import (
     DEFAULT_SEED,
@@ -148,12 +148,7 @@ def run_chaos_cell(
     ExperimentResult` of the same cell without a plan, used for the
     energy/time deltas.
     """
-    if config not in CONFIG_NAMES:
-        raise ConfigError(
-            "unknown configuration {!r}; choose from {}".format(
-                config, ", ".join(CONFIG_NAMES)
-            )
-        )
+    check_configs((config,))
     tracer = Tracer()
     overrides = _overrides_for(config)
     if config in LIVE_CONFIGS:
@@ -235,14 +230,7 @@ def run_chaos_campaign(
     or freshly run) and flags the report ``stopped_early`` — the
     violating cell is the last in :attr:`~ChaosCampaignReport.cells`.
     """
-    configs = tuple(configs)
-    unknown = [c for c in configs if c not in CONFIG_NAMES]
-    if unknown:
-        raise ConfigError(
-            "unknown configuration(s) {}; choose from {}".format(
-                ", ".join(map(repr, unknown)), ", ".join(CONFIG_NAMES)
-            )
-        )
+    configs = check_configs(configs)
     apps = tuple(apps)
     report = ChaosCampaignReport(
         deadline_ns=deadline_ns,

@@ -24,7 +24,7 @@ parts that are independent of the HTTP layer and the worker pool:
 
 from repro import __version__
 from repro.errors import ConfigError, ServeError
-from repro.experiments.configs import CONFIG_NAMES
+from repro.experiments.configs import CONFIG_NAMES, check_configs
 from repro.experiments.export import matrix_to_records
 from repro.experiments.journal import (
     RunJournal,
@@ -76,13 +76,7 @@ def normalize_spec(payload):
     configs = payload.get("configs") or list(CONFIG_NAMES)
     if isinstance(configs, str):
         configs = [configs]
-    bad = sorted(set(configs) - set(CONFIG_NAMES))
-    if bad:
-        raise ConfigError(
-            "unknown configuration(s) {}; choose from {}".format(
-                ", ".join(bad), ", ".join(CONFIG_NAMES)
-            )
-        )
+    check_configs(configs)
     threads = payload.get("threads", 64)
     if not isinstance(threads, int) or isinstance(threads, bool) \
             or not 2 <= threads <= 1024:

@@ -6,13 +6,14 @@ and serving the HTTP+JSON API. Everything mutable lives on the one
 event loop — HTTP handlers and the supervision tick interleave but
 never run concurrently — so the server needs no locks.
 
-Dispatch is **job-based, not campaign-based**: the unit in the queue
-is a :class:`_CellJob`, keyed by the cell's content-address (the same
-key the result cache uses). Overlapping campaigns that share a cell
-share its job — the cell computes once and every waiter settles from
-the single result. A worker takes the head-of-queue job together with
-every queued job that reads the same Baseline simulation (the batch
-engine's unit rule), so a Baseline cell and its Oracle-Halt and Ideal
+Dispatch is **job-based, not campaign-based**: a :class:`_CellJob` is
+keyed by the cell's content-address (the same key the result cache
+uses). Overlapping campaigns that share a cell share its job — the
+cell computes once and every waiter settles from the single result.
+Jobs wait in the batch engine's
+:class:`~repro.experiments.parallel.UnitQueue`, so a worker takes the
+head-of-queue job together with every queued job that reads the same
+Baseline simulation, and a Baseline cell and its Oracle-Halt and Ideal
 cells simulate the Baseline once. Submission dedups at three levels:
 
 1. cache hit — the cell already has a durable result; settle now;
@@ -24,10 +25,12 @@ Crash safety mirrors the batch engine exactly: every campaign is
 journaled (dispatch/completion/failure per cell, fsynced), so a
 SIGKILLed server replays its journals on restart, restores completed
 cells from the result cache, and re-enqueues only the remainder.
-Worker failures reuse the watchdog/requeue semantics: a crashed or
-stalled worker costs one attempt on the cell it was running, the cells
-of its unit behind that one are requeued uncharged, and a cell becomes
-a structured failure only after exhausting its retries.
+Failures follow the engine's one policy, applied by the shared
+:class:`~repro.experiments.parallel.UnitQueue`: a cell that raises
+fails at once; a crashed or stalled worker costs one attempt on the
+cell it was running, which is retried after a seeded backoff delay
+until its retries run out, and the cells of its unit behind that one
+are requeued uncharged.
 
 API surface (all JSON; exit codes match the batch CLI):
 
@@ -55,8 +58,13 @@ from dataclasses import asdict
 from repro import __version__
 from repro.errors import ConfigError, ServeError
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import CellFailure, _unit_key, cell_id
-from repro.experiments.pool import ERR, OK, WorkerPool
+from repro.experiments.parallel import (
+    CellFailure,
+    RetryBackoff,
+    UnitQueue,
+    cell_id,
+)
+from repro.experiments.pool import WorkerPool
 from repro.experiments.preemption import EXIT_RESUMABLE, PreemptionGuard
 from repro.serve.campaigns import (
     CANCELLED,
@@ -96,23 +104,19 @@ _POLL_S = 0.02
 
 
 class _CellJob:
-    """One unit of work in the dispatch queue.
+    """One unsettled cell, queued or running.
 
     ``waiters`` is the list of ``(campaign, index)`` pairs to settle
     when the job resolves — one entry per campaign that needs this
-    cell. ``attempts`` counts failed executions (crash/stall/error);
-    the job fails permanently once it exceeds the server's retry
-    budget.
+    cell.
     """
 
-    __slots__ = ("key", "cell", "waiters", "attempts", "pid")
+    __slots__ = ("key", "cell", "waiters")
 
     def __init__(self, key, cell):
         self.key = key
         self.cell = cell
         self.waiters = []
-        self.attempts = 0
-        self.pid = None  # worker currently running it, if any
 
 
 class CampaignServer:
@@ -163,11 +167,10 @@ class CampaignServer:
         self.cache = ResultCache.coerce(cache if cache is not None else True)
         self.store = CampaignStore(journal_root=journal_root)
         self.pool = WorkerPool(pool_size, task=task, watchdog=watchdog)
-        self.retries = retries
+        self.units = UnitQueue(self.pool, retries, RetryBackoff())
         self.poll_s = poll_s
         self.metrics = MetricsRegistry()
         self.jobs = {}        # key -> _CellJob (unsettled)
-        self.queue = []       # keys awaiting dispatch (FIFO via pop(0))
         self.executed = 0
         self._stopping = False
         self._stop_reason = "shutdown"
@@ -240,7 +243,7 @@ class CampaignServer:
             job = _CellJob(key, cell)
             job.waiters.append((campaign, index))
             self.jobs[key] = job
-            self.queue.append(key)
+            self.units.push(key, cell)
         return hits
 
     def _publish_cache_hits(self, campaign, hits):
@@ -268,7 +271,7 @@ class CampaignServer:
             campaign.failed += 1
             campaign.journal.record_failed_permanent(
                 cell_id(cell, index), index=index, kind=result.kind,
-                message=result.message, attempts=result.attempts,
+                message=result.detail, attempts=result.attempts,
             )
         else:
             campaign.journal.record_completed(
@@ -321,9 +324,8 @@ class CampaignServer:
             job.waiters = [
                 (c, i) for (c, i) in job.waiters if c is not campaign
             ]
-            if not job.waiters and job.pid is None:
-                # Nobody needs it and it is not running: withdraw it
-                # (the queue entry is skipped lazily at dispatch).
+            if not job.waiters and self.units.withdraw(key):
+                # Nobody needs it and it is not running: withdrawn.
                 del self.jobs[key]
         self._emit(
             CampaignCancelled(
@@ -342,17 +344,12 @@ class CampaignServer:
         """One supervision round: absorb pool events, then dispatch."""
         for event in self.pool.poll():
             kind = event[0]
-            if kind == "result":
-                _, pid, key, status, payload = event
-                self._on_result(key, status, payload)
-            elif kind == "crashed":
-                _, pid, keys = event
+            if kind == "crashed":
                 self._emit(
-                    WorkerLeft(ts=0, worker=pid, pool_size=len(self.pool),
-                               reason="crashed"),
+                    WorkerLeft(ts=0, worker=event[1],
+                               pool_size=len(self.pool), reason="crashed"),
                     self._live_campaigns(),
                 )
-                self._strike_unit(keys, "crashed", "worker died")
             elif kind == "stalled":
                 _, pid, keys, stale_s = event
                 stalled = {}  # campaign -> its cells on the worker
@@ -372,8 +369,6 @@ class CampaignServer:
                     ),
                     list(stalled),
                 )
-                self._strike_unit(keys, "stalled", "no heartbeat for "
-                                  "{:.2f}s".format(stale_s))
             elif kind == "left":
                 _, pid, reason = event
                 self._emit(
@@ -388,104 +383,36 @@ class CampaignServer:
                                  pool_size=len(self.pool)),
                     self._live_campaigns(),
                 )
-        self._dispatch()
-
-    def _on_result(self, key, status, payload):
-        job = self.jobs.get(key)
-        if job is None:
-            # Every waiter cancelled while the cell ran; still bank the
-            # result — a future campaign gets it as a cache hit.
-            if status == OK:
-                self.cache.put(key, payload)
+            for key, outcome, final in self.units.settle(event):
+                self._resolve(key, outcome, final)
+        if self._stopping:
             return
-        job.pid = None
-        if status == OK:
-            self.cache.put(key, payload)
-            self.executed += 1
-            del self.jobs[key]
-            for campaign, index in job.waiters:
-                self._settle(campaign, index, payload)
-        elif status == ERR:
-            error_type, message = payload
-            self._strike(
-                key, "error", "{}: {}".format(error_type, message),
-            )
+        for key in self.units.dispatch():
+            for campaign, index in self.jobs[key].waiters:
+                campaign.journal.record_dispatched(
+                    cell_id(campaign.cells[index], index), index=index,
+                    attempt=self.units.attempts[key], key=key,
+                )
 
-    def _strike_unit(self, keys, kind, message):
-        """A unit's worker died: the cell it was running (the first
-        unfinished) loses an attempt; the rest never started and are
-        requeued ahead of fresh work with none charged."""
-        for key in reversed(keys[1:]):
-            job = self.jobs.get(key)
-            if job is not None:
-                job.pid = None
-                self.queue.insert(0, key)
-        if keys:
-            self._strike(keys[0], kind, message)
-
-    def _strike(self, key, kind, message):
-        """One failed attempt at a job: requeue or fail permanently."""
-        job = self.jobs.get(key)
-        if job is None:
-            return
-        job.pid = None
-        job.attempts += 1
-        if job.attempts <= self.retries:
+    def _resolve(self, key, outcome, final):
+        """Journal a failed attempt, or settle every waiter of a job."""
+        job = self.jobs[key]
+        if not final:
             for campaign, index in job.waiters:
                 campaign.journal.record_failed(
                     cell_id(campaign.cells[index], index), index=index,
-                    kind=kind, message=message, attempt=job.attempts,
+                    kind=outcome.kind, message=outcome.message,
+                    attempt=outcome.attempts,
                 )
-            self.queue.insert(0, key)  # retry ahead of fresh work
             return
         del self.jobs[key]
-        failure = CellFailure(
-            cell=job.cell, kind=kind, message=message,
-            attempts=job.attempts,
-        )
+        if not isinstance(outcome, CellFailure):
+            # Banked even when every waiter cancelled while the cell
+            # ran: a future campaign gets it as a cache hit.
+            self.cache.put(key, outcome)
+            self.executed += 1
         for campaign, index in job.waiters:
-            self._settle(campaign, index, failure)
-
-    def _unit(self, head):
-        """``head`` plus every queued, not-running job that reads the
-        same Baseline simulation, in queue order: one pool job."""
-        share = _unit_key(head.cell)
-        unit = [head]
-        if share is None:
-            return unit
-        for key in self.queue:
-            job = self.jobs.get(key)
-            if (
-                job is not None and job.pid is None and job not in unit
-                and _unit_key(job.cell) == share
-            ):
-                unit.append(job)
-        return unit
-
-    def _dispatch(self):
-        if self._stopping:
-            return
-        idle = self.pool.idle_workers()
-        while self.queue and idle:
-            key = self.queue[0]
-            job = self.jobs.get(key)
-            if job is None or job.pid is not None:
-                self.queue.pop(0)  # withdrawn or already running
-                continue
-            pid = idle[0]
-            unit = self._unit(job)
-            if not self.pool.dispatch(pid, [(j.key, j.cell) for j in unit]):
-                idle.pop(0)  # worker died/drained since listed
-                continue
-            self.queue.pop(0)  # the others' entries are skipped later
-            idle.pop(0)
-            for job in unit:
-                job.pid = pid
-                for campaign, index in job.waiters:
-                    campaign.journal.record_dispatched(
-                        cell_id(campaign.cells[index], index), index=index,
-                        attempt=job.attempts + 1, key=job.key,
-                    )
+            self._settle(campaign, index, outcome)
 
     # ------------------------------------------------------------------
     # recovery

@@ -34,7 +34,6 @@ from repro.telemetry.events import (
     CampaignFinished,
     CampaignSubmitted,
     CellResolved,
-    CheckpointWritten,
     FaultInjected,
     InvariantCheck,
     LateWake,
@@ -69,7 +68,6 @@ __all__ = [
     "CampaignFinished",
     "CampaignSubmitted",
     "CellResolved",
-    "CheckpointWritten",
     "Counter",
     "FaultInjected",
     "Gauge",

@@ -310,26 +310,6 @@ class InvariantCheck:
 
 
 @dataclass(frozen=True)
-class CheckpointWritten:
-    """The run journal atomically replaced its checkpoint snapshot.
-
-    An engine-level (wall-clock) event, not a simulated one: ``ts`` is
-    always 0 and ordering is by stream position, so journaled runs stay
-    byte-deterministic.
-    """
-
-    kind: ClassVar[str] = "engine.checkpoint"
-
-    ts: int
-    run_id: str
-    completed: int
-    total: int
-
-    def record(self, metrics):
-        metrics.counter("engine.checkpoints_written").inc()
-
-
-@dataclass(frozen=True)
 class WorkerStalled:
     """The watchdog declared a worker dead: its heartbeats went stale
     for ``stale_s`` seconds and it was killed, its ``cells`` unfinished
@@ -366,7 +346,7 @@ class ResumeStarted:
 class CampaignSubmitted:
     """The campaign service accepted a submission.
 
-    A wall-clock (engine-level) event like :class:`CheckpointWritten`:
+    A wall-clock (engine-level) event like :class:`WorkerStalled`:
     ``ts`` is 0, ordering is stream position. ``cells`` is the total
     cell count, ``cached`` how many were served from the result cache
     immediately, ``deduped`` how many attached to a cell already
@@ -487,10 +467,10 @@ class WorkerLeft:
 class StorageFault:
     """A durable-storage operation failed and was degraded, not raised.
 
-    ``op`` names the failing seam (``journal-append``, ``checkpoint``,
+    ``op`` names the failing seam (``journal-append``,
     ``payload-store``, ``cache-store``, ``corrupt-read``), ``path`` the
     file (or cache key) involved, ``error`` the exception text. A
-    wall-clock (engine-level) event like :class:`CheckpointWritten`:
+    wall-clock (engine-level) event like :class:`WorkerStalled`:
     ``ts`` is 0 and ordering is stream position. A climbing
     ``storage.faults`` counter is an operator's first sign a disk is
     full or failing.
@@ -524,7 +504,6 @@ EVENT_TYPES = (
     PredictorReenable,
     FaultInjected,
     InvariantCheck,
-    CheckpointWritten,
     WorkerStalled,
     ResumeStarted,
     CampaignSubmitted,

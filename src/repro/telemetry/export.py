@@ -25,7 +25,6 @@ from repro.telemetry.events import (
     CampaignFinished,
     CampaignSubmitted,
     CellResolved,
-    CheckpointWritten,
     FaultInjected,
     InvariantCheck,
     LateWake,
@@ -163,12 +162,6 @@ def chrome_trace_events(events, process_name="repro"):
                 "invariant:{}".format(event.invariant), "invariant", 0,
                 event.ts,
                 {"passed": event.passed, "violations": event.violations},
-            ))
-        elif isinstance(event, CheckpointWritten):
-            rows.append(_instant(
-                "checkpoint {}".format(event.run_id), "engine", 0,
-                event.ts,
-                {"completed": event.completed, "total": event.total},
             ))
         elif isinstance(event, WorkerStalled):
             rows.append(_instant(

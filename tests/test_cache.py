@@ -325,6 +325,8 @@ class TestResultCacheStore:
         got = cache.get(key, "default")
         # Either the bytes happened to unpickle, or it's a clean miss.
         assert cache.hits + cache.misses == 1
+        if cache.misses:
+            assert got == "default"
 
     def test_overwrite_is_atomic_and_wins(self, tmp_path):
         cache = ResultCache(tmp_path)

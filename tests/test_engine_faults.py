@@ -168,6 +168,18 @@ class TestWorkerCrash:
         assert failure.attempts == 3  # initial try + two retries
         assert engine.stats.retries == 2
 
+    def test_crash_charges_only_the_running_cell(self, monkeypatch):
+        # The worker dies on its unit's Baseline cell: that cell is
+        # charged, while the Oracle-Halt and Ideal cells behind it never
+        # started, so they go back uncharged and still complete.
+        _doom(monkeypatch, "baseline", lambda: os._exit(1))
+        engine = ExperimentEngine(workers=2, retries=0)
+        out = engine.run_cells(_unit_cells())
+        monkeypatch.undo()
+        assert isinstance(out[0], CellFailure)
+        assert out[0].kind == "crashed"
+        _assert_reference(out, (1, 2))
+
     def test_completed_chunkmates_survive_a_late_crash(self, monkeypatch):
         # Worker finishes two cells of its unit, then dies on the third:
         # the two finished results must be salvaged from the queue.

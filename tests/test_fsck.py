@@ -20,7 +20,6 @@ from repro.cli import main
 from repro.errors import ConfigError
 from repro.experiments.cache import ResultCache
 from repro.experiments.fsck import (
-    FsckReport,
     fsck_cache,
     fsck_run,
     fsck_tree,
@@ -35,13 +34,12 @@ def _digest(text):
 
 
 def _make_run(root, run_id="r", cells=("a", "b", "c")):
-    """A healthy journaled run: records, a checkpoint, one payload."""
+    """A healthy journaled run: records and one payload."""
     journal = RunJournal.create({"cells": list(cells)}, run_id=run_id,
                                root=root)
     for index, cell in enumerate(cells):
         journal.record_dispatched(cell, index=index)
         journal.record_completed(cell, index=index)
-    journal.checkpoint(completed=len(cells), total=len(cells))
     journal.store_payload(cells[0], {"cell": cells[0], "value": 42})
     return journal
 
@@ -52,8 +50,31 @@ class TestFsckRunClassification:
         report = fsck_run(tmp_path / "r")
         assert report.ok
         assert report.issues == []
-        assert report.scanned >= 4  # spec, journal, checkpoint, payload
+        assert report.scanned >= 3  # spec, journal, payload
         assert "clean" in render_fsck_report(report)
+
+    def test_checkpoint_leftovers_replay_and_audit_clean(self, tmp_path):
+        # Runs journaled before the checkpoint snapshot was dropped hold
+        # ``checkpoint`` records and a checkpoint.json beside them.
+        journal = _make_run(tmp_path)
+        path = journal.run_dir / "journal.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = {"completed": 2, "record": "checkpoint", "seq": 99,
+                  "t": 0.0, "total": 3}
+        lines.insert(4, json.dumps(record, sort_keys=True,
+                                   separators=(",", ":")) + "\n")
+        path.write_text("".join(lines))
+        (journal.run_dir / "checkpoint.json").write_text(json.dumps(
+            {"completed": 3, "run_id": "r", "total": 3},
+            sort_keys=True, indent=2,
+        ) + "\n")
+
+        state = RunJournal.open("r", root=tmp_path).replay()
+        assert state.completed_ids == {"a", "b", "c"}
+        assert not state.torn_tail
+        report = fsck_run(journal.run_dir)
+        assert report.ok
+        assert report.issues == []
 
     def test_missing_run_dir_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="no run directory"):
@@ -94,17 +115,6 @@ class TestFsckRunClassification:
         # The truncated journal replays cleanly (prefix-consistent).
         state = RunJournal.open("r", root=tmp_path).replay()
         assert not state.torn_tail
-
-    def test_corrupt_checkpoint_is_deleted(self, tmp_path):
-        journal = _make_run(tmp_path)
-        checkpoint = journal.run_dir / "checkpoint.json"
-        checkpoint.write_text('{"completed": ')
-        report = fsck_run(journal.run_dir, repair=True)
-        (finding,) = report.issues
-        assert (finding.kind, finding.status) == ("checkpoint", "corrupt")
-        assert finding.repaired
-        assert not checkpoint.exists()
-        assert report.ok
 
     def test_corrupt_payload_is_quarantined_not_deleted(self, tmp_path):
         journal = _make_run(tmp_path)
@@ -247,7 +257,6 @@ class TestRepairIdempotency:
         journal = _make_run(tmp_path / "runs")
         with open(journal.run_dir / "journal.jsonl", "ab") as fh:
             fh.write(b'{"record": "completed", "cel')  # torn tail
-        (journal.run_dir / "checkpoint.json").write_text('{"completed": ')
         journal._payload_path("a").write_bytes(b"\x80\x04 not a pickle")
         (journal.run_dir / "results" / "tmpabc.tmp").write_bytes(b"half")
         (journal.run_dir / "results" / "notes.txt").write_text("stray")
@@ -339,8 +348,6 @@ def _append_record(journal, kind, index):
         )
     elif kind == "worker-stalled":
         journal.record_worker_stalled(0, [cell], stale_s=1.5)
-    elif kind == "checkpoint":
-        journal.append("checkpoint", completed=index, total=8)
     elif kind == "interrupted":
         journal.record_interrupted("SIGTERM", completed=index, total=8)
     elif kind == "cancelled":
@@ -363,7 +370,6 @@ def _state_key(state):
         state.interruptions,
         state.cancellations,
         state.resumes,
-        state.checkpoints,
         state.finished,
     )
 
@@ -458,7 +464,6 @@ class TestCrashedCampaignRepairResume:
 
     def _env(self, tmp_path, cache_name, faults=None):
         import os as _os
-        import sys as _sys
         from pathlib import Path
 
         import repro

@@ -2,7 +2,7 @@
 
 Covers the atomic-write helpers, spec hashing, journal lifecycle
 (create / open / verify), the fsynced record stream and its torn-tail-
-tolerant replay, checkpoint snapshots, and the payload store.
+tolerant replay, and the payload store.
 """
 
 import json
@@ -183,30 +183,6 @@ class TestRecordStream:
         journal.record_resumed(completed=1, remaining=4)
         state = journal.replay()
         assert (state.stalls, state.interruptions, state.resumes) == (1, 1, 1)
-
-
-class TestCheckpoint:
-    def test_checkpoint_round_trip(self, tmp_path):
-        journal = RunJournal.create(SPEC, run_id="r1", root=tmp_path)
-        assert journal.read_checkpoint() is None
-        journal.checkpoint(completed=3, total=10)
-        snapshot = journal.read_checkpoint()
-        assert snapshot == {"run_id": "r1", "completed": 3, "total": 10}
-        assert journal.replay().checkpoints == 1
-
-    def test_checkpoint_emits_telemetry_event(self, tmp_path):
-        from repro.telemetry.events import CheckpointWritten
-        from repro.telemetry.tracer import Tracer
-
-        journal = RunJournal.create(SPEC, run_id="r1", root=tmp_path)
-        tracer = Tracer()
-        journal.checkpoint(completed=1, total=2, tracer=tracer)
-        events = [
-            e for e in tracer.events if isinstance(e, CheckpointWritten)
-        ]
-        assert len(events) == 1
-        assert events[0].run_id == "r1"
-        assert (events[0].completed, events[0].total) == (1, 2)
 
 
 class TestPayloadStore:

@@ -20,6 +20,7 @@ from repro.experiments.parallel import (
     ExperimentEngine,
     _fork_context,
 )
+from repro.experiments.pool import WorkerPool
 from repro.experiments.runner import (
     ExperimentResult,
     _shared_baseline,
@@ -189,15 +190,15 @@ class TestOrdering:
         # Ocean's 480 barrier instances outweigh fmm's and radix's 24,
         # so its unit goes out first; equal costs keep submission order.
         dispatched = []
-        run_parallel = ExperimentEngine._run_parallel
+        dispatch = WorkerPool.dispatch
 
-        def recording(self, context, cells, units, *rest):
-            dispatched.extend(
-                [cells[i].app for i in unit] for unit in units
-            )
-            return run_parallel(self, context, cells, units, *rest)
+        def recording(self, pid, unit):
+            accepted = dispatch(self, pid, unit)
+            if accepted:
+                dispatched.append([cell.app for _, cell in unit])
+            return accepted
 
-        monkeypatch.setattr(ExperimentEngine, "_run_parallel", recording)
+        monkeypatch.setattr(WorkerPool, "dispatch", recording)
         cells = [
             ExperimentCell.make(app, config, threads=2)
             for app, config in (

@@ -7,6 +7,7 @@ runs the real thing: a served campaign of real simulator cells over
 HTTP, checked for dedup and clean shutdown.
 """
 
+import json
 import os
 import signal
 import socket
@@ -17,7 +18,6 @@ import time
 import pytest
 
 from repro.errors import ConfigError, ServeError
-from repro.experiments.cache import ResultCache
 from repro.experiments.export import matrix_to_records
 from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import CellFailure
@@ -436,6 +436,28 @@ _SMALL = {"apps": ["fmm"], "configs": ["baseline", "thrifty"],
           "threads": 16}
 
 
+def _stub_pool(monkeypatch, server, pid=101):
+    """Drive ``server`` without forking: its pool always has worker
+    ``pid`` idle, accepts every unit, and polls the events a test
+    appends. Returns the list of dispatched key lists and that event
+    list."""
+    dispatched, events = [], []
+
+    def dispatch(worker, unit):
+        dispatched.append([key for key, _ in unit])
+        return True
+
+    def poll():
+        drained = list(events)
+        events.clear()
+        return drained
+
+    monkeypatch.setattr(server.pool, "idle_workers", lambda: [pid])
+    monkeypatch.setattr(server.pool, "dispatch", dispatch)
+    monkeypatch.setattr(server.pool, "poll", poll)
+    return dispatched, events
+
+
 class TestDispatcher:
     def test_submit_enqueues_jobs(self, tmp_path):
         server = _server(tmp_path)
@@ -443,7 +465,10 @@ class TestDispatcher:
         assert campaign.state == RUNNING
         assert campaign.total == 2
         assert len(server.jobs) == 2
-        assert server.queue == campaign.keys
+        queued = [
+            key for unit in iter(server.units.pop, None) for key, _ in unit
+        ]
+        assert queued == campaign.keys
 
     def test_overlapping_submission_dedups(self, tmp_path):
         server = _server(tmp_path)
@@ -499,18 +524,28 @@ class TestDispatcher:
             server.cancel("nope")
         assert exc.value.status == 404
 
-    def test_strike_requeues_then_fails_permanently(self, tmp_path):
+    def test_strike_requeues_then_fails_permanently(
+        self, tmp_path, monkeypatch
+    ):
         server = _server(tmp_path, retries=1)
+        dispatched, events = _stub_pool(monkeypatch, server)
         campaign = server.submit(
             {"apps": ["fmm"], "configs": ["baseline"], "threads": 16}
         )
         (key,) = list(server.jobs)
-        server.queue.clear()  # simulate "was dispatched"
-        server._strike(key, "crashed", "worker died")
-        assert server.queue == [key]  # one retry left
+        server.tick()
+        assert dispatched == [[key]]
+        events.append(("crashed", 101, [key]))
+        server.tick()
         assert campaign.state == RUNNING
-        server.queue.clear()
-        server._strike(key, "stalled", "no heartbeat")
+        deadline = time.monotonic() + 10.0
+        while len(dispatched) < 2:  # one retry left, after its backoff
+            assert time.monotonic() < deadline
+            server.tick()
+            time.sleep(0.01)
+        assert dispatched == [[key], [key]]
+        events.append(("stalled", 101, [key], 1.5))
+        server.tick()
         assert campaign.state == DONE
         assert campaign.failed == 1
         (result,) = campaign.results
@@ -522,25 +557,74 @@ class TestDispatcher:
         records = campaign.records()
         assert records[0]["failed"] is True
 
-    def test_deterministic_error_result_strikes(self, tmp_path):
+    def test_deterministic_error_result_strikes(self, tmp_path, monkeypatch):
         server = _server(tmp_path, retries=0)
+        _, events = _stub_pool(monkeypatch, server)
         campaign = server.submit(
             {"apps": ["fmm"], "configs": ["baseline"], "threads": 16}
         )
         (key,) = list(server.jobs)
-        server._on_result(key, "error", ("ValueError", "boom"))
+        server.tick()
+        events.append(("result", 101, key, "error", ("ValueError", "boom")))
+        server.tick()
         assert campaign.failed == 1
         (result,) = campaign.results
         assert result.kind == "error"
-        assert "ValueError" in result.message
+        assert result.error_type == "ValueError"
 
-    def test_result_with_no_waiters_is_still_cached(self, tmp_path):
+    def test_result_with_no_waiters_is_still_cached(
+        self, tmp_path, monkeypatch
+    ):
         server = _server(tmp_path)
+        dispatched, events = _stub_pool(monkeypatch, server)
         campaign = server.submit(_SMALL)
         keys = list(server.jobs)
+        server.tick()
+        assert dispatched == [keys[:1]]
         server.cancel(campaign.run_id)
-        server._on_result(keys[0], "ok", {"late": True})
+        events.append(("result", 101, keys[0], "ok", {"late": True}))
+        server.tick()
         assert server.cache.get(keys[0]) == {"late": True}
+
+    def test_raising_cell_runs_once_whatever_the_retries(self, tmp_path):
+        # An exception is deterministic: the served cell fails after
+        # one run, exactly as a batch one does, not after every retry.
+        runs = tmp_path / "runs.log"
+
+        def boom(cell):
+            with open(runs, "a") as fh:
+                fh.write("run\n")
+            raise ValueError("boom")
+
+        server = _server(tmp_path, pool_size=1, retries=2, task=boom)
+        campaign = server.submit(
+            {"apps": ["fmm"], "configs": ["baseline"], "threads": 16}
+        )
+        server.pool.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while campaign.state != DONE:
+                assert time.monotonic() < deadline, campaign.status_payload()
+                server.tick()
+                time.sleep(0.01)
+        finally:
+            server.pool.stop()
+        assert campaign.results == [CellFailure(
+            cell=campaign.cells[0], kind="error", error_type="ValueError",
+            message="boom", attempts=1,
+        )]
+        assert runs.read_text() == "run\n"
+        records = [
+            json.loads(line) for line in
+            (campaign.journal.run_dir / "journal.jsonl").read_text()
+            .splitlines()
+        ]
+        kinds = [record["record"] for record in records]
+        assert kinds.count("dispatched") == 1
+        (permanent,) = [
+            r for r in records if r["record"] == "failed-permanent"
+        ]
+        assert permanent["message"] == "ValueError: boom"
 
 
 class TestUnitDispatch:

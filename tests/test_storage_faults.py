@@ -277,13 +277,6 @@ class TestJournalDegradation:
         state = RunJournal.open("j", root=tmp_path).replay()
         assert set(state.completed) == {"a"}
 
-    def test_checkpoint_degrades_without_raising(self, tmp_path):
-        journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
-        with storage_faults(_DEAD_DISK), pytest.warns(RuntimeWarning):
-            journal.checkpoint(completed=3, total=5)
-        assert journal.write_errors == 2  # snapshot + its journal record
-        assert journal.read_checkpoint() is None
-
     def test_store_payload_degrades_and_resume_sees_a_miss(self, tmp_path):
         journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
         with storage_faults(_DEAD_DISK), pytest.warns(RuntimeWarning):
@@ -292,14 +285,6 @@ class TestJournalDegradation:
         assert journal.load_payload("cell", default="miss") == "miss"
         # No partial payload file may be visible (atomic-write contract).
         assert list((tmp_path / "j").rglob("*.pkl")) == []
-
-    def test_read_checkpoint_counts_corruption(self, tmp_path):
-        journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
-        journal.checkpoint(completed=1, total=2)
-        (tmp_path / "j" / "checkpoint.json").write_text("{torn")
-        with pytest.warns(RuntimeWarning, match="repro fsck"):
-            assert journal.read_checkpoint() is None
-        assert journal.corrupt_reads == 1
 
     def test_load_payload_counts_corruption_and_evicts(self, tmp_path):
         journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
@@ -317,9 +302,11 @@ class TestJournalDegradation:
         journal.tracer = tracer
         with storage_faults(_DEAD_DISK), pytest.warns(RuntimeWarning):
             journal.append("dispatched", cell="a")
-        (tmp_path / "j" / "checkpoint.json").write_text("{torn")
+        assert journal.store_payload("cell", {"v": 1}) is True
+        payload_path = journal._payload_path("cell")
+        payload_path.write_bytes(payload_path.read_bytes()[:4])
         with pytest.warns(RuntimeWarning):
-            journal.read_checkpoint()
+            journal.load_payload("cell")
         kinds = [event.op for event in tracer.events]
         assert kinds == ["journal-append", "corrupt-read"]
         assert tracer.metrics.counter("storage.faults").value == 2
