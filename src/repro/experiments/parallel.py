@@ -62,8 +62,6 @@ from repro.experiments.watchdog import WatchdogPolicy
 #: Placeholder for a cell whose result has not been produced yet.
 _PENDING = object()
 
-_POLL_S = 0.01
-
 
 @dataclass(frozen=True)
 class ExperimentCell:
@@ -417,7 +415,9 @@ class ExperimentEngine:
         sends each worker one unit at a time: a Baseline cell plus the
         Oracle-Halt and Ideal cells that replay its simulation, or any
         other single cell. With the default task, cells are queued
-        longest simulation first.
+        longest simulation first. Between polls the engine waits on the
+        pool's doorbell, so it settles each result, and hands its worker
+        the next unit, as soon as the worker posts it.
     cache:
         ``None`` (no caching), ``True`` (default directory), a path, or
         a :class:`ResultCache`.
@@ -721,7 +721,9 @@ class ExperimentEngine:
 
     def _run_parallel(self, queue, cells, results, use_cache):
         """Supervise ``queue.pool`` from this process, dispatch → poll →
-        settle, until every cell has a result or failure."""
+        settle, until every cell has a result or failure. A poll that
+        finds nothing waits on the pool's doorbell, so a posted result
+        is settled, and its worker given the next unit, at once."""
         pool = queue.pool
         journal = self.journal
         stop_at = None
@@ -753,7 +755,7 @@ class ExperimentEngine:
                         self._note_stall(*event[1:])
                     self._settle(queue, cells, event, results, use_cache)
                 if not events:
-                    time.sleep(_POLL_S)
+                    pool.wait(pool.FALLBACK_S)
         finally:
             pool.stop()
 

@@ -25,11 +25,20 @@ the same way:
 The caller drives everything through :meth:`WorkerPool.poll`, a
 non-blocking sweep that drains queues, adjudicates liveness, and
 reports what changed as plain tuples; the pool itself never touches
-engine or campaign state.
+engine or campaign state. Between sweeps the caller waits on the pool's
+*doorbell*, a non-blocking pipe each worker rings with one byte after
+every result it posts (never for a heartbeat): :meth:`WorkerPool.wait`
+blocks on it, and :meth:`WorkerPool.fileno` hands it to an event loop.
+A poll drains the doorbell before it drains the queues, so a ring that
+lands mid-poll wakes the next wait instead of being lost. What no
+worker rings for (a death or stall, a per-cell timeout, an expiring
+retry backoff, a preemption signal) is seen at the next sweep, which a
+waiting caller makes at most :attr:`WorkerPool.FALLBACK_S` later.
 """
 
 import multiprocessing
 import os
+import selectors
 import sys
 import time
 
@@ -80,13 +89,25 @@ def _fork_context():
     return None
 
 
-def _pool_worker(inbox, outbox, task, beat_interval_s, child_setup=None):
+def _ring(bell):
+    """Ring the doorbell's write end ``bell`` once."""
+    try:
+        os.write(bell, b"\0")
+    except (BlockingIOError, BrokenPipeError):
+        pass  # a full pipe is rung already; a gone supervisor hears none
+
+
+def _pool_worker(inbox, outbox, doorbell, task, beat_interval_s,
+                 child_setup=None):
     """Worker body: run units off ``inbox`` until the None sentinel.
 
     Results are posted synchronously (SimpleQueue has no feeder
     thread), so once a put returns the result survives even an
-    immediate SIGKILL. ``BaseException`` is caught per cell: a worker
-    survives a failing cell and runs the rest of its unit.
+    immediate SIGKILL. Each post is followed by one ring of the
+    ``doorbell`` pipe's write end, so the ring never announces a result
+    the supervisor cannot read yet. ``BaseException`` is caught per
+    cell: a worker survives a failing cell and runs the rest of its
+    unit.
 
     ``child_setup`` runs first, inside the forked child: fork copies
     every open descriptor of the supervisor, so a worker spawned while
@@ -97,13 +118,16 @@ def _pool_worker(inbox, outbox, task, beat_interval_s, child_setup=None):
     listener in the child.
 
     The worker first closes its copies of the supervisor's ends of its
-    two pipes. Only the supervisor and workers forked after this one
-    then hold its inbox's write end, so when the supervisor dies the
-    last-forked worker reads EOF, exits, and releases its siblings'
-    ends in turn: no worker outlives its supervisor.
+    two pipes and of the doorbell. Only the supervisor and workers
+    forked after this one then hold its inbox's write end, so when the
+    supervisor dies the last-forked worker reads EOF, exits, and
+    releases its siblings' ends in turn: no worker outlives its
+    supervisor.
     """
+    bell_reader, bell = doorbell
     inbox._writer.close()
     outbox._reader.close()
+    os.close(bell_reader)
     if child_setup is not None:
         try:
             child_setup()
@@ -131,6 +155,7 @@ def _pool_worker(inbox, outbox, task, beat_interval_s, child_setup=None):
                         outbox.put((key, ERR, error))
                     else:
                         outbox.put((key, OK, result))
+                    _ring(bell)
     except (EOFError, BrokenPipeError):
         pass  # the supervisor is gone: nobody is left to serve
     finally:
@@ -180,6 +205,10 @@ class WorkerPool:
         cell runs longer is killed and reported. ``None`` disables.
     """
 
+    #: Seconds a supervisor waits on the doorbell before it polls
+    #: anyway: the bound on noticing what no worker rings for.
+    FALLBACK_S = 0.02
+
     def __init__(self, size, task=None, watchdog=True, timeout=None):
         if size < 1:
             raise ConfigError("pool size must be >= 1")
@@ -197,7 +226,7 @@ class WorkerPool:
                 "this platform does not support"
             )
         self._workers = {}  # pid -> _Worker
-        self._started = False
+        self._doorbell = None  # (read fd, write fd) from start() to stop()
         #: Optional callable run first thing inside each forked worker
         #: (e.g. the server closing its inherited listening socket).
         #: Read at spawn time, so it may be assigned after start().
@@ -206,8 +235,11 @@ class WorkerPool:
     # -- lifecycle -----------------------------------------------------
 
     def start(self):
-        """Spawn the initial workers; returns their pids."""
-        self._started = True
+        """Make the doorbell and spawn the initial workers; returns
+        their pids."""
+        self._doorbell = os.pipe()
+        for fd in self._doorbell:
+            os.set_blocking(fd, False)
         return [self._spawn() for _ in range(self.target)]
 
     def _spawn(self):
@@ -216,7 +248,8 @@ class WorkerPool:
         beat = self.policy.beat_interval_s if self.policy else None
         process = self._context.Process(
             target=_pool_worker,
-            args=(inbox, outbox, self.task, beat, self.child_setup),
+            args=(inbox, outbox, self._doorbell, self.task, beat,
+                  self.child_setup),
             daemon=True,
         )
         process.start()
@@ -227,7 +260,8 @@ class WorkerPool:
         return process.pid
 
     def stop(self):
-        """Retire every worker: sentinel, grace period, then kill."""
+        """Retire every worker (sentinel, grace period, then kill) and
+        close the doorbell."""
         self.target = 0
         for worker in self._workers.values():
             self._retire(worker)
@@ -239,6 +273,10 @@ class WorkerPool:
         for worker in self._workers.values():
             self._forget(worker)
         self._workers.clear()
+        if self._doorbell is not None:
+            for fd in self._doorbell:
+                os.close(fd)
+            self._doorbell = None
 
     # -- sizing --------------------------------------------------------
 
@@ -246,7 +284,8 @@ class WorkerPool:
         """Change the worker count; returns the pids told to retire.
 
         Growth happens in the next :meth:`poll` (which maintains the
-        target). Shrinking retires idle workers immediately and marks
+        target); a resize wakes the server, so there it happens at
+        once. Shrinking retires idle workers immediately and marks
         busy ones *draining* — they finish their current unit, post
         its results, then exit on the sentinel, so a shrink never
         abandons work.
@@ -343,6 +382,25 @@ class WorkerPool:
 
     # -- supervision ---------------------------------------------------
 
+    def fileno(self):
+        """The doorbell's read end, readable once a worker has posted a
+        result since the last :meth:`poll` (valid from :meth:`start` to
+        :meth:`stop`); an event loop may watch it, but only
+        :meth:`poll` drains it."""
+        return self._doorbell[0]
+
+    def wait(self, timeout):
+        """Block until the doorbell rings or ``timeout`` seconds pass;
+        returns whether it rang.
+
+        The wait is a :class:`selectors.DefaultSelector` select, the
+        call an event loop idles in, so a profiler that charges the
+        one to idle time charges the other too.
+        """
+        with selectors.DefaultSelector() as selector:
+            selector.register(self.fileno(), selectors.EVENT_READ)
+            return bool(selector.select(timeout))
+
     def poll(self):
         """One non-blocking supervision sweep; returns change events.
 
@@ -362,10 +420,12 @@ class WorkerPool:
           right after that verdict killed it;
         * ``("joined", pid)`` — a replacement/growth worker spawned.
 
-        Queues are drained before liveness checks, and a dead or killed
-        worker's queue once more before it is reported, so no result a
-        worker posted is ever lost or reported as unfinished.
+        The doorbell is drained before the queues, the queues before
+        liveness checks, and a dead or killed worker's queue once more
+        before it is reported, so no result a worker posted is ever
+        lost, reported as unfinished, or left without a ring.
         """
+        self._drain_doorbell()
         events = []
         for worker in list(self._workers.values()):
             events.extend(self._drain(worker))
@@ -386,10 +446,19 @@ class WorkerPool:
                 self.monitor.declare_stall(worker.pid)
                 self._kill(worker)
                 events.extend(self._reap(worker, ("stalled", stale_s)))
-        if self._started:
+        if self._doorbell is not None:
             while self._population() < self.target:
                 events.append(("joined", self._spawn()))
         return events
+
+    def _drain_doorbell(self):
+        if self._doorbell is None:
+            return
+        try:
+            while os.read(self._doorbell[0], 4096):
+                pass
+        except BlockingIOError:
+            pass  # empty: every ring so far is answered
 
     def _drain(self, worker):
         events = []

@@ -269,8 +269,11 @@ class CampaignStore:
         base = "c" + spec_hash(spec)[:10]
         run_id = base
         suffix = 1
-        existing = set(list_run_ids(self.journal_root))
-        while run_id in self._campaigns or run_id in existing:
+        # Probe each candidate: nothing deletes a journal, so listing
+        # the root would cost a stat per journal ever written.
+        while run_id in self._campaigns or RunJournal(
+            run_id, root=self.journal_root
+        ).exists():
             suffix += 1
             run_id = "{}-{}".format(base, suffix)
         journal = RunJournal.create(

@@ -306,8 +306,10 @@ def make_connection_handler(router, idle_timeout_s=None,
                 await asyncio.wait_for(_drain_peer(reader), timeout=0.5)
             except (asyncio.TimeoutError, OSError, RuntimeError):
                 pass
-            try:
+            finally:
+                # Also when a stopping server cancels the linger.
                 writer.close()
+            try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass

@@ -6,6 +6,14 @@ and serving the HTTP+JSON API. Everything mutable lives on the one
 event loop — HTTP handlers and the supervision tick interleave but
 never run concurrently — so the server needs no locks.
 
+The supervisor ticks when there is something to do, not on a timer:
+the event loop watches the pool's doorbell, which a worker rings after
+each result it posts, and a submission, a ``POST /pool`` and a stop
+request wake it too. Only what nothing announces (a worker's death or
+stall, an expiring retry backoff, a preemption signal) waits for the
+pool's fallback interval, :attr:`~repro.experiments.pool.WorkerPool.
+FALLBACK_S`.
+
 Dispatch is **job-based, not campaign-based**: a :class:`_CellJob` is
 keyed by the cell's content-address (the same key the result cache
 uses). Overlapping campaigns that share a cell share its job — the
@@ -100,8 +108,6 @@ DEFAULT_PORT = 8734
 #: Clean-exit status (mirrors the CLI constant without importing it).
 EXIT_OK = 0
 
-_POLL_S = 0.02
-
 
 class _CellJob:
     """One unsettled cell, queued or running.
@@ -153,7 +159,7 @@ class CampaignServer:
     def __init__(self, host="127.0.0.1", port=DEFAULT_PORT, pool_size=2,
                  cache=None, journal_root=None, watchdog=True, retries=1,
                  idle_timeout_s=30.0, max_connections=128,
-                 task=None, poll_s=_POLL_S):
+                 task=None):
         if retries < 0:
             raise ConfigError("retries must be >= 0")
         if idle_timeout_s is not None and idle_timeout_s <= 0:
@@ -168,12 +174,14 @@ class CampaignServer:
         self.store = CampaignStore(journal_root=journal_root)
         self.pool = WorkerPool(pool_size, task=task, watchdog=watchdog)
         self.units = UnitQueue(self.pool, retries, RetryBackoff())
-        self.poll_s = poll_s
         self.metrics = MetricsRegistry()
         self.jobs = {}        # key -> _CellJob (unsettled)
         self.executed = 0
         self._stopping = False
         self._stop_reason = "shutdown"
+        #: Set to wake the supervisor; made inside the running loop
+        #: (an asyncio.Event binds to a loop at construction on 3.9).
+        self._wake = None
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -185,6 +193,10 @@ class CampaignServer:
         payload.update(asdict(event))
         for campaign in campaigns:
             campaign.publish(payload)
+
+    def _wake_supervisor(self):
+        if self._wake is not None:
+            self._wake.set()
 
     def _live_campaigns(self):
         return [
@@ -208,6 +220,7 @@ class CampaignServer:
         )
         self._publish_cache_hits(campaign, hits)
         self._check_done(campaign)
+        self._wake_supervisor()
         return campaign
 
     def _enqueue_campaign(self, campaign, resumed=False):
@@ -550,6 +563,7 @@ class CampaignServer:
             self.pool.resize(workers)
         except ConfigError as exc:
             raise HttpError(400, str(exc))
+        self._wake_supervisor()
         return JsonResponse(self.pool.describe())
 
     async def _h_shutdown(self, request):
@@ -562,14 +576,27 @@ class CampaignServer:
     def request_stop(self, reason="shutdown"):
         self._stop_reason = reason
         self._stopping = True
+        self._wake_supervisor()
 
     async def _supervise(self, guard):
-        while not self._stopping:
-            if guard is not None and guard.requested:
-                self.request_stop(guard.reason)
-                break
-            self.tick()
-            await asyncio.sleep(self.poll_s)
+        """Tick, then sleep until the doorbell, a request or the
+        fallback timer wakes the loop, until a stop is requested."""
+        loop = asyncio.get_running_loop()
+        wake = self._wake = asyncio.Event()
+        loop.add_reader(self.pool.fileno(), wake.set)
+        try:
+            while not self._stopping:
+                if guard is not None and guard.requested:
+                    self.request_stop(guard.reason)
+                    break
+                wake.clear()
+                self.tick()
+                fallback = loop.call_later(self.pool.FALLBACK_S, wake.set)
+                await wake.wait()
+                fallback.cancel()
+        finally:
+            loop.remove_reader(self.pool.fileno())
+            self._wake = None
 
     async def _main(self, guard=None, banner=True):
         self.recover()

@@ -232,6 +232,21 @@ class TestOrdering:
             "slow", "medium", "fast"
         ]
 
+    def test_results_wake_the_engine_not_the_fallback(self, monkeypatch):
+        # With the fallback timer out of reach, only the pool's doorbell
+        # can wake the engine to settle a result and dispatch again.
+        cells = [
+            ExperimentCell.make(app, config, threads=THREADS)
+            for app in APPS for config in ("baseline", "thrifty")
+        ]
+        serial = ExperimentEngine(workers=1, strict=True).run_cells(cells)
+        monkeypatch.setattr(WorkerPool, "FALLBACK_S", 60.0)
+        started = time.monotonic()
+        out = ExperimentEngine(workers=2, strict=True).run_cells(cells)
+        assert time.monotonic() - started < 20.0
+        for got, want in zip(out, serial):
+            assert_results_identical(want, got)
+
     def test_units_share_persistent_workers(self):
         # One pool per run: ten units go to two long-lived workers
         # instead of one forked process each.

@@ -7,13 +7,16 @@ runs the real thing: a served campaign of real simulator cells over
 HTTP, checked for dedup and clean shutdown.
 """
 
+import asyncio
 import json
 import os
+import select
 import signal
 import socket
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -32,7 +35,13 @@ from repro.serve.campaigns import (
     normalize_spec,
 )
 from repro.serve.client import ServeClient
-from repro.serve.http import HttpError, Request, Router
+from repro.serve.http import (
+    HttpError,
+    JsonResponse,
+    Request,
+    Router,
+    make_connection_handler,
+)
 from repro.serve.pool import WorkerPool
 from repro.serve.server import CampaignServer
 
@@ -178,6 +187,11 @@ def _results(events):
     return [e for e in events if e[0] == "result"]
 
 
+def _rung(pool):
+    """True when the pool's doorbell is readable right now."""
+    return bool(select.select([pool], [], [], 0)[0])
+
+
 def _gone_or_zombie(pid):
     """True once ``pid`` has exited: no such process, or a zombie its
     new parent never reaps (not every init waits for orphans)."""
@@ -216,6 +230,37 @@ class TestWorkerPool:
             )
             got = {e[2]: e[4] for e in _results(events)}
             assert got == {"k2": 4, "k3": 6}
+        finally:
+            pool.stop()
+
+    def test_doorbell_rings_once_a_result_is_posted(self):
+        pool = WorkerPool(1, task=_double, watchdog=None)
+        try:
+            pool.start()
+            assert not _rung(pool)
+            (pid,) = pool.idle_workers()
+            assert pool.dispatch(pid, [("k", 21)])
+            started = time.monotonic()
+            assert pool.wait(10.0)
+            assert time.monotonic() - started < 5.0
+            assert _rung(pool)
+            assert pool.poll() == [("result", pid, "k", "ok", 42)]
+            assert not _rung(pool)
+        finally:
+            pool.stop()
+
+    def test_heartbeats_do_not_ring_the_doorbell(self):
+        pool = WorkerPool(2, task=_double, watchdog=True)
+        try:
+            pool.start()
+            time.sleep(0.5)  # about five beats per worker
+            assert not _rung(pool)
+            assert pool.poll() == []
+            # The beats did arrive: draining them refreshed each worker.
+            assert all(
+                pool.monitor.staleness(pid) < 0.5
+                for pid in pool.idle_workers()
+            )
         finally:
             pool.stop()
 
@@ -708,6 +753,12 @@ class TestRecovery:
         assert len({first.run_id, second.run_id, third.run_id}) == 3
         assert second.run_id.startswith(first.run_id)
 
+    def test_run_id_skips_a_journal_the_store_never_loaded(self, tmp_path):
+        first = _server(tmp_path).submit(_SMALL)
+        # A fresh server on the same journal root, before any recover().
+        second = _server(tmp_path).submit(_SMALL)
+        assert second.run_id == first.run_id + "-2"
+
 
 class TestServerValidation:
     def test_retries_must_be_non_negative(self, tmp_path):
@@ -863,6 +914,25 @@ class TestHttpEndToEnd:
             "{}".format(held & inodes)
         )
 
+    def test_results_and_requests_wake_the_supervisor(
+            self, monkeypatch, live_server):
+        # With the fallback timer out of reach, only the doorbell and
+        # the request wake-ups can dispatch, settle and stop in time.
+        monkeypatch.setattr(WorkerPool, "FALLBACK_S", 60.0)
+        _, client, exit_code = live_server
+        deadline = time.monotonic() + 20.0
+        status = client.submit(
+            {"apps": ["fmm"], "configs": ["baseline", "thrifty"],
+             "threads": 8}
+        )
+        final = client.wait(status["run_id"], timeout=20.0, poll_s=0.05,
+                            poll_cap_s=0.2)
+        assert final["state"] == "done" and final["failed"] == 0
+        client.shutdown()
+        while not exit_code and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert exit_code == [0]
+
     def test_api_errors(self, live_server):
         _, client, _ = live_server
         with pytest.raises(ServeError) as exc:
@@ -946,6 +1016,33 @@ def _raw_exchange(port, payload, timeout=5.0):
 
 
 class TestHostileClients:
+    def test_cancelled_linger_still_closes_the_connection(self):
+        # A server that stops while a reply's lingering close waits on
+        # a quiet peer cancels the handler; its socket must close anyway.
+        async def ok(request):
+            return JsonResponse({"ok": True})
+
+        async def scenario():
+            router = Router()
+            router.add("GET", "/", ok)
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"GET / HTTP/1.1\r\n\r\n")  # and no EOF
+            writer = mock.Mock()
+            writer.drain = writer.wait_closed = mock.AsyncMock()
+            task = asyncio.ensure_future(
+                make_connection_handler(router)(reader, writer)
+            )
+            while not writer.write_eof.called:
+                await asyncio.sleep(0)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            return writer
+
+        writer = asyncio.run(scenario())
+        assert writer.write.call_args[0][0].startswith(b"HTTP/1.1 200")
+        writer.close.assert_called_once_with()
+
     def test_stalled_socket_gets_408_not_a_pinned_slot(self, tmp_path):
         server, client, stop = _hardened_server(
             tmp_path, idle_timeout_s=0.3,
