@@ -290,7 +290,7 @@ def build_parser():
     parser.add_argument(
         "--repair", action="store_true",
         help="fsck: apply the safe repairs (truncate torn journal "
-             "tails, quarantine corrupt payloads, sweep stale tmp "
+             "tails, quarantine corrupt cache entries, sweep stale tmp "
              "files) instead of only reporting",
     )
     parser.add_argument(
@@ -695,7 +695,7 @@ def _run_fsck_command(args):
     Exit status: 0 when the tree is clean (or every issue was
     repaired), 1 when issues remain — unrepaired damage without
     ``--repair``, or unrepairable loss (a corrupt ``spec.json``) with
-    it.
+    it — and 2 for a malformed or unknown run id.
     """
     from repro.experiments.fsck import fsck_tree, render_fsck_report
 
@@ -704,10 +704,13 @@ def _run_fsck_command(args):
         from repro.experiments.cache import default_cache_dir
 
         cache_dir = args.cache_dir or default_cache_dir()
-    report = fsck_tree(
-        journal_root=args.journal_dir, run_id=args.action,
-        cache_dir=cache_dir, repair=args.repair,
-    )
+    try:
+        report = fsck_tree(
+            journal_root=args.journal_dir, run_id=args.action,
+            cache_dir=cache_dir, repair=args.repair,
+        )
+    except ConfigError as exc:
+        return _usage(str(exc))
     _emit(render_fsck_report(report))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 

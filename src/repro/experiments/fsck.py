@@ -18,16 +18,15 @@ Classification (:data:`FSCK_STATUSES`):
 ``corrupt``
     A malformed record *before* the tail (the fsync-per-line contract
     says this never happens on a healthy disk, so it means real
-    corruption), an unreadable payload or cache entry, or an
-    unparseable ``spec.json``. Journals are repaired by truncating
-    from the first bad line — the prefix is still consistent, and any
-    dropped ``completed`` record only costs a re-run. Payloads and
-    cache entries are quarantined so they re-run as misses. A corrupt
-    ``spec.json`` is **unrepairable**: without the spec the run cannot
-    be verified or resumed.
-``orphaned``
-    A file in ``results/`` that is not a payload (wrong name shape).
-    Quarantined under ``--repair``.
+    corruption), an unreadable cache entry, or an unparseable
+    ``spec.json``. Journals are repaired by truncating from the first
+    bad line — the prefix is still consistent, and any dropped
+    ``completed`` record only costs a re-run. Cache entries — of the
+    result cache or of a run's own result store, which
+    :func:`fsck_run` audits with :func:`fsck_cache` — are quarantined
+    so they re-run as misses. A corrupt ``spec.json`` is
+    **unrepairable**: without the spec the run cannot be verified or
+    resumed.
 ``stale-tmp``
     A ``*.tmp`` file a killed atomic write left behind. Deleted under
     ``--repair``.
@@ -45,7 +44,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.experiments.journal import default_journal_root, list_run_ids
+from repro.experiments.journal import (
+    _JOURNAL_FILE,
+    _RESULTS_DIR,
+    _SPEC_FILE,
+    RunJournal,
+    default_journal_root,
+    list_run_ids,
+)
 
 __all__ = [
     "FSCK_STATUSES",
@@ -57,10 +63,9 @@ __all__ = [
 ]
 
 #: Every status a finding may carry.
-FSCK_STATUSES = ("intact", "torn-tail", "corrupt", "orphaned", "stale-tmp")
+FSCK_STATUSES = ("intact", "torn-tail", "corrupt", "stale-tmp")
 
 _QUARANTINE_DIR = "quarantine"
-_PAYLOAD_RE = re.compile(r"^[0-9a-f]{64}\.pkl$")
 _CACHE_ENTRY_RE = re.compile(r"^[0-9a-f]{64}\.pkl$")
 _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 
@@ -75,7 +80,7 @@ class Finding:
     """
 
     path: str
-    kind: str       # journal | payload | spec | cache-entry | stray
+    kind: str       # journal | spec | cache-entry | stray
     status: str     # one of FSCK_STATUSES
     detail: str = ""
     repair: str = ""
@@ -222,7 +227,7 @@ def fsck_run(run_dir, repair=False):
 
     # spec.json — the identity of the run; without it nothing else can
     # be verified or resumed, so corruption here is unrepairable loss.
-    spec_path = run_dir / "spec.json"
+    spec_path = run_dir / _SPEC_FILE
     report.scanned += 1
     if not spec_path.is_file():
         report.add(Finding(
@@ -249,7 +254,7 @@ def fsck_run(run_dir, repair=False):
 
     # journal.jsonl — torn tails truncate to the last good line;
     # mid-file corruption truncates the whole suffix (prefix-consistent).
-    journal_path = run_dir / "journal.jsonl"
+    journal_path = run_dir / _JOURNAL_FILE
     if journal_path.is_file():
         report.scanned += 1
         status, detail, keep = _check_journal_file(journal_path)
@@ -267,36 +272,8 @@ def fsck_run(run_dir, repair=False):
             except OSError as exc:
                 finding.detail += " (truncate failed: {})".format(exc)
 
-    # results/ payload store — corrupt payloads are quarantined (they
-    # re-run as misses); files that are not payloads at all are
-    # orphans. A payload without a journal record is *fine*: chaos
-    # campaigns store reference payloads that never get records.
-    results_dir = run_dir / "results"
-    quarantine_root = run_dir / _QUARANTINE_DIR
-    if results_dir.is_dir():
-        for payload in sorted(results_dir.iterdir()):
-            if payload.name.endswith(".tmp") or not payload.is_file():
-                continue
-            report.scanned += 1
-            if not _PAYLOAD_RE.match(payload.name):
-                finding = report.add(Finding(
-                    path=str(payload), kind="stray", status="orphaned",
-                    detail="not a payload file", repair="quarantine",
-                ))
-                if repair:
-                    _quarantine(payload, quarantine_root)
-                    finding.repaired = True
-                continue
-            status, detail = _check_pickle(payload)
-            finding = report.add(Finding(
-                path=str(payload), kind="payload", status=status,
-                detail=detail,
-                repair="" if status == "intact" else "quarantine",
-            ))
-            if repair and status != "intact":
-                _quarantine(payload, quarantine_root)
-                finding.repaired = True
-        _scan_tmp_files(report, results_dir, repair)
+    # The run's result store (chaos campaigns) is a result cache.
+    report.merge(fsck_cache(run_dir / _RESULTS_DIR, repair=repair))
     _scan_tmp_files(report, run_dir, repair)
     return report
 
@@ -338,15 +315,15 @@ def fsck_tree(journal_root=None, run_id=None, cache_dir=None, repair=False):
     """The full audit the CLI runs: journals (one or all) plus cache.
 
     ``cache_dir=None`` skips the cache; ``run_id=None`` audits every
-    journal under the root.
+    journal under the root. A ``run_id`` must pass the journal's own
+    run-id rule, so it cannot name a directory outside the root; a bad
+    or unknown one raises :class:`~repro.errors.ConfigError`.
     """
     root = Path(journal_root) if journal_root else default_journal_root()
     report = FsckReport(root=str(root))
-    if run_id is not None:
-        report.merge(fsck_run(root / run_id, repair=repair))
-    else:
-        for name in list_run_ids(root):
-            report.merge(fsck_run(root / name, repair=repair))
+    for name in [run_id] if run_id is not None else list_run_ids(root):
+        run_dir = RunJournal(name, root=root).run_dir
+        report.merge(fsck_run(run_dir, repair=repair))
     if cache_dir is not None:
         report.merge(fsck_cache(cache_dir, repair=repair))
     return report

@@ -7,15 +7,17 @@ makes every campaign restartable:
 * a **run directory** (``<root>/<run_id>/``) holds an atomically
   written ``spec.json`` (the campaign's full parameter set plus its
   canonical hash), an append-only ``journal.jsonl`` of per-cell
-  lifecycle records, and a ``results/`` payload store for campaigns
-  whose outputs are not content-addressed elsewhere (chaos reports);
+  lifecycle records, and a ``results/``
+  :class:`~repro.experiments.cache.ResultCache`
+  (:meth:`RunJournal.result_store`) for campaigns whose outputs are not
+  content-addressed elsewhere (chaos reports);
 * every journal line is flushed and fsynced before the append returns,
   so a record survives an immediate SIGKILL of the writer;
 * replay tolerates a torn tail: a truncated final line (the crash
   happened mid-append) is ignored, never an error;
-* ``spec.json`` and every payload are written with the tmp-file +
-  ``os.replace`` idiom (:func:`atomic_write_bytes`), so readers only
-  ever observe complete files.
+* ``spec.json`` is written with the tmp-file + ``os.replace`` idiom
+  (:func:`atomic_write_text`), so readers only ever observe a complete
+  file.
 
 Every durability-critical syscall routes through the storage fault
 seams of :mod:`repro.faults.storage`, so the claims above are testable
@@ -23,24 +25,21 @@ against injected ENOSPC, EIO, torn writes, and crash-at-fsync points.
 Writes *degrade gracefully*: a full or failing disk costs the record
 (counted in :attr:`RunJournal.write_errors`, surfaced as a
 ``storage.fault`` telemetry event and a one-line warning), never the
-campaign — on resume an unrecorded cell simply re-runs. Reads that
-find corruption (:meth:`RunJournal.load_payload`) are counted in
-:attr:`RunJournal.corrupt_reads` and warned about once, because a
-climbing corrupt-read count is how an operator learns a disk is going
-bad; ``repro fsck`` audits and repairs the same tree offline.
+campaign — on resume an unrecorded cell simply re-runs. The run's
+result store degrades the same way and counts corrupt reads in its
+``errors``; ``repro fsck`` audits and repairs the whole tree offline.
 
 Resume (``repro <artifact> --resume <run_id>``, ``repro chaos
 --resume``) opens the journal, verifies the new invocation's spec hash
 against the recorded one (a resumed run must be the *same* campaign),
 and reconstructs which cells already completed; the engine then skips
-them via the result cache / payload store, byte-identically to an
-uninterrupted run.
+them via the result cache (a chaos campaign via the run's result
+store), byte-identically to an uninterrupted run.
 """
 
 import hashlib
 import json
 import os
-import pickle
 import re
 import time
 import warnings
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.experiments.cache import default_cache_dir
+from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.faults.storage import (
     append_line_durable,
     atomic_write_bytes,
@@ -178,13 +177,10 @@ class RunJournal:
         self._seq = 0
         #: Optional tracer receiving ``storage.fault`` events.
         self.tracer = None
-        #: Durable appends and payloads lost to a failing disk (degraded,
-        #: not raised: losing a record costs a re-run, never the run).
+        #: Durable appends lost to a failing disk (degraded, not
+        #: raised: losing a record costs a re-run, never the run).
         self.write_errors = 0
-        #: Reads that found corruption where a record should have been.
-        self.corrupt_reads = 0
         self._warned_write = False
-        self._warned_read = False
 
     # ------------------------------------------------------------------
     # storage-fault accounting
@@ -208,21 +204,6 @@ class RunJournal:
                 "journal {!r}: {} failed ({}); degrading — the record "
                 "is lost and its cell will re-run on resume".format(
                     self.run_id, op, exc
-                ),
-                RuntimeWarning, stacklevel=3,
-            )
-
-    def _note_corrupt_read(self, what, path, exc):
-        """A read found corruption: count it and warn the operator."""
-        self.corrupt_reads += 1
-        self._emit_storage_fault("corrupt-read", path, exc)
-        if not self._warned_read:
-            self._warned_read = True
-            warnings.warn(
-                "journal {!r}: corrupt {} at {} ({}); treating as "
-                "missing — a climbing corrupt-read count usually means "
-                "a disk is going bad (run `repro fsck`)".format(
-                    self.run_id, what, path, exc
                 ),
                 RuntimeWarning, stacklevel=3,
             )
@@ -376,44 +357,12 @@ class RunJournal:
         self.append("finished", completed=completed, failed=failed)
 
     # ------------------------------------------------------------------
-    # payload store (campaigns without a content-addressed cache)
+    # result store (campaigns without a content-addressed cache)
 
-    def _payload_path(self, cell_id):
-        digest = hashlib.sha256(cell_id.encode("utf-8")).hexdigest()
-        return self.run_dir / _RESULTS_DIR / (digest + ".pkl")
-
-    def store_payload(self, cell_id, payload):
-        """Atomically persist one cell's output under the run.
-
-        Returns True on success. A failing disk degrades: the payload
-        is simply absent, so resume re-runs the cell (the atomic-write
-        idiom guarantees no partial file is ever visible).
-        """
-        path = self._payload_path(cell_id)
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            atomic_write_bytes(path, data)
-        except OSError as exc:
-            self._note_write_error("payload-store", path, exc)
-            return False
-        return True
-
-    def load_payload(self, cell_id, default=None):
-        """Load a persisted cell output; corruption is a miss, like the
-        result cache, so a torn write can only cost a re-run."""
-        path = self._payload_path(cell_id)
-        try:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        except FileNotFoundError:
-            return default
-        except Exception as exc:
-            self._note_corrupt_read("payload", path, exc)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return default
+    def result_store(self):
+        """The run's own :class:`~repro.experiments.cache.ResultCache`,
+        rooted at ``<run_dir>/results``."""
+        return ResultCache(self.run_dir / _RESULTS_DIR)
 
     # ------------------------------------------------------------------
     # replay

@@ -198,10 +198,10 @@ def record_engine_metrics(metrics, engine):
 
     This is the bridge the CLI run summary uses: ``engine.*`` counters
     mirror :class:`EngineStats`, ``cache.*`` counters mirror
-    :meth:`~repro.experiments.cache.ResultCache.stats`, and
-    ``journal.*`` counters surface the storage-degradation accounting
-    (lost writes, corrupt reads) so a sick disk shows up in every run
-    summary instead of only in warnings.
+    :meth:`~repro.experiments.cache.ResultCache.stats` (corrupt reads
+    are its ``errors``), and ``journal.write_errors`` counts the
+    journal's lost writes, so a sick disk shows up in every run summary
+    instead of only in warnings.
     """
     for name, value in engine.stats.as_dict().items():
         metrics.counter("engine.{}".format(name)).inc(value)
@@ -211,7 +211,6 @@ def record_engine_metrics(metrics, engine):
     journal = getattr(engine, "journal", None)
     if journal is not None:
         metrics.counter("journal.write_errors").inc(journal.write_errors)
-        metrics.counter("journal.corrupt_reads").inc(journal.corrupt_reads)
 
 
 def _unit_key(cell):
@@ -439,8 +438,8 @@ class ExperimentEngine:
         Retried cells wait ``min(cap, base * 2**(retry-1))`` seconds
         (with deterministic seeded jitter, see :class:`RetryBackoff`)
         before redispatch, so a transiently-overloaded host is not
-        hammered with immediate retries. ``backoff_base_s=0`` restores
-        the old immediate-requeue behaviour.
+        hammered with immediate retries. ``backoff_base_s=0`` makes
+        every delay zero: a retried cell is requeued at once.
     journal:
         Optional :class:`~repro.experiments.journal.RunJournal`; every
         cell's dispatch, completion, and failure is durably appended,

@@ -42,9 +42,11 @@ class WatchdogPolicy:
     """When workers beat and when the supervisor declares them dead.
 
     ``stale_after_s`` must comfortably exceed ``beat_interval_s``:
-    queue polling runs at the engine's poll cadence, so a healthy
-    worker's beats can be observed a poll or two late. The default
-    tenfold margin keeps false stalls out of loaded CI machines.
+    beats do not ring the pool's doorbell, so a supervisor sees them at
+    its next poll, at most
+    :attr:`~repro.experiments.pool.WorkerPool.FALLBACK_S` after it
+    starts to wait, or later while it is busy. The default tenfold
+    margin keeps false stalls out of loaded CI machines.
     """
 
     beat_interval_s: float = 0.1

@@ -11,11 +11,16 @@ configurations run with graceful degradation enabled
 (:data:`DEGRADED_THRIFTY`) so disabled predictors fall back to
 spin-then-sleep and re-enable after probation.
 
+The clean references are ordinary engine cells, run once per
+application (three simulations for five configurations); a journaled
+campaign keeps them and its cell reports in its run's result store.
+
 Everything is seeded: the same ``(plans, apps, configs, threads,
 seed)`` produce byte-identical reports, which is what lets the chaos
 CI smoke job diff against a clean baseline.
 """
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -24,6 +29,7 @@ from repro.experiments.configs import (
     LIVE_CONFIGS,
     check_configs,
 )
+from repro.experiments.parallel import ExperimentCell, ExperimentEngine
 from repro.experiments.runner import (
     DEFAULT_SEED,
     _derived_result,
@@ -106,8 +112,8 @@ class ChaosCampaignReport:
     planned cell ran — :attr:`cells` then holds the partial results
     (never discarded), ``planned`` what a full run would contain, and
     ``run_id`` (when journaled) what to pass to ``--resume``.
-    ``resumed_cells`` counts cells restored from the journal's payload
-    store instead of re-simulated. ``stopped_early`` marks a
+    ``resumed_cells`` counts cells restored from the run's result store
+    instead of re-simulated. ``stopped_early`` marks a
     ``fail_fast`` campaign that stopped at its first violating cell.
     """
 
@@ -193,16 +199,18 @@ def run_chaos_cell(
     return report
 
 
-def _clean_result(app, config, threads, seed, machine_config):
-    """The unperturbed reference cell (same degradation overrides)."""
-    if config in LIVE_CONFIGS:
-        run = _run_live(
-            app, config, threads, seed, machine_config,
-            _overrides_for(config),
+def _clean_references(engine, app, configs, threads, seed,
+                      machine_config):
+    """``{config: result}`` of ``app`` run without a plan, each config
+    with its chaos overrides, on ``engine``."""
+    cells = [
+        ExperimentCell.make(
+            app, config, threads=threads, seed=seed,
+            machine_config=machine_config, **_overrides_for(config)
         )
-        return _live_result(app, config, run)
-    run = _run_live(app, "baseline", threads, seed, machine_config, {})
-    return _derived_result(app, config, run)
+        for config in configs
+    ]
+    return dict(zip(configs, engine.run_cells(cells)))
 
 
 def run_chaos_campaign(
@@ -212,18 +220,24 @@ def run_chaos_campaign(
     fail_fast=False,
 ):
     """Sweep plans × apps × configs; returns a
-    :class:`ChaosCampaignReport`. Clean reference runs are shared per
-    (app, config).
+    :class:`ChaosCampaignReport`.
+
+    Just before an app's first cell runs, its clean references run as
+    :class:`~repro.experiments.parallel.ExperimentCell` cells on an
+    engine, each with its config's chaos overrides, so the Baseline,
+    Oracle-Halt and Ideal references share one Baseline simulation; a
+    failing one raises :class:`~repro.errors.ExperimentError`.
 
     Crash safety: with a ``journal``
-    (:class:`~repro.experiments.journal.RunJournal`), every finished
-    cell's report — and each shared clean reference — is atomically
-    persisted in the journal's payload store, so a resumed campaign
-    restores them instead of re-simulating; results are byte-identical
-    either way (the cells are seeded). With ``preemption`` (anything
-    exposing ``requested``), a SIGTERM/SIGINT between cells — or a
-    raw ``KeyboardInterrupt`` mid-cell — ends the campaign gracefully:
-    the partial report is *returned*, never discarded, flagged
+    (:class:`~repro.experiments.journal.RunJournal`), the run's result
+    store keeps every finished cell's report, keyed by the sha256 of
+    its journal cell id, and the clean references, which the engine
+    caches under their content keys. A resumed campaign restores them
+    instead of re-simulating; results are byte-identical either way
+    (the cells are seeded). With ``preemption`` (anything exposing
+    ``requested``), a SIGTERM/SIGINT between cells — or a raw
+    ``KeyboardInterrupt`` mid-cell — ends the campaign gracefully: the
+    partial report is *returned*, never discarded, flagged
     ``interrupted`` so the CLI can exit with the resumable status.
 
     ``fail_fast`` stops the sweep at the first violating cell (restored
@@ -236,32 +250,17 @@ def run_chaos_campaign(
         deadline_ns=deadline_ns,
         planned=len(apps) * len(configs) * len(plans),
     )
+    store = state = None
     if journal is not None:
         report.run_id = journal.run_id
-    state = journal.replay() if journal is not None else None
-    clean_cache = {}
+        store = journal.result_store()
+        state = journal.replay()
+    engine = ExperimentEngine(cache=store, strict=True)
 
     def preempted():
         return preemption is not None and bool(
             getattr(preemption, "requested", False)
         )
-
-    def clean_for(app, config):
-        key = (app, config)
-        if key not in clean_cache:
-            cell_id = "clean/{}/{}".format(app, config)
-            clean = (
-                journal.load_payload(cell_id)
-                if journal is not None else None
-            )
-            if clean is None:
-                clean = _clean_result(
-                    app, config, threads, seed, machine_config
-                )
-                if journal is not None:
-                    journal.store_payload(cell_id, clean)
-            clean_cache[key] = clean
-        return clean_cache[key]
 
     def mark_interrupted(reason):
         report.interrupted = True
@@ -272,6 +271,7 @@ def run_chaos_campaign(
 
     try:
         for app in apps:
+            clean = None
             for config in configs:
                 for plan_index, plan in enumerate(plans):
                     if preempted():
@@ -280,26 +280,28 @@ def run_chaos_campaign(
                         )
                         return report
                     cell_id = "{}/{}/plan{}".format(app, config, plan_index)
+                    key = hashlib.sha256(cell_id.encode("utf-8")).hexdigest()
+                    cell = None
                     if state is not None and cell_id in state.completed:
-                        restored = journal.load_payload(cell_id)
-                        if restored is not None:
-                            report.cells.append(restored)
-                            report.resumed_cells += 1
-                            if fail_fast and restored.violations:
-                                report.stopped_early = True
-                                return report
-                            continue
-                    if journal is not None:
-                        journal.record_dispatched(cell_id)
-                    cell = run_chaos_cell(
-                        app, config, plan, threads=threads, seed=seed,
-                        machine_config=machine_config,
-                        deadline_ns=deadline_ns,
-                        clean=clean_for(app, config),
-                    )
-                    if journal is not None:
-                        journal.store_payload(cell_id, cell)
-                        journal.record_completed(cell_id)
+                        cell = store.get(key)
+                    if cell is not None:
+                        report.resumed_cells += 1
+                    else:
+                        if clean is None:
+                            clean = _clean_references(
+                                engine, app, configs, threads, seed,
+                                machine_config,
+                            )
+                        if journal is not None:
+                            journal.record_dispatched(cell_id)
+                        cell = run_chaos_cell(
+                            app, config, plan, threads=threads, seed=seed,
+                            machine_config=machine_config,
+                            deadline_ns=deadline_ns, clean=clean[config],
+                        )
+                        if journal is not None:
+                            store.put(key, cell)
+                            journal.record_completed(cell_id)
                     report.cells.append(cell)
                     if fail_fast and cell.violations:
                         report.stopped_early = True

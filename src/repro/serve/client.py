@@ -30,12 +30,13 @@ what is safe to repair:
 """
 
 import http.client
+import itertools
 import json
-import random
 import socket
 import time
 
 from repro.errors import ServeError
+from repro.experiments.parallel import RetryBackoff
 from repro.serve.server import DEFAULT_PORT
 
 #: Methods safe to retry: no request state is created server-side.
@@ -54,9 +55,11 @@ class ServeClient:
     closes after every response).
 
     ``retries`` bounds both idempotent-request retries and event-
-    stream reconnects; ``backoff_seed`` makes the jittered backoff
-    schedule reproducible (fleet-wide decorrelation still holds —
-    give each client its own seed).
+    stream reconnects, which wait as the engine's retries do (see
+    :class:`~repro.experiments.parallel.RetryBackoff`);
+    ``backoff_seed`` makes the jittered backoff schedule reproducible
+    (fleet-wide decorrelation still holds — give each client its own
+    seed).
     """
 
     def __init__(self, host="127.0.0.1", port=DEFAULT_PORT, timeout=10.0,
@@ -66,19 +69,11 @@ class ServeClient:
         self.port = port
         self.timeout = timeout
         self.retries = retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self._rng = random.Random("serve-client:{}".format(backoff_seed))
+        self._backoff = RetryBackoff(
+            backoff_base_s, backoff_cap_s, backoff_seed
+        )
 
     # -- transport -----------------------------------------------------
-
-    def _backoff_s(self, attempt):
-        """Jittered exponential delay before retry ``attempt`` (>=1)."""
-        raw = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2 ** (attempt - 1)),
-        )
-        return raw * (0.5 + 0.5 * self._rng.random())
 
     def _once(self, method, path, body, headers, timeout):
         """One request/response exchange; returns (status, data)."""
@@ -111,7 +106,7 @@ class ServeClient:
             except (OSError, socket.timeout,
                     http.client.HTTPException) as exc:
                 if retriable and attempt <= self.retries:
-                    time.sleep(self._backoff_s(attempt))
+                    time.sleep(self._backoff.delay_for(attempt))
                     continue
                 raise ServeError(
                     "cannot reach repro serve at {}:{} ({})".format(
@@ -121,7 +116,7 @@ class ServeClient:
             if status == 503 and retriable and attempt <= self.retries:
                 # Load shedding: the server answered before reading the
                 # request, so backing off and retrying is always safe.
-                time.sleep(self._backoff_s(attempt))
+                time.sleep(self._backoff.delay_for(attempt))
                 continue
             try:
                 # Every endpoint answers with a JSON body; an empty one
@@ -137,7 +132,7 @@ class ServeClient:
                 # short body that fails to parse — heal it like any
                 # other transport failure when the method allows.
                 if retriable and attempt <= self.retries:
-                    time.sleep(self._backoff_s(attempt))
+                    time.sleep(self._backoff.delay_for(attempt))
                     continue
                 raise ServeError(
                     "malformed response from {} {} (status {})".format(
@@ -201,12 +196,15 @@ class ServeClient:
         Polls with jittered exponential backoff: the first sleep is
         about ``poll_s`` (the floor — a short campaign is still seen
         finishing promptly), doubling up to ``poll_cap_s``, each
-        scaled by seeded jitter. Returns the final status payload;
-        raises :class:`~repro.errors.ServeError` on timeout.
+        scaled by seeded jitter (a
+        :class:`~repro.experiments.parallel.RetryBackoff`, so
+        ``poll_s > poll_cap_s`` raises
+        :class:`~repro.errors.ConfigError`). Returns the final status
+        payload; raises :class:`~repro.errors.ServeError` on timeout.
         """
         deadline = time.monotonic() + timeout
-        delay = poll_s
-        while True:
+        backoff = RetryBackoff(poll_s, poll_cap_s, self._backoff.seed)
+        for polls in itertools.count(1):
             status = self.status(run_id)
             if status["state"] in _TERMINAL:
                 return status
@@ -219,12 +217,9 @@ class ServeClient:
                         status["completed"], status["total"],
                     )
                 )
-            sleep_s = min(
-                delay * (0.5 + 0.5 * self._rng.random()),
-                max(0.0, deadline - now),
-            )
-            time.sleep(sleep_s)
-            delay = min(poll_cap_s, delay * 2)
+            time.sleep(min(
+                backoff.delay_for(polls), max(0.0, deadline - now),
+            ))
 
     def events(self, run_id, timeout=600.0):
         """Generator over the campaign's ndjson progress stream.
@@ -259,7 +254,7 @@ class ServeClient:
                             self.host, self.port, exc, self.retries
                         )
                     )
-                time.sleep(self._backoff_s(reconnects))
+                time.sleep(self._backoff.delay_for(reconnects))
 
     def _stream_once(self, run_id, timeout, skip):
         """One connection's worth of events, skipping replayed backlog.

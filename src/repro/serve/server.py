@@ -14,15 +14,17 @@ stall, an expiring retry backoff, a preemption signal) waits for the
 pool's fallback interval, :attr:`~repro.experiments.pool.WorkerPool.
 FALLBACK_S`.
 
-Dispatch is **job-based, not campaign-based**: a :class:`_CellJob` is
-keyed by the cell's content-address (the same key the result cache
-uses). Overlapping campaigns that share a cell share its job — the
-cell computes once and every waiter settles from the single result.
-Jobs wait in the batch engine's
-:class:`~repro.experiments.parallel.UnitQueue`, so a worker takes the
-head-of-queue job together with every queued job that reads the same
-Baseline simulation, and a Baseline cell and its Oracle-Halt and Ideal
-cells simulate the Baseline once. Submission dedups at three levels:
+Dispatch is **job-based, not campaign-based**: every unsettled cell
+has one job, filed under the cell's content-address (the same key the
+result cache uses), and a :class:`_CellJob` lists the campaigns
+waiting on it. Overlapping campaigns that share a cell share its job
+— the cell computes once and every waiter settles from the single
+result. The cells themselves wait in the batch engine's
+:class:`~repro.experiments.parallel.UnitQueue` under the same key, so
+a worker takes the head-of-queue cell together with every queued cell
+that reads the same Baseline simulation, and a Baseline cell and its
+Oracle-Halt and Ideal cells simulate the Baseline once. Submission
+dedups at three levels:
 
 1. cache hit — the cell already has a durable result; settle now;
 2. job hit — the cell is queued or running for another campaign;
@@ -114,14 +116,13 @@ class _CellJob:
 
     ``waiters`` is the list of ``(campaign, index)`` pairs to settle
     when the job resolves — one entry per campaign that needs this
-    cell.
+    cell. The cell itself waits in the server's
+    :class:`~repro.experiments.parallel.UnitQueue`.
     """
 
-    __slots__ = ("key", "cell", "waiters")
+    __slots__ = ("waiters",)
 
-    def __init__(self, key, cell):
-        self.key = key
-        self.cell = cell
+    def __init__(self):
         self.waiters = []
 
 
@@ -253,7 +254,7 @@ class CampaignServer:
                 job.waiters.append((campaign, index))
                 campaign.deduped += 1
                 continue
-            job = _CellJob(key, cell)
+            job = _CellJob()
             job.waiters.append((campaign, index))
             self.jobs[key] = job
             self.units.push(key, cell)

@@ -468,8 +468,8 @@ class StorageFault:
     """A durable-storage operation failed and was degraded, not raised.
 
     ``op`` names the failing seam (``journal-append``,
-    ``payload-store``, ``cache-store``, ``corrupt-read``), ``path`` the
-    file (or cache key) involved, ``error`` the exception text. A
+    ``cache-store``), ``path`` the file (or cache key) involved,
+    ``error`` the exception text. A
     wall-clock (engine-level) event like :class:`WorkerStalled`:
     ``ts`` is 0 and ordering is stream position. A climbing
     ``storage.faults`` counter is an operator's first sign a disk is

@@ -12,8 +12,10 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.configs import CONFIG_NAMES
+from repro.experiments.journal import RunJournal
 from repro.faults.chaos import (
     DEGRADED_THRIFTY,
+    chaos_report_as_dict,
     run_chaos_campaign,
     run_chaos_cell,
     sample_plans,
@@ -67,6 +69,35 @@ class TestChaosCampaign:
         # Every cell carries deltas against its clean reference.
         assert all(cell.energy_delta is not None for cell in report.cells)
         assert all(cell.time_delta_ns is not None for cell in report.cells)
+
+    def test_clean_references_share_one_baseline(self, count_simulations):
+        report = run_chaos_campaign(
+            sample_plans(1, seed=11), apps=("fmm",), threads=8,
+        )
+        assert len(report.cells) == len(CONFIG_NAMES)
+        # Three clean simulations (Oracle-Halt and Ideal replay the
+        # Baseline) plus one perturbed simulation per cell.
+        assert count_simulations() == 3 + len(CONFIG_NAMES)
+
+    def test_journaled_rerun_restores_every_cell(
+        self, tmp_path, count_simulations
+    ):
+        plans = sample_plans(1, seed=11)
+        journal = RunJournal.create({"chaos": 1}, run_id="c", root=tmp_path)
+        first = run_chaos_campaign(
+            plans, apps=("fmm",), threads=8, journal=journal,
+        )
+        simulated = count_simulations()
+        second = run_chaos_campaign(
+            plans, apps=("fmm",), threads=8,
+            journal=RunJournal.open("c", root=tmp_path),
+        )
+        assert count_simulations() == simulated
+        document = chaos_report_as_dict(second)
+        assert document["resumed_cells"] == document["planned"]
+        assert dict(document, resumed_cells=0) == chaos_report_as_dict(first)
+        # The run's store holds every cell report and clean reference.
+        assert len(journal.result_store()) == 2 * len(CONFIG_NAMES)
 
     def test_unknown_config_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,9 @@
 """``repro fsck``: offline audit and repair of journal/cache trees.
 
-Covers each classification (torn-tail, corrupt, orphaned, stale-tmp,
-unrepairable spec loss), the safe-repair actions (truncate, delete,
-quarantine — never destroy campaign data), the CLI exit codes, and —
+Covers each classification (torn-tail, corrupt, stale-tmp,
+unrepairable spec loss) in journals, result caches and a run's own
+result store, the safe-repair actions (truncate, delete, quarantine —
+never destroy campaign data), the CLI exit codes, and —
 as an adversarial property — that a journal whose final line is
 truncated or garbled *any* way still replays its prefix without an
 exception, and that fsck's repair agrees with replay about that
@@ -34,14 +35,22 @@ def _digest(text):
 
 
 def _make_run(root, run_id="r", cells=("a", "b", "c")):
-    """A healthy journaled run: records and one payload."""
+    """A healthy journaled run: records and one entry in its result
+    store, keyed by the digest of its first cell id."""
     journal = RunJournal.create({"cells": list(cells)}, run_id=run_id,
                                root=root)
     for index, cell in enumerate(cells):
         journal.record_dispatched(cell, index=index)
         journal.record_completed(cell, index=index)
-    journal.store_payload(cells[0], {"cell": cells[0], "value": 42})
+    journal.result_store().put(
+        _digest(cells[0]), {"cell": cells[0], "value": 42},
+    )
     return journal
+
+
+def _store_entry(journal, cell):
+    """Path of ``cell``'s entry in the run's result store."""
+    return journal.result_store()._entry_path(_digest(cell))
 
 
 class TestFsckRunClassification:
@@ -50,7 +59,7 @@ class TestFsckRunClassification:
         report = fsck_run(tmp_path / "r")
         assert report.ok
         assert report.issues == []
-        assert report.scanned >= 3  # spec, journal, payload
+        assert report.scanned >= 3  # spec, journal, store entry
         assert "clean" in render_fsck_report(report)
 
     def test_checkpoint_leftovers_replay_and_audit_clean(self, tmp_path):
@@ -118,39 +127,28 @@ class TestFsckRunClassification:
 
     def test_corrupt_payload_is_quarantined_not_deleted(self, tmp_path):
         journal = _make_run(tmp_path)
-        payload = journal._payload_path("a")
+        payload = _store_entry(journal, "a")
         payload.write_bytes(b"\x80\x04 definitely not a pickle")
         report = fsck_run(journal.run_dir, repair=True)
         (finding,) = report.issues
-        assert (finding.kind, finding.status) == ("payload", "corrupt")
+        assert (finding.kind, finding.status) == ("cache-entry", "corrupt")
         assert finding.repaired
         assert not payload.exists()
-        quarantined = list((journal.run_dir / "quarantine").iterdir())
-        assert [p.name for p in quarantined] == [payload.name]
-
-    def test_orphan_in_results_is_quarantined(self, tmp_path):
-        journal = _make_run(tmp_path)
-        stray = journal.run_dir / "results" / "notes.txt"
-        stray.write_text("not a payload")
-        report = fsck_run(journal.run_dir, repair=True)
-        (finding,) = report.issues
-        assert finding.status == "orphaned"
-        assert finding.repaired
-        assert not stray.exists()
-        assert (journal.run_dir / "quarantine" / "notes.txt").is_file()
+        quarantine = journal.result_store().cache_dir / "quarantine"
+        assert [p.name for p in quarantine.iterdir()] == [payload.name]
 
     def test_payload_without_journal_record_is_fine(self, tmp_path):
-        # Chaos campaigns store reference payloads that never get
+        # Chaos campaigns store clean references that never get
         # ``completed`` records; fsck must not flag them.
         journal = _make_run(tmp_path)
-        journal.store_payload("never-recorded", {"v": 1})
+        journal.result_store().put(_digest("never-recorded"), {"v": 1})
         report = fsck_run(journal.run_dir)
         assert report.ok
 
     def test_stale_tmp_files_are_deleted(self, tmp_path):
         journal = _make_run(tmp_path)
-        debris = journal.run_dir / "results" / "tmpabc123.tmp"
-        debris.write_bytes(b"half a payload")
+        debris = _store_entry(journal, "a").parent / "tmpabc123.tmp"
+        debris.write_bytes(b"half an entry")
         more = journal.run_dir / "tmpdef456.tmp"
         more.write_bytes(b"half a checkpoint")
         report = fsck_run(journal.run_dir, repair=True)
@@ -257,9 +255,11 @@ class TestRepairIdempotency:
         journal = _make_run(tmp_path / "runs")
         with open(journal.run_dir / "journal.jsonl", "ab") as fh:
             fh.write(b'{"record": "completed", "cel')  # torn tail
-        journal._payload_path("a").write_bytes(b"\x80\x04 not a pickle")
-        (journal.run_dir / "results" / "tmpabc.tmp").write_bytes(b"half")
-        (journal.run_dir / "results" / "notes.txt").write_text("stray")
+        _store_entry(journal, "a").write_bytes(b"\x80\x04 not a pickle")
+        (_store_entry(journal, "a").parent / "tmpabc.tmp").write_bytes(
+            b"half"
+        )
+        (journal.run_dir / "tmpdef.tmp").write_bytes(b"half a spec")
         return journal
 
     def test_second_repair_is_a_byte_level_noop(self, tmp_path):
@@ -267,7 +267,10 @@ class TestRepairIdempotency:
 
         first = fsck_tree(journal_root=tmp_path / "runs", repair=True)
         assert first.ok
-        assert first.issues and all(f.repaired for f in first.issues)
+        assert {f.status for f in first.issues} == {
+            "torn-tail", "corrupt", "stale-tmp",
+        }
+        assert all(f.repaired for f in first.issues)
         frozen = self._snapshot(tmp_path / "runs")
 
         second = fsck_tree(journal_root=tmp_path / "runs", repair=True)
@@ -324,6 +327,64 @@ class TestFsckCli:
             "fsck", "healthy", "--journal-dir", str(tmp_path / "runs"),
             "--no-cache",
         ]) == 0
+
+    def test_run_id_cannot_leave_the_journal_root(self, tmp_path, capsys):
+        (tmp_path / "runs").mkdir()
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        bystander = outside / "download.tmp"
+        bystander.write_bytes(b"not fsck's to delete")
+        assert main([
+            "fsck", "../outside", "--journal-dir", str(tmp_path / "runs"),
+            "--no-cache", "--repair",
+        ]) == 2
+        assert bystander.exists()
+        assert "run id" in capsys.readouterr().err
+
+    def test_unknown_run_id_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "runs").mkdir()
+        assert main([
+            "fsck", "nope", "--journal-dir", str(tmp_path / "runs"),
+            "--no-cache",
+        ]) == 2
+        assert "no run directory" in capsys.readouterr().err
+
+
+class TestChaosRunStore:
+    """A journaled chaos campaign keeps its cells in the run's result
+    store, which fsck audits like any result cache."""
+
+    def test_corrupt_cell_is_quarantined_and_alone_re_run(
+        self, tmp_path, count_simulations
+    ):
+        from repro.faults.chaos import (
+            chaos_report_as_dict,
+            run_chaos_campaign,
+            sample_plans,
+        )
+
+        plans = sample_plans(1, seed=11)
+        campaign = dict(apps=("fmm",), configs=("baseline", "thrifty"),
+                        threads=4)
+        journal = RunJournal.create({"chaos": 1}, run_id="c", root=tmp_path)
+        first = run_chaos_campaign(plans, journal=journal, **campaign)
+        assert fsck_run(journal.run_dir).ok
+
+        entry = _store_entry(journal, "fmm/thrifty/plan0")
+        entry.write_bytes(entry.read_bytes()[:10])
+        report = fsck_run(journal.run_dir, repair=True)
+        (finding,) = report.issues
+        assert (finding.path, finding.status) == (str(entry), "corrupt")
+        assert (finding.repair, finding.repaired) == ("quarantine", True)
+
+        simulated = count_simulations()
+        resumed = run_chaos_campaign(
+            plans, journal=RunJournal.open("c", root=tmp_path), **campaign
+        )
+        assert count_simulations() - simulated == 1
+        assert resumed.resumed_cells == 1
+        assert chaos_report_as_dict(resumed)["cells"] == \
+            chaos_report_as_dict(first)["cells"]
 
 
 def _records_strategy():

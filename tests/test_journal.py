@@ -2,9 +2,10 @@
 
 Covers the atomic-write helpers, spec hashing, journal lifecycle
 (create / open / verify), the fsynced record stream and its torn-tail-
-tolerant replay, and the payload store.
+tolerant replay, and the run's payload store.
 """
 
+import hashlib
 import json
 import os
 
@@ -186,18 +187,26 @@ class TestRecordStream:
 
 
 class TestPayloadStore:
+    """A run keeps its cell payloads in its result store, a
+    :class:`~repro.experiments.cache.ResultCache` under ``results/``."""
+
     def test_round_trip(self, tmp_path):
         journal = RunJournal.create(SPEC, run_id="r1", root=tmp_path)
-        journal.store_payload("fmm/thrifty/plan0", {"energy": 1.5})
-        assert journal.load_payload("fmm/thrifty/plan0") == {"energy": 1.5}
-        assert journal.load_payload("missing") is None
+        store = journal.result_store()
+        assert store.cache_dir == journal.run_dir / "results"
+        key = hashlib.sha256(b"fmm/thrifty/plan0").hexdigest()
+        assert store.put(key, {"energy": 1.5})
+        reopened = RunJournal.open("r1", root=tmp_path).result_store()
+        assert reopened.get(key) == {"energy": 1.5}
+        assert reopened.get("0" * 64) is None
 
     def test_corrupted_payload_is_a_miss(self, tmp_path):
-        journal = RunJournal.create(SPEC, run_id="r1", root=tmp_path)
-        journal.store_payload("cell", ["good"])
-        path = journal._payload_path("cell")
+        store = RunJournal.create(SPEC, run_id="r1", root=tmp_path) \
+            .result_store()
+        key = "ab" * 32
+        store.put(key, ["good"])
+        path = store._entry_path(key)
         path.write_bytes(b"\x00garbage")
-        with pytest.warns(RuntimeWarning, match="corrupt payload"):
-            assert journal.load_payload("cell", "fallback") == "fallback"
-        assert journal.corrupt_reads == 1  # counted, not swallowed
+        assert store.get(key, "fallback") == "fallback"
+        assert store.errors == 1  # counted, not swallowed
         assert not path.exists()  # evicted, so a re-run can re-store

@@ -18,6 +18,7 @@ The claims under test, matching ``repro.faults.storage``'s contract:
 import errno
 import json
 import os
+import warnings
 
 import pytest
 
@@ -279,21 +280,25 @@ class TestJournalDegradation:
 
     def test_store_payload_degrades_and_resume_sees_a_miss(self, tmp_path):
         journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
+        store = journal.result_store()
         with storage_faults(_DEAD_DISK), pytest.warns(RuntimeWarning):
-            assert journal.store_payload("cell", {"v": 1}) is False
-        assert journal.write_errors == 1
-        assert journal.load_payload("cell", default="miss") == "miss"
+            assert store.put("ab" * 32, {"v": 1}) is False
+        assert store.write_errors == 1
+        resumed = RunJournal.open("j", root=tmp_path).result_store()
+        assert resumed.get("ab" * 32, default="miss") == "miss"
         # No partial payload file may be visible (atomic-write contract).
         assert list((tmp_path / "j").rglob("*.pkl")) == []
 
     def test_load_payload_counts_corruption_and_evicts(self, tmp_path):
-        journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
-        assert journal.store_payload("cell", {"v": 1}) is True
-        payload_path = journal._payload_path("cell")
+        store = RunJournal.create({"s": 1}, run_id="j", root=tmp_path) \
+            .result_store()
+        assert store.put("ab" * 32, {"v": 1}) is True
+        payload_path = store._entry_path("ab" * 32)
         payload_path.write_bytes(payload_path.read_bytes()[:4])
-        with pytest.warns(RuntimeWarning, match="repro fsck"):
-            assert journal.load_payload("cell", default="miss") == "miss"
-        assert journal.corrupt_reads == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a counted miss, no warning
+            assert store.get("ab" * 32, default="miss") == "miss"
+        assert store.errors == 1
         assert not payload_path.exists(), "corrupt payload is evicted"
 
     def test_faults_emit_storage_fault_telemetry(self, tmp_path):
@@ -302,14 +307,9 @@ class TestJournalDegradation:
         journal.tracer = tracer
         with storage_faults(_DEAD_DISK), pytest.warns(RuntimeWarning):
             journal.append("dispatched", cell="a")
-        assert journal.store_payload("cell", {"v": 1}) is True
-        payload_path = journal._payload_path("cell")
-        payload_path.write_bytes(payload_path.read_bytes()[:4])
-        with pytest.warns(RuntimeWarning):
-            journal.load_payload("cell")
         kinds = [event.op for event in tracer.events]
-        assert kinds == ["journal-append", "corrupt-read"]
-        assert tracer.metrics.counter("storage.faults").value == 2
+        assert kinds == ["journal-append"]
+        assert tracer.metrics.counter("storage.faults").value == 1
 
 
 class TestCacheDegradation:
