@@ -53,8 +53,8 @@ Exit codes
 * ``1`` (:data:`EXIT_VIOLATION`) — the campaign finished but found
   violations / failures (check: a counterexample was found, or a
   replay did not reproduce);
-* ``2`` (:data:`EXIT_USAGE`) — bad invocation (unknown configuration,
-  argparse errors);
+* ``2`` (:data:`EXIT_USAGE`) — bad invocation (unknown application or
+  configuration, argparse errors);
 * ``3`` (:data:`EXIT_RESUMABLE`) — gracefully preempted; everything
   finished so far is journaled/cached and ``--resume`` continues it.
 """
@@ -68,7 +68,7 @@ from repro.experiments import report
 from repro.experiments.preemption import EXIT_RESUMABLE, PreemptionGuard
 from repro.experiments.runner import DEFAULT_SEED, run_matrix
 from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
-from repro.workloads.splash2 import SPLASH2_NAMES
+from repro.workloads.splash2 import SPLASH2_NAMES, check_apps
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -428,10 +428,13 @@ def _run_chaos_command(args):
         sample_plans,
     )
 
-    from repro.experiments.configs import CONFIG_NAMES
+    from repro.experiments.configs import CONFIG_NAMES, check_configs
 
     apps = tuple(args.apps or ("fmm",))
-    configs = tuple(args.configs or CONFIG_NAMES)
+    try:
+        configs = check_configs(args.configs or CONFIG_NAMES)
+    except ConfigError as exc:
+        return _usage(str(exc))
     plans = sample_plans(args.plans, seed=args.seed, intensity=args.intensity)
     spec = {
         "kind": "chaos", "apps": list(apps), "configs": list(configs),
@@ -771,6 +774,13 @@ def main(argv=None):
         return _run_fsck_command(args)
     if args.artifact in _CACHE_COMMANDS:
         return _run_cache_command(args)
+    try:  # before any journal, cache or simulation is touched
+        check_apps(
+            (args.app,) if args.artifact in _CELL_COMMANDS + _CHECK_COMMANDS
+            else args.apps or ()
+        )
+    except ConfigError as exc:
+        return _usage(str(exc))
     if args.artifact in _CELL_COMMANDS:
         return _run_cell_command(args)
     if args.artifact in _CHAOS_COMMANDS:

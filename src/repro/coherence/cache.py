@@ -20,6 +20,10 @@ class LineState(enum.Enum):
     # Invalid lines are simply absent from the arrays.
 
 
+# A global: a class read costs ~140 ns on CPython 3.11 (DESIGN.md §8).
+_MODIFIED = LineState.MODIFIED
+
+
 class Cache:
     """One level of set-associative cache with per-set LRU."""
 
@@ -29,7 +33,7 @@ class Cache:
         self._n_sets = config.n_sets
         self._ways = config.ways
         # set index -> OrderedDict(line_addr -> LineState), LRU first.
-        # Sets are allocated on first touch: a 256-node machine carries
+        # Sets are allocated on first insert: a 256-node machine carries
         # hundreds of thousands of sets, and a typical cell touches a
         # few dozen of them, so eager allocation would dominate System
         # construction time (and memory) at campaign scale.
@@ -39,25 +43,18 @@ class Cache:
         # set in the array (the pre-sleep flush calls it constantly).
         self._dirty_counts = {}
 
-    def _set_for(self, line_addr):
-        index = line_addr % self._n_sets
-        cache_set = self._sets[index]
-        if cache_set is None:
-            cache_set = self._sets[index] = OrderedDict()
-        return cache_set
-
     def lookup(self, line_addr):
         """The line's state, or None when not present (invalid)."""
-        return self._set_for(line_addr).get(line_addr)
+        cache_set = self._sets[line_addr % self._n_sets]
+        return cache_set.get(line_addr) if cache_set else None
 
     def touch(self, line_addr):
         """Refresh LRU position; raises if the line is absent."""
-        cache_set = self._set_for(line_addr)
-        if line_addr not in cache_set:
+        if self.lookup(line_addr) is None:
             raise ProtocolError(
                 "{}: touch of absent line {:#x}".format(self.name, line_addr)
             )
-        cache_set.move_to_end(line_addr)
+        self._sets[line_addr % self._n_sets].move_to_end(line_addr)
 
     def _count_dirty(self, set_index, delta):
         counts = self._dirty_counts
@@ -81,18 +78,18 @@ class Cache:
             # Fresh install: a new key lands at the MRU end already.
             if len(cache_set) >= self._ways:
                 evicted = cache_set.popitem(last=False)  # LRU victim
-                if evicted[1] is LineState.MODIFIED:
+                if evicted[1] is _MODIFIED:
                     self._count_dirty(set_index, -1)
             cache_set[line_addr] = state
-            if state is LineState.MODIFIED:
+            if state is _MODIFIED:
                 self._count_dirty(set_index, 1)
             return evicted
         cache_set[line_addr] = state
         cache_set.move_to_end(line_addr)
         if state is not old_state:
-            if state is LineState.MODIFIED:
+            if state is _MODIFIED:
                 self._count_dirty(set_index, 1)
-            elif old_state is LineState.MODIFIED:
+            elif old_state is _MODIFIED:
                 self._count_dirty(set_index, -1)
         return evicted
 
@@ -109,9 +106,9 @@ class Cache:
             )
         cache_set[line_addr] = state
         if state is not old_state:
-            if state is LineState.MODIFIED:
+            if state is _MODIFIED:
                 self._count_dirty(set_index, 1)
-            elif old_state is LineState.MODIFIED:
+            elif old_state is _MODIFIED:
                 self._count_dirty(set_index, -1)
 
     def invalidate(self, line_addr):
@@ -119,7 +116,7 @@ class Cache:
         set_index = line_addr % self._n_sets
         cache_set = self._sets[set_index]
         state = None if cache_set is None else cache_set.pop(line_addr, None)
-        if state is LineState.MODIFIED:
+        if state is _MODIFIED:
             self._count_dirty(set_index, -1)
         return state
 
@@ -136,7 +133,7 @@ class Cache:
         dirty = []
         for set_index in sorted(counts):
             for line, state in self._sets[set_index].items():
-                if state is LineState.MODIFIED:
+                if state is _MODIFIED:
                     dirty.append(line)
         return dirty
 
@@ -172,15 +169,17 @@ class CacheHierarchy:
         """Returns ``(latency_ns, state)``; state None means full miss."""
         # Inlined hit path: one modulo + dict probe per level, with the
         # LRU refresh folded in (move_to_end on a present key cannot
-        # raise, so the touch() membership re-check is skipped).
-        l1_set = self.l1._set_for(line_addr)
-        state = l1_set.get(line_addr)
-        l2_set = self.l2._set_for(line_addr)
+        # raise, so the touch() membership re-check is skipped). A set
+        # never touched is None; a lookup need not allocate it.
+        l1, l2 = self.l1, self.l2
+        l1_set = l1._sets[line_addr % l1._n_sets]
+        l2_set = l2._sets[line_addr % l2._n_sets]
+        state = l1_set.get(line_addr) if l1_set else None
         if state is not None:
             l1_set.move_to_end(line_addr)
             l2_set.move_to_end(line_addr)
             return self._l1_hit_ns, state
-        state = l2_set.get(line_addr)
+        state = l2_set.get(line_addr) if l2_set else None
         if state is not None:
             l2_set.move_to_end(line_addr)
         return self._l2_hit_ns, state
@@ -198,7 +197,7 @@ class CacheHierarchy:
             victim, victim_state = evicted
             # Inclusion: the L1 copy (if any) goes too.
             self.l1.invalidate(victim)
-            if victim_state is LineState.MODIFIED:
+            if victim_state is _MODIFIED:
                 dirty_victims.append(victim)
         evicted = self.l1.insert(line_addr, state)
         if evicted is not None:

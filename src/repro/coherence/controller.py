@@ -30,6 +30,8 @@ class CacheController:
         self.memsys = memsys
         self.hierarchy = memsys.hierarchies[node_id]
         self._monitors = {}  # line_addr -> list of callbacks
+        # Only fast mode keeps the memory system's watched-line table.
+        self._fast_mode = not memsys.config.detailed_memory
         self._snooping = True
         self.stats_monitor_fires = 0
         self.stats_flushed_lines = 0
@@ -48,7 +50,8 @@ class CacheController:
         callbacks = self._monitors.pop(line_addr, None)
         if not callbacks:
             return
-        self.memsys.unwatch_line(line_addr, self.node_id)
+        if self._fast_mode:
+            self.memsys.unwatch_line(line_addr, self.node_id)
         injector = self.sim.fault_injector
         if injector is not None:
             delay = injector.on_monitor_fire(self.node_id, line_addr)
@@ -80,7 +83,7 @@ class CacheController:
         key)."""
         line_addr = self.memsys.line_of(flag_addr)
         callbacks = self._monitors.setdefault(line_addr, [])
-        if not callbacks:
+        if not callbacks and self._fast_mode:
             self.memsys.watch_line(line_addr, self.node_id)
         callbacks.append(callback)
         return line_addr
@@ -96,7 +99,8 @@ class CacheController:
             return
         if not callbacks:
             del self._monitors[line_addr]
-            self.memsys.unwatch_line(line_addr, self.node_id)
+            if self._fast_mode:
+                self.memsys.unwatch_line(line_addr, self.node_id)
 
     def arm_wake_timer(self, delay_ns, callback):
         """Arm the countdown timer; returns a cancellable handle."""

@@ -20,7 +20,14 @@ from repro.coherence.directory import Directory, DirState
 from repro.coherence.messages import CONTROL_BYTES, DATA_BYTES
 from repro.interconnect.network import Network
 from repro.interconnect.topology import Hypercube
-from repro.sim.events import AllOf
+
+# Enum members as globals: on CPython 3.11 a class read such as
+# ``DirState.EXCLUSIVE`` costs ~140 ns, a global ~10 (DESIGN.md §8).
+_MODIFIED = LineState.MODIFIED
+_SHARED_COPY = LineState.SHARED
+_DIR_EXCLUSIVE = DirState.EXCLUSIVE
+_DIR_SHARED = DirState.SHARED
+_DIR_UNCACHED = DirState.UNCACHED
 
 #: Latency of a load/store when detailed_memory is off (fast mode).
 FAST_MODE_ACCESS_NS = 4
@@ -59,8 +66,8 @@ class MemorySystem:
         ]
         self.controllers = [None] * config.n_nodes  # set by machine layer
         # line_addr -> set of node ids with at least one armed flag
-        # monitor; maintained by the controllers so fast-mode stores
-        # notify only the watching nodes instead of scanning them all.
+        # monitor, kept by the controllers in fast mode only, where a
+        # store notifies just the watching nodes instead of them all.
         self._monitor_nodes = {}
         self._values = {}
         self.stats = MemoryStats()
@@ -131,7 +138,7 @@ class MemorySystem:
         hierarchy = self.hierarchies[node]
         latency, state = hierarchy.lookup(line)
         yield latency
-        if state is LineState.MODIFIED:
+        if state is _MODIFIED:
             self._values[addr] = value
             return
         yield from self._exclusive_miss(node, line)
@@ -154,7 +161,7 @@ class MemorySystem:
         hierarchy = self.hierarchies[node]
         latency, state = hierarchy.lookup(line)
         yield latency
-        if state is not LineState.MODIFIED:
+        if state is not _MODIFIED:
             yield from self._exclusive_miss(node, line)
         old = self._values.get(addr, 0)
         self._values[addr] = update(old)
@@ -166,7 +173,8 @@ class MemorySystem:
         home = self.home_of_line(line)
         yield self.network.delivery_ns(node, home, DATA_BYTES)
         directory = self.directories[home]
-        yield directory.lock(line).acquire()
+        if (queued := directory.lock(line).request()) is not None:
+            yield queued
         try:
             directory.release_exclusive(line, node)
             yield self.memory_access_ns
@@ -180,22 +188,23 @@ class MemorySystem:
         home = self.home_of_line(line)
         yield self.network.delivery_ns(node, home, CONTROL_BYTES)
         directory = self.directories[home]
-        yield directory.lock(line).acquire()
+        if (queued := directory.lock(line).request()) is not None:
+            yield queued
         try:
             entry = directory.entry(line)
-            if entry.state is DirState.EXCLUSIVE and entry.owner != node:
+            if entry.state is _DIR_EXCLUSIVE and entry.owner != node:
                 yield from self._fetch_from_owner(
                     home, line, entry.owner, invalidate=False
                 )
-            elif entry.state is DirState.EXCLUSIVE:
+            elif entry.state is _DIR_EXCLUSIVE:
                 # Our own write-back for this line is still in flight
                 # (eviction raced the re-read); treat memory as current.
-                entry.state = DirState.UNCACHED
+                entry.state = _DIR_UNCACHED
                 entry.owner = None
             yield self.memory_access_ns
             directory.grant_shared(line, node)
             yield self.network.delivery_ns(home, node, DATA_BYTES)
-            self._fill(node, line, LineState.SHARED)
+            self._fill(node, line, _SHARED_COPY)
         finally:
             directory.lock(line).release()
 
@@ -204,43 +213,62 @@ class MemorySystem:
         home = self.home_of_line(line)
         yield self.network.delivery_ns(node, home, CONTROL_BYTES)
         directory = self.directories[home]
-        yield directory.lock(line).acquire()
+        if (queued := directory.lock(line).request()) is not None:
+            yield queued
         try:
             entry = directory.entry(line)
-            if entry.state is DirState.EXCLUSIVE and entry.owner != node:
+            if entry.state is _DIR_EXCLUSIVE and entry.owner != node:
                 yield from self._fetch_from_owner(
                     home, line, entry.owner, invalidate=True
                 )
-            elif entry.state is DirState.SHARED:
+            elif entry.state is _DIR_SHARED:
                 victims = sorted(entry.sharers - {node})
                 if victims:
-                    yield from self._invalidate_sharers(home, line, victims)
+                    yield self._invalidate_sharers(home, line, victims)
+                    for victim in victims:
+                        directory.drop_sharer(line, victim)
             yield self.memory_access_ns
             entry.sharers &= {node}
             directory.grant_exclusive(line, node)
             yield self.network.delivery_ns(home, node, DATA_BYTES)
-            self._fill(node, line, LineState.MODIFIED)
+            self._fill(node, line, _MODIFIED)
         finally:
             directory.lock(line).release()
 
     def _invalidate_sharers(self, home, line, victims):
-        """Fan INVs out in parallel; wait for every ack at the home."""
+        """Fan INVs out in parallel; returns the event of the last ack.
 
-        def one_round_trip(victim):
-            yield self.network.delivery_ns(home, victim, CONTROL_BYTES)
-            self._deliver_invalidation(victim, line)
-            yield self.network.delivery_ns(victim, home, CONTROL_BYTES)
+        Each victim's round trip is three plain queue entries (INV send,
+        arrival, ack) at the times and in the order a process per victim
+        queued its resumes; see DESIGN.md §8.
+        """
+        sim = self.sim
+        insert = sim._insert
+        delivery_ns = self.network.delivery_ns
+        acked = sim.event()
+        pending = len(victims)
 
-        acks = [
-            self.sim.spawn(
-                one_round_trip(victim), name="inv->{}".format(victim)
-            )
-            for victim in victims
-        ]
-        yield AllOf(self.sim, acks)
-        directory = self.directories[home]
+        def ack(_value, _exception):
+            nonlocal pending
+            pending -= 1
+            if not pending:
+                acked.succeed()
+
+        def leg(victim):
+            def arrive(_value, _exception):
+                self._deliver_invalidation(victim, line)
+                delay = delivery_ns(victim, home, CONTROL_BYTES)
+                insert(sim._now + delay, ack)
+
+            def send(_value, _exception):
+                delay = delivery_ns(home, victim, CONTROL_BYTES)
+                insert(sim._now + delay, arrive)
+
+            return send
+
         for victim in victims:
-            directory.drop_sharer(line, victim)
+            insert(sim._now, leg(victim))
+        return acked
 
     def _fetch_from_owner(self, home, line, owner, invalidate):
         """Pull (and optionally invalidate) the dirty copy at ``owner``."""
@@ -249,13 +277,13 @@ class MemorySystem:
         hierarchy = self.hierarchies[owner]
         if invalidate:
             self._deliver_invalidation(owner, line)
-        elif hierarchy.state(line) is LineState.MODIFIED:
-            hierarchy.set_state(line, LineState.SHARED)
+        elif hierarchy.state(line) is _MODIFIED:
+            hierarchy.set_state(line, _SHARED_COPY)
         yield self.network.delivery_ns(owner, home, DATA_BYTES)
         directory = self.directories[home]
         if invalidate:
             entry = directory.entry(line)
-            entry.state = DirState.UNCACHED
+            entry.state = _DIR_UNCACHED
             entry.owner = None
             entry.sharers = set()
         else:

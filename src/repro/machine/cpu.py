@@ -26,6 +26,13 @@ from repro.errors import SimulationError
 from repro.telemetry.events import SleepEnter, SleepExit
 from repro.telemetry.tracer import NULL_TRACER
 
+# Categories as globals: on CPython 3.11 a class read such as
+# ``Category.SPIN`` costs ~140 ns, a global ~10 (DESIGN.md §8).
+_COMPUTE = Category.COMPUTE
+_SPIN = Category.SPIN
+_TRANSITION = Category.TRANSITION
+_SLEEP = Category.SLEEP
+
 
 @dataclass(slots=True)
 class SleepOutcome:
@@ -55,7 +62,7 @@ class Cpu:
         self.refill_per_line_ns = refill_per_line_ns
         self.telemetry = telemetry if telemetry is not None else NULL_TRACER
         self.account = EnergyAccount(telemetry=self.telemetry)
-        # The spin-charge constants, pre-resolved: charge_spin runs for
+        # The charge constants, pre-resolved: charge_spin runs for
         # every barrier-internal memory operation, so the account.add
         # bound method and the (static) spinloop wattage are looked up
         # once here instead of twice per charge.
@@ -92,8 +99,8 @@ class Cpu:
         # operator.index keeps the legacy timeout() strictness: integer
         # array scalars pass, floats raise TypeError instead of truncating.
         yield operator.index(duration_ns)
-        self.account.add(
-            Category.COMPUTE, duration_ns, power_watts=self.power.compute_watts
+        self._account_add(
+            _COMPUTE, duration_ns, power_watts=self.power.compute_watts
         )
 
     def mem_op(self, transaction):
@@ -103,7 +110,7 @@ class Cpu:
         this wrapper times an arbitrary protocol generator and does the
         same. Returns the transaction's value.
         """
-        return self.mem_op_as(Category.COMPUTE, transaction)
+        return self.mem_op_as(_COMPUTE, transaction)
 
     def mem_op_as(self, category, transaction):
         """Run a memory transaction, charging its time to ``category``.
@@ -114,14 +121,12 @@ class Cpu:
         """
         watts = (
             self.power.spin_watts
-            if category is Category.SPIN
+            if category is _SPIN
             else self.power.compute_watts
         )
         started = self.sim._now
         value = yield from transaction
-        self.account.add(
-            category, self.sim._now - started, power_watts=watts
-        )
+        self._account_add(category, self.sim._now - started, power_watts=watts)
         return value
 
     def charge_spin(self, duration_ns):
@@ -133,18 +138,14 @@ class Cpu:
         avoiding the extra generator frame the wrapper would put under
         every resume of the transaction.
         """
-        self._account_add(
-            Category.SPIN, duration_ns, power_watts=self._spin_watts
-        )
+        self._account_add(_SPIN, duration_ns, power_watts=self._spin_watts)
 
     def spin_until(self, event):
         """Spin-wait on ``event`` at spinloop power; returns spin time."""
         started = self.sim._now
         yield event
         spun = self.sim._now - started
-        self._account_add(
-            Category.SPIN, spun, power_watts=self._spin_watts
-        )
+        self._account_add(_SPIN, spun, power_watts=self._spin_watts)
         return spun
 
     def spin_for(self, duration_ns):
@@ -152,8 +153,8 @@ class Cpu:
         if duration_ns < 0:
             raise SimulationError("spin duration must be non-negative")
         yield operator.index(duration_ns)
-        self.account.add(
-            Category.SPIN, duration_ns, power_watts=self.power.spin_watts
+        self._account_add(
+            _SPIN, duration_ns, power_watts=self.power.spin_watts
         )
         return duration_ns
 
@@ -194,9 +195,8 @@ class Cpu:
             )
             flush_ns = self.sim._now - flush_started
             # Flush overhead is computation-side work (Section 5.2).
-            self.account.add(
-                Category.COMPUTE, flush_ns,
-                power_watts=self.power.compute_watts,
+            self._account_add(
+                _COMPUTE, flush_ns, power_watts=self.power.compute_watts
             )
             self.add_refill_debt(flushed)
             controller.set_snooping(False)
@@ -211,8 +211,8 @@ class Cpu:
             enter_ns += injector.on_transition(self.node_id, state.name)
         # Transition in: linear ramp from compute power to sleep power.
         yield enter_ns
-        self.account.add(
-            Category.TRANSITION,
+        self._account_add(
+            _TRANSITION,
             enter_ns,
             energy_joules=ramp_energy(
                 self.power.compute_watts, sleep_watts, enter_ns,
@@ -222,16 +222,14 @@ class Cpu:
         resident_started = self.sim._now
         yield wake_event
         resident_ns = self.sim._now - resident_started
-        self.account.add(
-            Category.SLEEP, resident_ns, power_watts=sleep_watts
-        )
+        self._account_add(_SLEEP, resident_ns, power_watts=sleep_watts)
         exit_ns = state.transition_latency_ns
         if injector is not None:
             exit_ns += injector.on_transition(self.node_id, state.name)
         # Transition out: ramp back up.
         yield exit_ns
-        self.account.add(
-            Category.TRANSITION,
+        self._account_add(
+            _TRANSITION,
             exit_ns,
             energy_joules=ramp_energy(
                 sleep_watts, self.power.compute_watts, exit_ns,

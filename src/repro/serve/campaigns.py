@@ -33,7 +33,7 @@ from repro.experiments.journal import (
 )
 from repro.experiments.parallel import CellFailure, ExperimentCell
 from repro.experiments.runner import DEFAULT_SEED
-from repro.workloads.splash2 import SPLASH2_NAMES
+from repro.workloads.splash2 import SPLASH2_NAMES, check_apps
 
 #: Campaign lifecycle states (reported verbatim by the status API).
 QUEUED = "queued"
@@ -66,13 +66,7 @@ def normalize_spec(payload):
     apps = payload.get("apps") or list(SPLASH2_NAMES)
     if isinstance(apps, str):
         apps = [apps]
-    bad = sorted(set(apps) - set(SPLASH2_NAMES))
-    if bad:
-        raise ConfigError(
-            "unknown application(s) {}; choose from {}".format(
-                ", ".join(bad), ", ".join(SPLASH2_NAMES)
-            )
-        )
+    check_apps(apps)
     configs = payload.get("configs") or list(CONFIG_NAMES)
     if isinstance(configs, str):
         configs = [configs]

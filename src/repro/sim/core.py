@@ -15,11 +15,12 @@ Two kinds of entry live in a bucket:
 
 * a :class:`Handle` — the cancellable record returned by
   :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`;
-* a bare resume callable — the non-cancellable fast lane used by
-  :class:`~repro.sim.process.Process` for plain integer-delay yields
-  (``yield 40``), invoked as ``entry(None, None)``. These cannot be
-  cancelled, so the dispatch loops skip the cancellation check for
-  them.
+* a bare callable — the non-cancellable fast lane, invoked as
+  ``entry(None, None)``: the resume method
+  :class:`~repro.sim.process.Process` queues for a plain integer-delay
+  yield (``yield 40``), or one leg of the coherence layer's
+  invalidation fan-out. These cannot be cancelled, so the dispatch
+  loops skip the cancellation check for them.
 
 A bucket holding a single entry is stored as the entry itself rather
 than a one-element list (most timestamps only ever receive one

@@ -14,6 +14,11 @@ from repro.telemetry.events import (
 )
 
 
+def _increment(value):
+    """The check-in's count update: one function, not a lambda a call."""
+    return value + 1
+
+
 class BarrierBase:
     """Shared structure of all barrier variants.
 
@@ -96,7 +101,7 @@ class BarrierBase:
         cpu = node.cpu
         started = self.sim._now
         count = yield from self.memsys.rmw(
-            node.node_id, self.count_addr, lambda v: v + 1
+            node.node_id, self.count_addr, _increment
         )
         cpu.charge_spin(self.sim._now - started)
         is_last = (count + 1) == self._arrival_target()

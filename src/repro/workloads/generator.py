@@ -17,6 +17,9 @@ from repro.predict import LastValuePredictor, TimingDomain
 from repro.sync import BarrierTrace, ConventionalBarrier
 from repro.sync.trace import BarrierTrace as _BarrierTrace
 
+# A global: a class read costs ~140 ns on CPython 3.11 (DESIGN.md §8).
+_COMPUTE = Category.COMPUTE
+
 
 def conventional_factory(system, domain, n_threads, pc, trace):
     """Default barrier factory: the Baseline configuration."""
@@ -130,9 +133,7 @@ class WorkloadRunner:
                 duration = durations[thread_id] + cpu._refill_debt_ns
                 cpu._refill_debt_ns = 0
                 yield duration
-                account_add(
-                    Category.COMPUTE, duration, power_watts=compute_watts
-                )
+                account_add(_COMPUTE, duration, power_watts=compute_watts)
                 yield from barrier_wait(node, dirty_lines=dirty_lines)
 
         self.system.run_threads(program, n_threads=self.n_threads)

@@ -26,7 +26,7 @@ top account for check-in serialization, which lengthens simulated
 intervals slightly.
 """
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.workloads.base import PhaseSpec, WorkloadModel
 from repro.workloads.imbalance import (
     AlternatingSwing,
@@ -333,6 +333,16 @@ SPLASH2_NAMES = list(TABLE2_IMBALANCE)
 
 #: The applications with >= 10% imbalance — the paper's target set.
 TARGET_APPS = ("volrend", "radix", "fmm", "barnes", "water-nsq")
+
+
+def check_apps(names):
+    """Raise :class:`~repro.errors.ConfigError`, naming the valid apps,
+    if any of ``names`` is not one of :data:`SPLASH2_NAMES`."""
+    unknown = sorted(set(names) - set(SPLASH2_NAMES))
+    if unknown:
+        raise ConfigError("unknown application(s) {}; choose from {}".format(
+            ", ".join(unknown), ", ".join(SPLASH2_NAMES)
+        ))
 
 
 def get_model(name):

@@ -144,6 +144,59 @@ class TestCellCommands:
         assert "thrifty" in err  # lists the valid choices
 
 
+class TestUnknownApplication:
+    """An unknown application is a usage error: exit 2, one stderr line
+    naming the valid apps, and no journal, cache or run directory."""
+
+    @pytest.mark.parametrize("argv", [
+        ["figure5", "--apps", "nosuch", "--run-id", "r"],
+        ["table2", "--apps", "fmm", "nosuch"],
+        ["chaos", "--apps", "nosuch", "--plans", "1", "--run-id", "r"],
+        ["run", "--app", "nosuch"],
+        ["check", "--app", "nosuch", "--schedules", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_2_before_touching_storage(self, argv, capsys, tmp_path):
+        journal = tmp_path / "runs"
+        cache = tmp_path / "cache"
+        assert main(argv + [
+            "--threads", "8", "--journal-dir", str(journal),
+            "--cache-dir", str(cache),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("unknown application(s) nosuch;")
+        assert "fmm" in lines[0] and "ocean" in lines[0]
+        assert not journal.exists()
+        assert not cache.exists()
+
+    def test_unknown_chaos_configuration_exits_2(self, capsys, tmp_path):
+        assert main([
+            "chaos", "--apps", "fmm", "--configs", "nosuch", "--plans", "1",
+            "--threads", "8", "--run-id", "r",
+            "--journal-dir", str(tmp_path / "runs"),
+        ]) == 2
+        assert "unknown configuration" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_cli_prints_no_traceback(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "figure5", "--apps", "nosuch",
+             "--threads", "8", "--no-cache"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.count("\n") == 1
+
+
 class TestChaosCommand:
     def test_campaign_reports_and_exits_zero(self, capsys):
         assert main([

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coherence.directory import Directory, DirState
+from repro.coherence.directory import Directory, DirState, LineLock
 from repro.errors import ProtocolError
 from repro.sim import Simulator
 
@@ -104,3 +104,33 @@ class TestLockRegistry:
         directory = fresh_directory()
         assert directory.lock(0x10) is directory.lock(0x10)
         assert directory.lock(0x10) is not directory.lock(0x20)
+
+
+class TestLineLockRequest:
+    def test_free_lock_is_taken_without_an_event(self):
+        lock = LineLock(Simulator())
+        assert lock.request() is None
+        lock.release()
+        assert lock.request() is None
+
+    def test_held_lock_queues_requests_fifo(self):
+        lock = LineLock(Simulator())
+        assert lock.request() is None
+        first = lock.request()
+        second = lock.request()
+        assert not first.triggered and not second.triggered
+        lock.release()
+        assert first.triggered and not second.triggered
+        lock.release()
+        assert second.triggered
+        lock.release()
+        assert lock.request() is None
+
+    def test_acquire_hands_out_a_fired_event_when_free(self):
+        lock = LineLock(Simulator())
+        granted = lock.acquire()
+        assert granted.triggered
+        waiting = lock.acquire()
+        assert not waiting.triggered
+        lock.release()
+        assert waiting.triggered

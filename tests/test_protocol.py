@@ -4,9 +4,11 @@ import pytest
 
 from repro.coherence import CacheController, DirState, LineState, MemorySystem
 from repro.coherence.directory import LineLock
+from repro.coherence.messages import CONTROL_BYTES, DATA_BYTES
 from repro.config import MachineConfig
 from repro.errors import ProtocolError
 from repro.sim import Simulator
+from repro.sim.process import Process
 
 
 def build_memsys(n_nodes=4, detailed=True):
@@ -131,6 +133,129 @@ class TestLoadStore:
         assert memsys.home_of(0x100) == memsys.home_of(0x140)
 
 
+def recording(transaction, yielded):
+    """Run ``transaction``, appending every value it yields."""
+    value = None
+    while True:
+        try:
+            target = transaction.send(value)
+        except StopIteration as stop:
+            return stop.value
+        yielded.append(target)
+        value = yield target
+
+
+class TestInvalidationFanOut:
+    """A GetX on a line shared by k nodes: 3k plain queue entries."""
+
+    N_NODES = 8
+    REQUESTER = 3
+    ADDR = 0x0  # line 0, homed at node 0
+
+    def shared_by_all_but_requester(self):
+        sim, memsys = build_memsys(n_nodes=self.N_NODES)
+        victims = [n for n in range(self.N_NODES) if n != self.REQUESTER]
+        for node in victims:
+            run(sim, memsys.load(node, self.ADDR))
+        return sim, memsys, victims
+
+    def store_dequeues(self, sim, memsys, addr):
+        before = sim.executed
+        run(sim, memsys.store(self.REQUESTER, addr, 1))
+        return sim.executed - before
+
+    def test_makes_three_dequeues_per_victim(self):
+        sim, memsys, victims = self.shared_by_all_but_requester()
+        home = memsys.home_of(self.ADDR)
+        uncached = self.ADDR + memsys.config.line_bytes
+        assert memsys.home_of(uncached) == home
+        plain = self.store_dequeues(sim, memsys, uncached)
+        fan_out = self.store_dequeues(sim, memsys, self.ADDR)
+        assert fan_out - plain == 3 * len(victims)
+        assert memsys.stats.invalidations == len(victims)
+
+    def test_spawns_no_process(self, monkeypatch):
+        sim, memsys, _victims = self.shared_by_all_but_requester()
+        created = []
+        init = Process.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting_init)
+        run(sim, memsys.store(self.REQUESTER, self.ADDR, 1))
+        assert len(created) == 1  # the requester itself
+
+    def test_victims_invalidated_on_arrival_and_requester_on_last_ack(
+        self,
+    ):
+        sim, memsys, victims = self.shared_by_all_but_requester()
+        home = memsys.home_of(self.ADDR)
+        network = memsys.network
+        started = []
+        invalidated = {}
+        fan_out = memsys._invalidate_sharers
+        deliver = memsys._deliver_invalidation
+
+        def spy_fan_out(*args):
+            started.append(sim.now)
+            return fan_out(*args)
+
+        def spy_deliver(node, line):
+            invalidated[node] = sim.now
+            deliver(node, line)
+
+        memsys._invalidate_sharers = spy_fan_out
+        memsys._deliver_invalidation = spy_deliver
+        run(sim, memsys.store(self.REQUESTER, self.ADDR, 1))
+        (now,) = started
+        assert invalidated == {
+            victim: now + network.latency_ns(home, victim, CONTROL_BYTES)
+            for victim in victims
+        }
+        last_ack = max(
+            invalidated[victim]
+            + network.latency_ns(victim, home, CONTROL_BYTES)
+            for victim in victims
+        )
+        assert sim.now == (
+            last_ack + memsys.memory_access_ns
+            + network.latency_ns(home, self.REQUESTER, DATA_BYTES)
+        )
+        line = memsys.line_of(self.ADDR)
+        entry = memsys.directories[home].entry(line)
+        assert entry.state is DirState.EXCLUSIVE
+        assert entry.owner == self.REQUESTER
+
+
+class TestLineLockGrants:
+    def test_free_grant_does_not_suspend_the_transaction(self):
+        sim, memsys = build_memsys()
+        for transaction in (
+            memsys.load(2, 0x2000),  # GetS
+            memsys.store(0, 0x4000, 1),  # GetX
+            memsys.writeback(0, memsys.line_of(0x4000)),  # PutX
+        ):
+            yielded = []
+            run(sim, recording(transaction, yielded))
+            assert yielded
+            assert all(type(target) is int for target in yielded)
+
+    def test_held_lock_queues_the_transaction(self):
+        sim, memsys = build_memsys()
+        line = memsys.line_of(0x2000)
+        lock = memsys.directories[memsys.home_of(0x2000)].lock(line)
+        assert lock.request() is None  # held by someone else
+        sim.schedule(5_000, lock.release)
+        yielded = []
+        run(sim, recording(memsys.store(1, 0x2000, 7), yielded))
+        events = [t for t in yielded if type(t) is not int]
+        assert len(events) == 1
+        assert sim.now > 5_000
+        assert memsys.peek(0x2000) == 7
+
+
 class TestRmw:
     def test_rmw_returns_old_value(self):
         sim, memsys = build_memsys()
@@ -232,6 +357,19 @@ class TestFlagMonitor:
         run(sim, memsys.store(0, flag, 1))
         assert fired == []
 
+    def test_detailed_mode_keeps_no_monitor_table(self):
+        sim, memsys = build_memsys()
+        flag = 0x9000
+        run(sim, memsys.load(1, flag))
+        fired = []
+        memsys.controllers[1].arm_flag_monitor(
+            flag, lambda line: fired.append(line)
+        )
+        assert memsys._monitor_nodes == {}
+        run(sim, memsys.store(0, flag, 1))
+        assert len(fired) == 1
+        assert memsys._monitor_nodes == {}
+
     def test_monitor_fires_once_per_arming(self):
         sim, memsys = build_memsys()
         flag = 0x9000
@@ -295,6 +433,14 @@ class TestFastMode:
         )
         run(sim, memsys.store(0, 0x100, 1))
         assert len(fired) == 1
+
+    def test_fast_mode_tracks_watching_nodes(self):
+        sim, memsys = build_memsys(detailed=False)
+        line = memsys.controllers[2].arm_flag_monitor(0x100, lambda _: None)
+        memsys.controllers[3].arm_flag_monitor(0x100, lambda _: None)
+        assert memsys._monitor_nodes == {line: {2, 3}}
+        run(sim, memsys.store(0, 0x100, 1))
+        assert memsys._monitor_nodes == {}
 
     def test_fast_mode_does_not_notify_writer(self):
         sim, memsys = build_memsys(detailed=False)
