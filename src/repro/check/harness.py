@@ -1,12 +1,12 @@
 """One schedule, end to end: build, drive, audit.
 
-:func:`run_schedule` is the explorer's unit of work. It assembles the
-same live-cell machinery as
-:func:`repro.experiments.runner._run_live` — tracer, system, fault
-plan, workload — but threads a :class:`~repro.check.tiebreak.TieBreaker`
-into the simulator's dispatch loop, then audits the run with *every*
-oracle: the four :class:`~repro.faults.invariants.InvariantChecker`
-invariants plus the :mod:`repro.check.oracles` pair.
+:func:`run_schedule` is the explorer's unit of work. It builds its
+simulation with :func:`repro.experiments.runner.build_simulation`, as
+every experiment cell does — tracer, system, fault plan, workload —
+handing it a :class:`~repro.check.tiebreak.TieBreaker` for the
+simulator's dispatch loop, then audits the run with *every* oracle: the
+four :class:`~repro.faults.invariants.InvariantChecker` invariants plus
+the :mod:`repro.check.oracles` pair.
 
 A schedule is identified by its realized decision trace (the
 ``(arity, choice)`` pairs actually consulted); replays pass the bare
@@ -28,16 +28,14 @@ from repro.experiments.configs import (
     barrier_factory_for,
     check_configs,
 )
-from repro.experiments.runner import DEFAULT_SEED
+from repro.experiments.runner import DEFAULT_SEED, build_simulation
 from repro.faults.chaos import DEFAULT_DEADLINE_NS
 from repro.faults.invariants import (
     InvariantChecker,
     InvariantViolation,
     annotate_window_indices,
 )
-from repro.machine import System
 from repro.telemetry.tracer import Tracer
-from repro.workloads import WorkloadRunner, get_model
 
 
 @dataclass
@@ -72,7 +70,7 @@ class ScheduleResult:
         return tuple(zip(self.arities, self.decisions))
 
 
-def _explored_config(config):
+def explored_config(config):
     """Map a configuration to the live simulation the explorer drives.
 
     The derived configurations are deterministic post-hoc replays of
@@ -103,7 +101,7 @@ def run_schedule(
     violation, not raised — a broken schedule is a finding, not an
     error.
     """
-    live_config = _explored_config(config)
+    live_config = explored_config(config)
     if mutant is not None:
         from repro.sync.mutants import mutant_barrier_factory
 
@@ -117,27 +115,13 @@ def run_schedule(
     chooser.reset()
 
     tracer = Tracer()
-    system = System(
-        machine_config or MachineConfig(n_nodes=threads), telemetry=tracer,
+    system, runner = build_simulation(
+        app, threads, seed, factory,
+        machine_config or MachineConfig(n_nodes=threads),
+        telemetry=tracer, fault_plan=fault_plan, tie_breaker=chooser,
     )
-    perturb = None
-    if fault_plan is not None and not fault_plan.is_noop:
-        from repro.faults.injector import install_fault_plan
-
-        injector = install_fault_plan(system, fault_plan, telemetry=tracer)
-        perturb = injector.perturb_hook()
-    system.sim.tie_breaker = chooser
-
     crash = None
     accounts = None
-    runner = WorkloadRunner(
-        get_model(app),
-        system=system,
-        n_threads=threads,
-        seed=seed,
-        barrier_factory=factory,
-        perturb=perturb,
-    )
     try:
         run = runner.run()
         accounts = run.accounts

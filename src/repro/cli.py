@@ -178,8 +178,9 @@ def build_parser():
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the run matrix (default 1 = serial; "
-             "0 = one per CPU); results are bit-identical either way",
+        help="worker processes for the run matrix or the chaos "
+             "campaign (default 1 = serial; 0 = one per CPU); results "
+             "are bit-identical either way",
     )
     parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
@@ -207,8 +208,9 @@ def build_parser():
     )
     parser.add_argument(
         "--fail-fast", action="store_true",
-        help="chaos: stop the campaign at the first violating cell "
-             "instead of sweeping every planned cell",
+        help="chaos: end the report at the first violating cell in "
+             "sweep order (the campaign still simulates every planned "
+             "cell)",
     )
     parser.add_argument(
         "--schedules", type=int, default=64, metavar="N",
@@ -414,9 +416,10 @@ def _run_cell_command(args):
 def _run_chaos_command(args):
     """The ``chaos`` command: a seeded fault campaign with auditing.
 
-    Journaled (``--run-id``/``--resume``) and preemption-aware: a
-    SIGTERM/SIGINT reports the partial campaign instead of discarding
-    it and exits :data:`EXIT_RESUMABLE`.
+    Runs on the experiment engine (``--workers``), journaled
+    (``--run-id``/``--resume``) and preemption-aware: a SIGTERM/SIGINT
+    reports the partial campaign instead of discarding it and exits
+    :data:`EXIT_RESUMABLE`.
     """
     import json
 
@@ -441,15 +444,16 @@ def _run_chaos_command(args):
         "threads": args.threads, "seed": args.seed, "plans": args.plans,
         "intensity": args.intensity, "version": __version__,
     }
+    # Each (app, config) also runs one clean reference cell.
     journal, _resumed = _journal_argument(
-        args, spec, total=len(apps) * len(configs) * args.plans,
+        args, spec, total=len(apps) * len(configs) * (args.plans + 1),
     )
     with PreemptionGuard() as guard:
         campaign = run_chaos_campaign(
             plans, apps=apps, configs=configs,
             threads=args.threads, seed=args.seed,
             journal=journal, preemption=guard,
-            fail_fast=args.fail_fast,
+            fail_fast=args.fail_fast, workers=args.workers or None,
         )
     _emit(render_chaos_report(campaign))
     if args.json:
@@ -499,6 +503,7 @@ def _run_check_command(args):
         witness_path,
         write_counterexample,
     )
+    from repro.check.harness import explored_config
     from repro.experiments.configs import CONFIG_NAMES, check_configs
 
     if args.replay:
@@ -538,16 +543,22 @@ def _run_check_command(args):
         except ConfigError as exc:
             return _usage(str(exc))
 
+    # Each live simulation is explored once; every config reading it
+    # (Oracle-Halt and Ideal read the Baseline) prints its line.
+    explorations = {}
     for config in configs:
         try:
-            exploration = explore(
-                app, config, threads=args.threads, seed=args.seed,
-                max_schedules=args.schedules, max_depth=args.depth,
-                strategy=args.strategy, fault_plan=fault_plan,
-                mutant=args.mutant,
-            )
+            live = explored_config(config)
+            if live not in explorations:
+                explorations[live] = explore(
+                    app, config, threads=args.threads, seed=args.seed,
+                    max_schedules=args.schedules, max_depth=args.depth,
+                    strategy=args.strategy, fault_plan=fault_plan,
+                    mutant=args.mutant,
+                )
         except ConfigError as exc:
             return _usage(str(exc))
+        exploration = explorations[live]
         print("check {}/{}/{}t seed {} [{}]: {} schedule(s), "
               "{} unique{}{}".format(
                   app, config, args.threads, args.seed, args.strategy,

@@ -226,8 +226,3 @@ class CacheHierarchy:
     def dirty_lines(self):
         """Dirty (MODIFIED) lines, authoritative at the L2."""
         return self.l2.dirty_lines()
-
-    def drop_all(self):
-        """Invalidate everything (deep-sleep flush aftermath)."""
-        self.l1.clear()
-        self.l2.clear()

@@ -91,14 +91,15 @@ def _canonical(value):
 
 def content_key(
     app, config, threads, seed, machine_config, overrides=None,
-    telemetry=False,
+    telemetry=False, **extra,
 ):
     """Stable hex digest identifying one experiment cell.
 
     Any perturbation of any field — including nested fields of the
     machine config, the ``telemetry`` flag (a traced result carries the
     event stream a plain one does not), and a bump of the package
-    version — yields a new key.
+    version — yields a new key. ``extra`` fields (a chaos cell's plan
+    and deadline) join the payload.
     """
     payload = {
         "version": __version__,
@@ -110,6 +111,9 @@ def content_key(
         "overrides": _canonical(dict(overrides or {})),
         "telemetry": bool(telemetry),
     }
+    payload.update(
+        (name, _canonical(value)) for name, value in extra.items()
+    )
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -49,6 +49,7 @@ from repro.errors import CampaignInterrupted, ConfigError, ExperimentError
 from repro.experiments.cache import ResultCache, content_key
 from repro.experiments.configs import CONFIG_NAMES, check_configs
 from repro.experiments.pool import ERR, OK, WorkerPool, _fork_context, run_cell
+from repro.experiments import runner
 from repro.experiments.preemption import DEFAULT_DRAIN_DEADLINE_S
 from repro.experiments.runner import (
     DEFAULT_SEED,
@@ -92,13 +93,23 @@ class ExperimentCell:
             telemetry=telemetry,
         )
 
-    def key(self):
-        """Content hash identifying this cell's result on disk."""
+    def key(self, **extra):
+        """Content hash identifying this cell's result on disk; a
+        subclass passes its own fields as ``extra``."""
         return content_key(
             self.app, self.config, self.threads, self.seed,
             self.machine_config or MachineConfig(),
             dict(self.overrides),
-            telemetry=self.telemetry,
+            telemetry=self.telemetry, **extra
+        )
+
+    def run(self):
+        """This cell's result: one ``run_experiment`` call, looked up on
+        the runner module when the cell runs."""
+        return runner.run_experiment(
+            self.app, self.config, threads=self.threads, seed=self.seed,
+            machine_config=self.machine_config, telemetry=self.telemetry,
+            **dict(self.overrides)
         )
 
 
@@ -218,13 +229,14 @@ def _unit_key(cell):
     of its dispatch unit, or None when the cell is a unit of its own.
 
     The untraced ``baseline``, ``oracle-halt`` and ``ideal`` cells of
-    one (app, threads, seed, machine config) read one Baseline
-    simulation.
+    one (app, threads, seed, machine config, fault plan) read one
+    Baseline simulation. Only a chaos cell carries a ``plan``.
     """
     if cell.telemetry or cell.config not in _BASELINE_READERS:
         return None
     return _baseline_key(
-        cell.app, cell.threads, cell.seed, cell.machine_config
+        cell.app, cell.threads, cell.seed, cell.machine_config,
+        getattr(cell, "plan", None),
     )
 
 

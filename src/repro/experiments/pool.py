@@ -8,8 +8,9 @@ the same way:
 * a job is a *unit*: an ordered list of ``(key, cell)`` pairs that a
   worker runs inside one :func:`~repro.experiments.runner.
   _shared_baseline` block, so a Baseline cell and the Oracle-Halt and
-  Ideal cells replaying it simulate the Baseline once. The default task
-  is :func:`run_cell`, the bit-exact unit of every execution path;
+  Ideal cells replaying it simulate the Baseline once (a chaos plan's
+  three such cells, one perturbed Baseline). The default task is
+  :func:`run_cell`, the bit-exact unit of every execution path;
 * the worker posts ``(key, OK, result)`` or ``(key, ERR, (type, msg))``
   as each cell finishes, with the watchdog's ``(BEAT_INDEX, BEAT, n)``
   heartbeats riding the same :class:`~multiprocessing.SimpleQueue`, so
@@ -61,16 +62,14 @@ _STOP_GRACE_S = 1.0
 
 
 def run_cell(cell):
-    """Default task: one ``run_experiment`` call (the bit-exact unit).
+    """Default task: the cell's own ``run()`` (the bit-exact unit).
 
     Every execution path runs a cell through it, so a cell computes the
-    identical result in-process, in a batch worker or in a served one.
+    identical result in-process, in a batch worker or in a served one:
+    a plain cell one ``run_experiment`` call, a chaos cell one audited
+    ``run_chaos_cell`` call.
     """
-    return runner.run_experiment(
-        cell.app, cell.config, threads=cell.threads, seed=cell.seed,
-        machine_config=cell.machine_config, telemetry=cell.telemetry,
-        **dict(cell.overrides)
-    )
+    return cell.run()
 
 
 def _fork_context():

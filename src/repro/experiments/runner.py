@@ -3,13 +3,15 @@
 The unit of work is :func:`run_experiment`; :func:`run_app` produces all
 five configurations for one application (sharing one Baseline run for
 the two derived oracles); :func:`run_matrix` sweeps applications —
-everything Figures 5 and 6 need.
+everything Figures 5 and 6 need. :func:`build_simulation` assembles
+every live simulation, the schedule explorer's too.
 
 Sharing never bypasses :func:`run_experiment`: :func:`run_app` and the
 engine's workers run a Baseline cell and the derived cells that replay
 it inside :func:`_shared_baseline`, where the untraced, fault-free
 Baseline and derived cells of one (app, threads, seed, machine config)
-read one Baseline simulation.
+read one Baseline simulation; :func:`run_inspected` cells of one fault
+plan share it with its one inspection (a chaos plan's one audit).
 """
 
 from contextlib import contextmanager
@@ -152,10 +154,13 @@ def _derived_result(app, config_name, baseline_run):
     )
 
 
-def _run_live(
-    app, config_name, threads, seed, machine_config, overrides,
-    telemetry=None, fault_plan=None,
+def build_simulation(
+    app, threads, seed, barrier_factory, machine_config=None,
+    telemetry=None, fault_plan=None, tie_breaker=None,
 ):
+    """One live simulation, ready to run: ``(system, runner)``, with
+    ``fault_plan`` installed (unless ``None`` or a no-op) and
+    ``tie_breaker`` handed to the simulator (when given)."""
     model = get_model(app)
     system = System(machine_config or MachineConfig(), telemetry=telemetry)
     perturb = None
@@ -164,13 +169,25 @@ def _run_live(
 
         injector = install_fault_plan(system, fault_plan, telemetry=telemetry)
         perturb = injector.perturb_hook()
-    runner = WorkloadRunner(
+    if tie_breaker is not None:
+        system.sim.tie_breaker = tie_breaker
+    return system, WorkloadRunner(
         model,
         system=system,
         n_threads=threads,
         seed=seed,
-        barrier_factory=barrier_factory_for(config_name, **overrides),
+        barrier_factory=barrier_factory,
         perturb=perturb,
+    )
+
+
+def _run_live(
+    app, config_name, threads, seed, machine_config, overrides,
+    telemetry=None, fault_plan=None,
+):
+    system, runner = build_simulation(
+        app, threads, seed, barrier_factory_for(config_name, **overrides),
+        machine_config, telemetry=telemetry, fault_plan=fault_plan,
     )
     run = runner.run()
     if telemetry is not None and telemetry.enabled:
@@ -182,9 +199,9 @@ def _run_live(
 _BASELINE_READERS = ("baseline",) + DERIVED_CONFIGS
 
 #: The one-entry Baseline slot :func:`_shared_baseline` arms: ``None``
-#: outside the block, else ``[key, run]`` of the last Baseline simulated
-#: inside it. Module state rather than an argument, so every cell still
-#: runs through ``run_experiment`` with exactly its own fields.
+#: outside the block, else ``[key, (run, inspection)]`` of the last
+#: Baseline simulated inside it. Module state rather than an argument,
+#: so every cell still runs with exactly its own fields.
 _baseline_slot = None
 
 
@@ -196,8 +213,8 @@ def _shared_baseline():
     The slot keeps only the latest Baseline run, and the engine wraps
     each unit (a Baseline cell plus the derived cells that replay it)
     in its own block, so the run is dropped as soon as its unit ends.
-    Traced or fault-injected cells never share: their result carries,
-    or is shaped by, their own simulation.
+    Traced or fault-injected :func:`run_experiment` cells never share:
+    their result carries, or is shaped by, their own simulation.
     """
     global _baseline_slot
     _baseline_slot = [None, None]
@@ -207,9 +224,9 @@ def _shared_baseline():
         _baseline_slot = None
 
 
-def _baseline_key(app, threads, seed, machine_config):
+def _baseline_key(app, threads, seed, machine_config, fault_plan=None):
     """What identifies one Baseline simulation."""
-    return app, threads, seed, machine_config or MachineConfig()
+    return app, threads, seed, machine_config or MachineConfig(), fault_plan
 
 
 def _simulation_cost(app, threads):
@@ -223,24 +240,45 @@ def _simulation_cost(app, threads):
         return 0
 
 
-def _baseline_run(app, threads, seed, machine_config, tracer, fault_plan):
-    """The Baseline run a Baseline or derived cell reads, from the armed
-    slot when the cell may share it."""
-    slot = _baseline_slot
-    shared = slot is not None and tracer is None and (
+def _run_cell(
+    app, config, threads, seed, machine_config, tracer, fault_plan,
+    overrides, inspect=None,
+):
+    """``(result, inspection)`` of one cell. A Baseline or derived cell
+    reads the Baseline run, from the armed slot when it may share it;
+    ``inspect(run, tracer)``, when given, runs once per simulation."""
+    if config in _BASELINE_READERS:
+        # The Baseline barrier takes no thrifty overrides.
+        live, overrides = "baseline", {}
+    else:
+        live = config
+
+    def simulate():
+        run = _run_live(
+            app, live, threads, seed, machine_config, overrides,
+            telemetry=tracer, fault_plan=fault_plan,
+        )
+        return run, None if inspect is None else inspect(run, tracer)
+
+    key = None
+    if live == "baseline" and inspect is not None:
+        key = _baseline_key(
+            app, threads, seed, machine_config, fault_plan
+        ), inspect
+    elif live == "baseline" and tracer is None and (
         fault_plan is None or fault_plan.is_noop
-    )
-    if shared:
-        key = _baseline_key(app, threads, seed, machine_config)
-        if slot[0] == key:
-            return slot[1]
-    run = _run_live(
-        app, "baseline", threads, seed, machine_config, {},
-        telemetry=tracer, fault_plan=fault_plan,
-    )
-    if shared:
-        slot[:] = key, run
-    return run
+    ):
+        key = _baseline_key(app, threads, seed, machine_config), None
+    slot = _baseline_slot
+    if slot is None or key is None:
+        run, inspection = simulate()
+    else:
+        if slot[0] != key:
+            slot[:] = key, simulate()
+        run, inspection = slot[1]
+    if live == config:
+        return _live_result(app, config, run), inspection
+    return _derived_result(app, config, run), inspection
 
 
 def _coerce_tracer(telemetry):
@@ -283,24 +321,31 @@ def run_experiment(
     """
     check_configs((config,))
     tracer = _coerce_tracer(telemetry)
-    if config in _BASELINE_READERS:
-        # The Baseline barrier takes no thrifty overrides.
-        run = _baseline_run(
-            app, threads, seed, machine_config, tracer, fault_plan
-        )
-        if config == "baseline":
-            result = _live_result(app, config, run)
-        else:
-            result = _derived_result(app, config, run)
-    else:
-        run = _run_live(
-            app, config, threads, seed, machine_config, thrifty_overrides,
-            telemetry=tracer, fault_plan=fault_plan,
-        )
-        result = _live_result(app, config, run)
+    result, _ = _run_cell(
+        app, config, threads, seed, machine_config, tracer, fault_plan,
+        thrifty_overrides,
+    )
     if tracer is not None:
         result.telemetry = tracer.snapshot()
     return result
+
+
+def run_inspected(
+    app, config, inspect, threads=64, seed=DEFAULT_SEED,
+    machine_config=None, fault_plan=None, **thrifty_overrides,
+):
+    """Run one cell traced: ``(result, inspect(run, tracer))`` of the
+    live simulation it read (its ``RunResult`` and ``Tracer``).
+
+    Inside :func:`_shared_baseline`, the Baseline and derived cells of
+    one (app, threads, seed, machine config, fault plan) with equal
+    ``inspect`` read one simulation and its one inspection.
+    """
+    check_configs((config,))
+    return _run_cell(
+        app, config, threads, seed, machine_config, Tracer(), fault_plan,
+        thrifty_overrides, inspect,
+    )
 
 
 def run_app(

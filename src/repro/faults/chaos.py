@@ -1,45 +1,32 @@
 """Seeded chaos campaigns across the paper's five configurations.
 
 A campaign is a matrix of (application, configuration, fault plan)
-cells. Each cell runs one live simulation with the plan installed (the
-derived oracle configurations replay their perturbed Baseline), audits
-the full telemetry stream with the
+cells. Each cell is engine work, a :class:`ChaosCell`: the process that
+simulates it runs the cell with the plan installed (the derived oracle
+configurations replay their perturbed Baseline), audits the full
+telemetry stream with the
 :class:`~repro.faults.invariants.InvariantChecker`, and reports what
 chaos cost: injected-fault counts, late wake-ups, and the energy and
-execution-time deltas against the same cell run clean. The thrifty
-configurations run with graceful degradation enabled
-(:data:`DEGRADED_THRIFTY`) so disabled predictors fall back to
-spin-then-sleep and re-enable after probation.
-
-The clean references are ordinary engine cells, run once per
-application (three simulations for five configurations); a journaled
-campaign keeps them and its cell reports in its run's result store.
+execution-time deltas against the same cell run clean. A plan's
+Baseline, Oracle-Halt and Ideal cells read one perturbed Baseline and
+its one audit. The thrifty configurations run with graceful
+degradation enabled (:data:`DEGRADED_THRIFTY`) so disabled predictors
+fall back to spin-then-sleep and re-enable after probation.
 
 Everything is seeded: the same ``(plans, apps, configs, threads,
-seed)`` produce byte-identical reports, which is what lets the chaos
-CI smoke job diff against a clean baseline.
+seed)`` produce byte-identical reports at any worker count, which is
+what lets the chaos CI smoke job diff against a clean baseline.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
-from repro.experiments.configs import (
-    CONFIG_NAMES,
-    LIVE_CONFIGS,
-    check_configs,
-)
+from repro.errors import CampaignInterrupted, ConfigError
+from repro.experiments.configs import CONFIG_NAMES, check_configs
 from repro.experiments.parallel import ExperimentCell, ExperimentEngine
-from repro.experiments.runner import (
-    DEFAULT_SEED,
-    _derived_result,
-    _live_result,
-    _run_live,
-)
+from repro.experiments.runner import DEFAULT_SEED, run_inspected
 from repro.faults.injector import FAULT_KINDS
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import FaultPlan
-from repro.telemetry.tracer import Tracer
 
 #: Liveness deadline for campaign cells: a departure more than 10 ms of
 #: simulated time after its release is a violation. Generous against
@@ -109,12 +96,13 @@ class ChaosCampaignReport:
     """A full campaign: every cell plus roll-up properties.
 
     ``interrupted`` marks a campaign stopped by preemption before every
-    planned cell ran — :attr:`cells` then holds the partial results
-    (never discarded), ``planned`` what a full run would contain, and
-    ``run_id`` (when journaled) what to pass to ``--resume``.
-    ``resumed_cells`` counts cells restored from the run's result store
-    instead of re-simulated. ``stopped_early`` marks a
-    ``fail_fast`` campaign that stopped at its first violating cell.
+    planned cell ran — :attr:`cells` then holds its finished cells in
+    sweep order (never discarded), ``planned`` what a full run would
+    contain, and ``run_id`` (when journaled) what to pass to
+    ``--resume``. ``resumed_cells`` counts the chaos cells (not the
+    clean references) restored from the run's result store instead of
+    re-simulated. ``stopped_early`` marks a ``fail_fast`` campaign whose
+    report ends at its first violating cell.
     """
 
     cells: list = field(default_factory=list)
@@ -144,175 +132,147 @@ class ChaosCampaignReport:
         return sum(cell.late_wakes for cell in self.cells)
 
 
+@dataclass(frozen=True)
+class _Audit:
+    """What a chaos cell reads off its simulation, once per simulation
+    (:func:`~repro.experiments.runner.run_inspected`): the invariant
+    violations and the fault, late-wake and release counters."""
+
+    deadline_ns: int
+
+    def __call__(self, run, tracer):
+        violations = InvariantChecker(deadline_ns=self.deadline_ns).audit(
+            tracer.events, accounts=run.accounts, tracer=tracer,
+        )
+        counters = tracer.metrics.snapshot().get("counters", {})
+        return {
+            "violations": tuple(violations),
+            "injected": {
+                kind: counters["fault.kind[{}]".format(kind)]
+                for kind in FAULT_KINDS
+                if "fault.kind[{}]".format(kind) in counters
+            },
+            "late_wakes": counters.get("wake.late", 0),
+            "releases": counters.get("barrier.releases", 0),
+        }
+
+
 def run_chaos_cell(
     app, config, plan, threads=16, seed=DEFAULT_SEED,
-    machine_config=None, deadline_ns=DEFAULT_DEADLINE_NS, clean=None,
+    machine_config=None, deadline_ns=DEFAULT_DEADLINE_NS,
 ):
-    """Run and audit one chaos cell; returns a :class:`ChaosCellReport`.
-
-    ``clean`` is an optional :class:`~repro.experiments.runner.
-    ExperimentResult` of the same cell without a plan, used for the
-    energy/time deltas.
-    """
-    check_configs((config,))
-    tracer = Tracer()
-    overrides = _overrides_for(config)
-    if config in LIVE_CONFIGS:
-        run = _run_live(
-            app, config, threads, seed, machine_config, overrides,
-            telemetry=tracer, fault_plan=plan,
-        )
-        result = _live_result(app, config, run)
-    else:
-        run = _run_live(
-            app, "baseline", threads, seed, machine_config, {},
-            telemetry=tracer, fault_plan=plan,
-        )
-        result = _derived_result(app, config, run)
-    checker = InvariantChecker(deadline_ns=deadline_ns)
-    violations = checker.audit(
-        tracer.events, accounts=run.accounts, tracer=tracer,
+    """Run and audit one chaos cell; returns a :class:`ChaosCellReport`
+    without deltas (:func:`run_chaos_campaign` fills them in)."""
+    result, audit = run_inspected(
+        app, config, _Audit(deadline_ns), threads=threads, seed=seed,
+        machine_config=machine_config, fault_plan=plan,
+        **_overrides_for(config)
     )
-    counters = tracer.metrics.snapshot().get("counters", {})
-    injected = {
-        kind: counters["fault.kind[{}]".format(kind)]
-        for kind in FAULT_KINDS
-        if "fault.kind[{}]".format(kind) in counters
-    }
-    report = ChaosCellReport(
+    return ChaosCellReport(
         app=app,
         config=config,
         plan=plan,
         threads=threads,
-        violations=tuple(violations),
-        injected=injected,
-        late_wakes=counters.get("wake.late", 0),
-        releases=counters.get("barrier.releases", 0),
         execution_time_ns=result.execution_time_ns,
         energy_joules=result.energy_joules,
+        **audit
     )
-    if clean is not None:
-        report.energy_delta = result.energy_joules - clean.energy_joules
-        report.time_delta_ns = (
-            result.execution_time_ns - clean.execution_time_ns
-        )
-    return report
 
 
-def _clean_references(engine, app, configs, threads, seed,
-                      machine_config):
-    """``{config: result}`` of ``app`` run without a plan, each config
-    with its chaos overrides, on ``engine``."""
-    cells = [
-        ExperimentCell.make(
-            app, config, threads=threads, seed=seed,
-            machine_config=machine_config, **_overrides_for(config)
+@dataclass(frozen=True)
+class ChaosCell(ExperimentCell):
+    """One (app, config, plan) cell as engine work: its result is its
+    :class:`ChaosCellReport`. Its key adds the plan and deadline to a
+    fault-free cell's, so it never equals a clean result's (a no-op
+    plan's included); the plan joins its unit key too."""
+
+    plan: FaultPlan = None
+    deadline_ns: int = DEFAULT_DEADLINE_NS
+
+    def key(self):
+        return super().key(plan=self.plan, deadline_ns=self.deadline_ns)
+
+    def run(self):
+        return run_chaos_cell(
+            self.app, self.config, self.plan, threads=self.threads,
+            seed=self.seed, machine_config=self.machine_config,
+            deadline_ns=self.deadline_ns,
         )
-        for config in configs
-    ]
-    return dict(zip(configs, engine.run_cells(cells)))
 
 
 def run_chaos_campaign(
     plans, apps=DEFAULT_APPS, configs=CONFIG_NAMES, threads=16,
     seed=DEFAULT_SEED, machine_config=None,
     deadline_ns=DEFAULT_DEADLINE_NS, journal=None, preemption=None,
-    fail_fast=False,
+    fail_fast=False, workers=1,
 ):
-    """Sweep plans × apps × configs; returns a
+    """Sweep apps × configs × plans; returns a
     :class:`ChaosCampaignReport`.
 
-    Just before an app's first cell runs, its clean references run as
-    :class:`~repro.experiments.parallel.ExperimentCell` cells on an
-    engine, each with its config's chaos overrides, so the Baseline,
-    Oracle-Halt and Ideal references share one Baseline simulation; a
-    failing one raises :class:`~repro.errors.ExperimentError`.
-
-    Crash safety: with a ``journal``
-    (:class:`~repro.experiments.journal.RunJournal`), the run's result
-    store keeps every finished cell's report, keyed by the sha256 of
-    its journal cell id, and the clean references, which the engine
-    caches under their content keys. A resumed campaign restores them
-    instead of re-simulating; results are byte-identical either way
-    (the cells are seeded). With ``preemption`` (anything exposing
-    ``requested``), a SIGTERM/SIGINT between cells — or a raw
-    ``KeyboardInterrupt`` mid-cell — ends the campaign gracefully: the
-    partial report is *returned*, never discarded, flagged
-    ``interrupted`` so the CLI can exit with the resumable status.
-
-    ``fail_fast`` stops the sweep at the first violating cell (restored
-    or freshly run) and flags the report ``stopped_early`` — the
-    violating cell is the last in :attr:`~ChaosCampaignReport.cells`.
+    One ``run_cells`` call on an
+    :class:`~repro.experiments.parallel.ExperimentEngine` of
+    ``workers`` runs every (app, config) clean reference (with the
+    config's chaos overrides), then every :class:`ChaosCell` in sweep
+    order: app, then config, then plan. Each report's deltas come from
+    its clean reference; a failing cell raises
+    :class:`~repro.errors.ExperimentError`. The engine's ``journal``
+    store restores finished cells on resume, and its ``preemption``
+    drain makes the report *return* its finished cells, flagged
+    ``interrupted``. ``fail_fast`` ends the report at the first
+    violating cell (``stopped_early``); the engine still runs the
+    whole sweep.
     """
     configs = check_configs(configs)
-    apps = tuple(apps)
-    report = ChaosCampaignReport(
-        deadline_ns=deadline_ns,
-        planned=len(apps) * len(configs) * len(plans),
-    )
-    store = state = None
+    sweep = [(app, config) for app in apps for config in configs]
+    references = [
+        ExperimentCell.make(
+            app, config, threads=threads, seed=seed,
+            machine_config=machine_config, **_overrides_for(config)
+        )
+        for app, config in sweep
+    ]
+    cells = [
+        ChaosCell(
+            app=app, config=config, threads=threads, seed=seed,
+            machine_config=machine_config, plan=plan,
+            deadline_ns=deadline_ns,
+        )
+        for app, config in sweep
+        for plan in plans
+    ]
+    report = ChaosCampaignReport(deadline_ns=deadline_ns, planned=len(cells))
+    store = None
     if journal is not None:
         report.run_id = journal.run_id
         store = journal.result_store()
-        state = journal.replay()
-    engine = ExperimentEngine(cache=store, strict=True)
-
-    def preempted():
-        return preemption is not None and bool(
-            getattr(preemption, "requested", False)
+        # A read, not a presence test: a corrupt entry is evicted here
+        # and re-run, so it does not count as restored.
+        report.resumed_cells = sum(
+            store.get(cell.key()) is not None for cell in cells
         )
-
-    def mark_interrupted(reason):
-        report.interrupted = True
-        if journal is not None:
-            journal.record_interrupted(
-                reason, len(report.cells), report.planned
-            )
-
+    engine = ExperimentEngine(
+        workers, cache=store, journal=journal, preemption=preemption,
+        strict=True,
+    )
     try:
-        for app in apps:
-            clean = None
-            for config in configs:
-                for plan_index, plan in enumerate(plans):
-                    if preempted():
-                        mark_interrupted(
-                            getattr(preemption, "reason", "request")
-                        )
-                        return report
-                    cell_id = "{}/{}/plan{}".format(app, config, plan_index)
-                    key = hashlib.sha256(cell_id.encode("utf-8")).hexdigest()
-                    cell = None
-                    if state is not None and cell_id in state.completed:
-                        cell = store.get(key)
-                    if cell is not None:
-                        report.resumed_cells += 1
-                    else:
-                        if clean is None:
-                            clean = _clean_references(
-                                engine, app, configs, threads, seed,
-                                machine_config,
-                            )
-                        if journal is not None:
-                            journal.record_dispatched(cell_id)
-                        cell = run_chaos_cell(
-                            app, config, plan, threads=threads, seed=seed,
-                            machine_config=machine_config,
-                            deadline_ns=deadline_ns, clean=clean[config],
-                        )
-                        if journal is not None:
-                            store.put(key, cell)
-                            journal.record_completed(cell_id)
-                    report.cells.append(cell)
-                    if fail_fast and cell.violations:
-                        report.stopped_early = True
-                        return report
-    except KeyboardInterrupt:
-        # A raw Ctrl-C mid-simulation (no guard installed, or the
-        # operator pressed it twice): still report what finished.
-        mark_interrupted("SIGINT")
-        return report
-    if journal is not None:
-        journal.record_finished(completed=len(report.cells), failed=0)
+        results = engine.run_cells(references + cells)
+    except CampaignInterrupted as stop:
+        report.interrupted = True
+        results = stop.results
+    clean = results[:len(references)]
+    for index, cell in enumerate(results[len(references):]):
+        if cell is None:
+            continue
+        reference = clean[index // len(plans)]
+        if reference is not None:
+            cell.energy_delta = cell.energy_joules - reference.energy_joules
+            cell.time_delta_ns = (
+                cell.execution_time_ns - reference.execution_time_ns
+            )
+        report.cells.append(cell)
+        if fail_fast and cell.violations:
+            report.stopped_early = True
+            break
     return report
 
 

@@ -43,17 +43,6 @@ class Hypercube:
         """Maximum hop count between any two nodes."""
         return self.dimension
 
-    def average_distance(self):
-        """Mean hop count over distinct ordered node pairs.
-
-        Each address bit differs in half of all ordered pairs, giving a
-        pair-sum of ``d * n^2 / 2``; excluding the ``n`` zero-distance
-        pairs yields ``d/2 * n/(n-1)``.
-        """
-        if self.n_nodes == 1:
-            return 0.0
-        return self.dimension / 2 * self.n_nodes / (self.n_nodes - 1)
-
     def __repr__(self):
         return "Hypercube(n_nodes={}, dimension={})".format(
             self.n_nodes, self.dimension

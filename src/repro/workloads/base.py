@@ -152,15 +152,6 @@ class WorkloadModel:
             )
         return instances
 
-    def expected_serial_ns(self, n_threads, seed=0):
-        """Sum of per-instance maxima: the compute-critical-path length."""
-        return int(
-            sum(
-                instance.durations.max()
-                for instance in self.generate(n_threads, seed)
-            )
-        )
-
     def __repr__(self):
         return "WorkloadModel({!r}, {} static barriers, {} instances)".format(
             self.name, len(self.static_barriers), self.dynamic_instances

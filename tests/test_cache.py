@@ -178,13 +178,6 @@ class TestCacheHierarchy:
         hierarchy.fill(1, LineState.SHARED)
         assert hierarchy.dirty_lines() == [0]
 
-    def test_drop_all(self):
-        hierarchy = self._hierarchy()
-        hierarchy.fill(0, LineState.MODIFIED)
-        hierarchy.drop_all()
-        assert hierarchy.state(0) is None
-        assert hierarchy.dirty_lines() == []
-
 
 # ----------------------------------------------------------------------
 # Part 2: the on-disk experiment result cache (repro.experiments.cache).

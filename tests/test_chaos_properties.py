@@ -76,8 +76,9 @@ class TestChaosCampaign:
         )
         assert len(report.cells) == len(CONFIG_NAMES)
         # Three clean simulations (Oracle-Halt and Ideal replay the
-        # Baseline) plus one perturbed simulation per cell.
-        assert count_simulations() == 3 + len(CONFIG_NAMES)
+        # Baseline) plus three perturbed ones: the plan's Baseline,
+        # Oracle-Halt and Ideal cells read one perturbed Baseline.
+        assert count_simulations() == 3 + 3
 
     def test_journaled_rerun_restores_every_cell(
         self, tmp_path, count_simulations
@@ -118,3 +119,179 @@ class TestChaosCampaign:
         ThriftyConfig(**DEGRADED_THRIFTY)  # must construct cleanly
         assert DEGRADED_THRIFTY["probation_episodes"] > 0
         assert DEGRADED_THRIFTY["fallback_spin_then_sleep"] is True
+
+
+class _FlipAfterSettled:
+    """A preemption guard whose ``requested`` turns true once the engine
+    has settled ``after`` cells."""
+
+    reason = "test"
+    drain_deadline_s = 60.0
+
+    def __init__(self, after):
+        self.after = after
+        self.settled = 0
+
+    @property
+    def requested(self):
+        return self.settled >= self.after
+
+
+class TestChaosOnTheEngine:
+    """Chaos cells are engine cells: a plan's Baseline, Oracle-Halt and
+    Ideal cells read one perturbed Baseline, and the engine's workers,
+    store and preemption drain serve the campaign."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_smoke_campaign_costs_twelve_simulations(
+        self, workers, count_simulations
+    ):
+        # Per app: 3 clean simulations, then per plan one perturbed
+        # Baseline (its B/O/I cells) plus Thrifty-Halt and Thrifty.
+        report = run_chaos_campaign(
+            sample_plans(3, seed=7), apps=("fmm",), threads=16, seed=7,
+            workers=workers,
+        )
+        assert len(report.cells) == 15
+        assert report.ok
+        assert count_simulations() == 12
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_app_campaign_costs_eighteen_simulations(
+        self, workers, count_simulations
+    ):
+        report = run_chaos_campaign(
+            sample_plans(2, seed=11), apps=("fmm", "radix"), threads=8,
+            workers=workers,
+        )
+        assert [(cell.app, cell.config) for cell in report.cells] == [
+            (app, config)
+            for app in ("fmm", "radix")
+            for config in CONFIG_NAMES
+            for _ in range(2)
+        ]
+        assert count_simulations() == 2 * (3 + 2 * 3)
+
+    def test_report_is_the_same_at_any_worker_count(self):
+        plans = sample_plans(2, seed=11)
+        serial, parallel = (
+            chaos_report_as_dict(run_chaos_campaign(
+                plans, apps=("fmm", "radix"), threads=8, workers=workers,
+            ))
+            for workers in (1, 2)
+        )
+        assert serial == parallel
+
+    def test_shared_baseline_audit_matches_a_cell_run_alone(self):
+        # The derived cells of one plan read the Baseline's simulation
+        # and audit: each matches the same cell run on its own.
+        plan = sample_plans(1, seed=11)[0]
+        report = run_chaos_campaign(
+            [plan], apps=("fmm",), threads=8,
+            configs=("baseline", "oracle-halt", "ideal"),
+        )
+        for cell in report.cells:
+            alone = run_chaos_cell("fmm", cell.config, plan, threads=8)
+            assert (cell.violations, cell.injected, cell.late_wakes,
+                    cell.releases, cell.execution_time_ns,
+                    cell.energy_joules) == (
+                alone.violations, alone.injected, alone.late_wakes,
+                alone.releases, alone.execution_time_ns,
+                alone.energy_joules,
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("after", [1, 6])
+    def test_preempted_campaign_resumes_to_the_full_report(
+        self, tmp_path, monkeypatch, workers, after
+    ):
+        from repro.experiments.parallel import ExperimentEngine
+
+        plans = sample_plans(2, seed=11)
+        campaign = dict(apps=("fmm",), threads=8, workers=workers)
+        full = chaos_report_as_dict(run_chaos_campaign(plans, **campaign))
+
+        guard = _FlipAfterSettled(after)
+        settle = ExperimentEngine._settle
+
+        def counting(self, queue, cells, event, results, use_cache):
+            settle(self, queue, cells, event, results, use_cache)
+            guard.settled += event[0] == "result"
+
+        monkeypatch.setattr(ExperimentEngine, "_settle", counting)
+        journal = RunJournal.create({"chaos": 1}, run_id="p", root=tmp_path)
+        partial = run_chaos_campaign(
+            plans, journal=journal, preemption=guard, **campaign
+        )
+        assert partial.interrupted
+        assert partial.run_id == "p"
+        assert len(partial.cells) < partial.planned == 10
+        done = chaos_report_as_dict(partial)["cells"]
+        assert done == [cell for cell in full["cells"] if cell in done]
+
+        monkeypatch.setattr(ExperimentEngine, "_settle", settle)
+        resumed = run_chaos_campaign(
+            plans, journal=RunJournal.open("p", root=tmp_path), **campaign
+        )
+        assert not resumed.interrupted
+        assert resumed.resumed_cells == len(partial.cells)
+        assert dict(
+            chaos_report_as_dict(resumed), resumed_cells=0, run_id=""
+        ) == full
+
+    def test_no_op_plans_never_share_a_key_with_clean_references(
+        self, tmp_path
+    ):
+        from repro.experiments.parallel import ExperimentCell, _unit_key
+        from repro.faults.chaos import ChaosCell, _overrides_for
+
+        plans = sample_plans(2, seed=11, intensity=0)
+        assert all(plan.is_noop for plan in plans)
+        references = [
+            ExperimentCell.make(
+                "fmm", config, threads=8, **_overrides_for(config)
+            )
+            for config in CONFIG_NAMES
+        ]
+        cells = [
+            ChaosCell(app="fmm", config=config, threads=8, plan=plan)
+            for config in CONFIG_NAMES
+            for plan in plans
+        ]
+        keys = {cell.key() for cell in references + cells}
+        assert len(keys) == len(references) + len(cells)
+        units = {_unit_key(cell) for cell in references} - {None}
+        assert units.isdisjoint(_unit_key(cell) for cell in cells)
+
+        journal = RunJournal.create({"chaos": 0}, run_id="z", root=tmp_path)
+        report = run_chaos_campaign(
+            plans, apps=("fmm",), threads=8, journal=journal,
+        )
+        assert len(journal.result_store()) == len(keys)
+        # Without faults a cell costs what its clean reference does.
+        assert {cell.energy_delta for cell in report.cells} == {0.0}
+        assert {cell.time_delta_ns for cell in report.cells} == {0}
+
+    def test_corrupt_cell_is_re_run_not_counted_as_restored(
+        self, tmp_path, count_simulations
+    ):
+        from repro.faults.chaos import ChaosCell
+
+        plans = sample_plans(1, seed=11)
+        campaign = dict(apps=("fmm",), configs=("baseline", "thrifty"),
+                        threads=4)
+        first = run_chaos_campaign(
+            plans, journal=RunJournal.create({}, run_id="k", root=tmp_path),
+            **campaign
+        )
+        journal = RunJournal.open("k", root=tmp_path)
+        cell = ChaosCell(app="fmm", config="thrifty", threads=4,
+                         plan=plans[0])
+        entry = journal.result_store()._entry_path(cell.key())
+        entry.write_bytes(entry.read_bytes()[:10])
+        simulated = count_simulations()
+        resumed = run_chaos_campaign(plans, journal=journal, **campaign)
+        assert count_simulations() - simulated == 1
+        assert resumed.resumed_cells == 1
+        assert chaos_report_as_dict(resumed)["cells"] == \
+            chaos_report_as_dict(first)["cells"]

@@ -338,6 +338,31 @@ class TestCheckCli:
         out = capsys.readouterr().out
         assert "clean" in out
 
+    def test_each_live_simulation_is_explored_once(
+        self, capsys, monkeypatch
+    ):
+        # Oracle-Halt and Ideal explore the Baseline simulation they
+        # replay: five configs cost three explorations, and every config
+        # still prints its line.
+        from repro.check import explorer
+
+        calls = []
+        run = explorer.run_schedule
+
+        def counted(**kwargs):
+            calls.append(kwargs["config"])
+            return run(**kwargs)
+
+        monkeypatch.setattr(explorer, "run_schedule", counted)
+        assert main(["check", "--schedules", "16", "--depth", "12"]) == 0
+        assert len(calls) == 48
+        assert sorted(set(calls)) == ["baseline", "thrifty", "thrifty-halt"]
+        assert capsys.readouterr().out.splitlines() == [
+            "check fmm/{}/8t seed 1 [dfs]: 16 schedule(s), 16 unique "
+            "(budget exhausted) — clean".format(config)
+            for config in CONFIG_NAMES
+        ]
+
     def test_mutant_exits_one_and_writes_replayable_artifact(
         self, tmp_path, capsys, monkeypatch
     ):

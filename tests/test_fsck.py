@@ -358,6 +358,7 @@ class TestChaosRunStore:
         self, tmp_path, count_simulations
     ):
         from repro.faults.chaos import (
+            ChaosCell,
             chaos_report_as_dict,
             run_chaos_campaign,
             sample_plans,
@@ -370,7 +371,9 @@ class TestChaosRunStore:
         first = run_chaos_campaign(plans, journal=journal, **campaign)
         assert fsck_run(journal.run_dir).ok
 
-        entry = _store_entry(journal, "fmm/thrifty/plan0")
+        cell = ChaosCell(app="fmm", config="thrifty", threads=4,
+                         plan=plans[0])
+        entry = journal.result_store()._entry_path(cell.key())
         entry.write_bytes(entry.read_bytes()[:10])
         report = fsck_run(journal.run_dir, repair=True)
         (finding,) = report.issues

@@ -48,10 +48,6 @@ class TestHypercube:
     def test_diameter(self):
         assert Hypercube(64).diameter == 6
 
-    def test_average_distance_64(self):
-        # d/2 * n/(n-1) = 3 * 64/63
-        assert Hypercube(64).average_distance() == pytest.approx(3 * 64 / 63)
-
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_hops_symmetric(self, a, b):
         cube = Hypercube(64)

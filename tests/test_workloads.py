@@ -156,9 +156,6 @@ class TestWorkloadModel:
         with pytest.raises(WorkloadError):
             self._model().generate(0)
 
-    def test_expected_serial_ns_positive(self):
-        assert self._model().expected_serial_ns(4) >= 9 * 1_000
-
 
 class TestSplash2Registry:
     def test_all_ten_applications_present(self):
