@@ -128,7 +128,7 @@ def run_schedule(
     except ReproError as error:
         crash = error
 
-    events = list(tracer.events)
+    events = tracer.events
     stuck = tuple(
         process.name for process in system._threads if not process.triggered
     )

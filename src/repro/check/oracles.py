@@ -26,6 +26,7 @@ crossed early).
 from repro.faults.invariants import (
     InvariantViolation,
     annotate_window_indices,
+    _stream,
     _window,
 )
 from repro.telemetry.events import (
@@ -49,7 +50,7 @@ def check_no_lost_wakeup(events, stuck_threads=(), annotate=True):
     event queue drained (a lost wake-up wedges the whole machine: the
     queue empties with the sleeper still blocked).
     """
-    events = list(events)
+    events = _stream(events)
     violations = []
     open_sleeps = {}  # thread -> SleepEnter
     for event in events:
@@ -88,7 +89,7 @@ def check_no_lost_wakeup(events, stuck_threads=(), annotate=True):
 
 def check_release_safety(events, n_threads=None, annotate=True):
     """Violations for releases that preceded the last arrival."""
-    events = list(events)
+    events = _stream(events)
     episodes = {}  # (pc, sequence) -> [check_ins], release
     for event in events:
         if isinstance(event, BarrierCheckIn):

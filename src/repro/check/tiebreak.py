@@ -19,7 +19,9 @@ class TieBreaker:
 
     Subclasses override :meth:`_choose`; :meth:`choose` wraps it with
     the decision-trace bookkeeping so every strategy records the same
-    way.
+    way. :class:`ScheduleDriver`, which drives every explored and
+    replayed schedule, overrides :meth:`choose` itself to decide and
+    record in one call.
     """
 
     def __init__(self):
@@ -87,18 +89,18 @@ class ScheduleDriver(TieBreaker):
     def __init__(self, decisions=()):
         super().__init__()
         self.forced = tuple(int(d) for d in decisions)
-        self._position = 0
 
-    def reset(self):
-        super().reset()
-        self._position = 0
-
-    def _choose(self, time, candidates):
-        position = self._position
-        self._position = position + 1
-        if position < len(self.forced):
-            return self.forced[position] % len(candidates)
-        return 0
+    def choose(self, time, candidates):
+        # Overrides choose, not _choose: every explored choice point
+        # comes through here, so deciding and recording take one call.
+        # The trace's length is the position in the forced prefix.
+        trace = self.trace
+        arity = len(candidates)
+        position = len(trace)
+        forced = self.forced
+        choice = forced[position] % arity if position < len(forced) else 0
+        trace.append((arity, choice))
+        return choice
 
 
 def schedule_key(trace):

@@ -65,6 +65,7 @@ import sys
 from repro.errors import CampaignInterrupted, ConfigError, ServeError
 from repro.experiments import figures, tables
 from repro.experiments import report
+from repro.experiments.configs import CONFIG_NAMES, check_configs
 from repro.experiments.preemption import EXIT_RESUMABLE, PreemptionGuard
 from repro.experiments.runner import DEFAULT_SEED, run_matrix
 from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
@@ -360,7 +361,6 @@ def _resume_hint(args, run_id):
 
 def _run_cell_command(args):
     """The run / trace / metrics telemetry commands: one traced cell."""
-    from repro.experiments.configs import check_configs
     from repro.experiments.runner import run_experiment
     from repro.telemetry.export import metrics_to_csv, write_chrome_trace
 
@@ -431,13 +431,8 @@ def _run_chaos_command(args):
         sample_plans,
     )
 
-    from repro.experiments.configs import CONFIG_NAMES, check_configs
-
     apps = tuple(args.apps or ("fmm",))
-    try:
-        configs = check_configs(args.configs or CONFIG_NAMES)
-    except ConfigError as exc:
-        return _usage(str(exc))
+    configs = tuple(args.configs or CONFIG_NAMES)
     plans = sample_plans(args.plans, seed=args.seed, intensity=args.intensity)
     spec = {
         "kind": "chaos", "apps": list(apps), "configs": list(configs),
@@ -504,7 +499,6 @@ def _run_check_command(args):
         write_counterexample,
     )
     from repro.check.harness import explored_config
-    from repro.experiments.configs import CONFIG_NAMES, check_configs
 
     if args.replay:
         try:
@@ -538,10 +532,7 @@ def _run_check_command(args):
         app, configs = spec.app, (spec.base_config,)
     else:
         app = args.app
-        try:
-            configs = check_configs(args.configs or CONFIG_NAMES)
-        except ConfigError as exc:
-            return _usage(str(exc))
+        configs = tuple(args.configs or CONFIG_NAMES)
 
     # Each live simulation is explored once; every config reading it
     # (Oracle-Halt and Ideal read the Baseline) prints its line.
@@ -790,6 +781,7 @@ def main(argv=None):
             (args.app,) if args.artifact in _CELL_COMMANDS + _CHECK_COMMANDS
             else args.apps or ()
         )
+        check_configs(args.configs or ())
     except ConfigError as exc:
         return _usage(str(exc))
     if args.artifact in _CELL_COMMANDS:
@@ -805,7 +797,6 @@ def main(argv=None):
     engine_metrics = MetricsRegistry()
     if needs_matrix:
         from repro import __version__
-        from repro.experiments.configs import CONFIG_NAMES
 
         apps = tuple(args.apps or SPLASH2_NAMES)
         spec = {

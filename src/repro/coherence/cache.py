@@ -141,11 +141,6 @@ class Cache:
         """Number of resident lines."""
         return sum(len(cache_set) for cache_set in self._sets if cache_set)
 
-    def clear(self):
-        """Drop every line (used after a deep-sleep flush)."""
-        self._sets = [None] * self._n_sets
-        self._dirty_counts.clear()
-
 
 class CacheHierarchy:
     """The private L1+L2 pair of one node, kept inclusive.

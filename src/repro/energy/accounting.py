@@ -36,10 +36,11 @@ class EnergyAccount:
     """Accumulates joules and nanoseconds per :class:`Category`.
 
     ``telemetry`` is an optional :class:`~repro.telemetry.tracer.Tracer`;
-    when enabled, every closed segment also feeds the per-category
+    when enabled, every closed segment also bumps the per-category
     residency counters of its metrics registry (``energy.time_ns[...]``
-    / ``energy.joules[...]``). Disabled or absent telemetry costs one
-    branch per segment.
+    / ``energy.joules[...]``) directly, in charge order, rather than
+    through an event. Disabled or absent telemetry costs one branch per
+    segment.
     """
 
     def __init__(self, telemetry=None):
@@ -80,13 +81,14 @@ class EnergyAccount:
         if telemetry is not None and telemetry.enabled:
             pair = self._counters[index]
             if pair is None:
-                metrics = telemetry.metrics
                 pair = self._counters[index] = (
-                    metrics.counter(_TIME_KEY[index]),
-                    metrics.counter(_JOULES_KEY[index]),
+                    telemetry.counter(_TIME_KEY[index]),
+                    telemetry.counter(_JOULES_KEY[index]),
                 )
-            pair[0].inc(duration_ns)
-            pair[1].inc(energy_joules)
+            # Both amounts were checked non-negative above, all that
+            # Counter.inc would check.
+            pair[0].value += duration_ns
+            pair[1].value += energy_joules
 
     def __getstate__(self):
         # The tracer (and its cached counters) are live, run-scoped

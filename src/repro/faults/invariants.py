@@ -100,8 +100,10 @@ def annotate_window_indices(violations, events):
     its window's earliest/latest event in that stream. Window events
     not present in the stream (defensive) are skipped. Returns new
     (frozen) records; violations without windows pass through
-    untouched.
+    untouched, and the stream is not read when none has a window.
     """
+    if not any(violation.window for violation in violations):
+        return list(violations)
     positions = {id(event): index for index, event in enumerate(events)}
     annotated = []
     for violation in violations:
@@ -129,6 +131,12 @@ class InvariantError(ReproError):
 
 def _window(events):
     return tuple(events[:_WINDOW_LIMIT])
+
+
+def _stream(events):
+    """``events`` as a sequence the checks can walk more than once: a
+    list or tuple as it is, anything else copied into a list."""
+    return events if isinstance(events, (list, tuple)) else list(events)
 
 
 @dataclass
@@ -270,13 +278,11 @@ class InvariantChecker:
     def _check_energy(self, events, accounts):
         violations = []
         last_ts = {}
-        per_thread = {}
         for event in events:
             thread = getattr(event, "thread", None)
             if thread is None:
                 continue
             last_ts[thread] = max(last_ts.get(thread, 0), event.ts)
-            per_thread.setdefault(thread, []).append(event)
         for thread in sorted(last_ts):
             if thread >= len(accounts):
                 continue
@@ -291,7 +297,10 @@ class InvariantChecker:
                             thread, accounted, wall, accounted - wall
                         )
                     ),
-                    window=_window(per_thread[thread][-_WINDOW_LIMIT:]),
+                    window=_window([
+                        event for event in events
+                        if getattr(event, "thread", None) == thread
+                    ][-_WINDOW_LIMIT:]),
                 ))
         return violations
 
@@ -305,7 +314,7 @@ class InvariantChecker:
         ``RunResult.accounts``); without it the energy-conservation
         check is skipped.
         """
-        events = list(events)
+        events = _stream(events)
         violations = list(self._check_monotonic(events))
         safety, liveness = self._barrier_violations(events)
         violations.extend(safety)

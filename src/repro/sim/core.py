@@ -33,8 +33,9 @@ event budget, trace hook or tie-breaker — the only mode the campaign
 runner uses — is a full drain with no per-callback checks that walks a
 list bucket with a head cursor. Every other mode (``until``,
 ``max_events``, a trace hook, a :attr:`Simulator.tie_breaker`, and
-:meth:`Simulator.step`) runs the one instrumented loop, which pops each
-entry off its bucket as it dispatches it.
+:meth:`Simulator.step`) runs the one instrumented loop, which takes a
+singleton as the drain does and pops each entry off a list bucket as it
+dispatches it.
 
 Everything else in the package — coherence transactions, CPU sleep
 transitions, barrier releases — is expressed as callbacks or as
@@ -334,7 +335,9 @@ class Simulator:
         event in time, so every explored schedule is a legal ordering
         of the same event set. Same-timestamp children scheduled by the
         executing callback join the open bucket and the next round's
-        candidate set.
+        candidate set. A singleton is taken the way the drain takes
+        it, its bucket closed before it runs; its same-timestamp
+        children open a new bucket, which is the same candidate set.
         """
         self._running = True
         chooser = self.tie_breaker
@@ -346,51 +349,47 @@ class Simulator:
         try:
             while times:
                 time = times[0]
-                bucket = buckets[time]
-                if bucket.__class__ is not list:
-                    # Promote singletons: children scheduled at this
-                    # time while the entry runs must join the bucket.
-                    bucket = buckets[time] = [bucket]
-                elif time == self._head_time:
-                    # A callback raised out of the full drain: drop the
-                    # entries before its cursor, already consumed.
-                    del bucket[: self._head_index]
-                    self._head_time = None
-                    self._head_index = 0
-                while (
-                    bucket
-                    and bucket[0].__class__ is Handle
-                    and bucket[0].cancelled
-                ):
-                    entry = bucket.pop(0)
-                    self.skipped_cancelled += 1
-                    if trace_cancelled:
-                        trace(time, entry.fn, entry.args, cancelled=True)
-                if not bucket:
+                entry = buckets[time]
+                if entry.__class__ is not list:
+                    if entry.__class__ is Handle and entry.cancelled:
+                        del buckets[time]
+                        heapq.heappop(times)
+                        self.skipped_cancelled += 1
+                        if trace_cancelled:
+                            trace(time, entry.fn, entry.args, cancelled=True)
+                        continue
+                    if until is not None and time > until:
+                        break
                     del buckets[time]
                     heapq.heappop(times)
-                    continue
-                if until is not None and time > until:
-                    break
-                index = 0
-                if chooser is not None and len(bucket) > 1:
-                    live = [
-                        i for i, entry in enumerate(bucket)
-                        if entry.__class__ is not Handle or not entry.cancelled
-                    ]
-                    if len(live) > 1:
-                        choice = chooser.choose(
-                            time, tuple([bucket[i] for i in live])
-                        )
-                        if not 0 <= choice < len(live):
-                            raise SchedulingError(
-                                "tie breaker chose index {} of {} "
-                                "candidates at t={}".format(
-                                    choice, len(live), time
-                                )
-                            )
-                        index = live[choice]
-                entry = bucket.pop(index)
+                else:
+                    bucket = entry
+                    if time == self._head_time:
+                        # A callback raised out of the full drain: drop
+                        # the entries before its cursor, already
+                        # consumed.
+                        del bucket[: self._head_index]
+                        self._head_time = None
+                        self._head_index = 0
+                    while (
+                        bucket
+                        and bucket[0].__class__ is Handle
+                        and bucket[0].cancelled
+                    ):
+                        entry = bucket.pop(0)
+                        self.skipped_cancelled += 1
+                        if trace_cancelled:
+                            trace(time, entry.fn, entry.args, cancelled=True)
+                    if not bucket:
+                        del buckets[time]
+                        heapq.heappop(times)
+                        continue
+                    if until is not None and time > until:
+                        break
+                    index = 0
+                    if chooser is not None and len(bucket) > 1:
+                        index = self._choose(chooser, time, bucket)
+                    entry = bucket.pop(index)
                 self._now = time
                 if entry.__class__ is Handle:
                     if trace is not None:
@@ -413,3 +412,29 @@ class Simulator:
         finally:
             self.executed += executed
             self._running = False
+
+    @staticmethod
+    def _choose(chooser, time, bucket):
+        """Index in ``bucket`` of the entry ``chooser`` picks among its
+        live entries (0 when fewer than two are live). Without a
+        cancelled entry the candidates are the bucket itself."""
+        live = None
+        for entry in bucket:
+            if entry.__class__ is Handle and entry.cancelled:
+                live = [
+                    i for i, other in enumerate(bucket)
+                    if other.__class__ is not Handle or not other.cancelled
+                ]
+                if len(live) < 2:
+                    return 0
+                candidates = tuple([bucket[i] for i in live])
+                break
+        else:
+            candidates = tuple(bucket)
+        choice = chooser.choose(time, candidates)
+        if not 0 <= choice < len(candidates):
+            raise SchedulingError(
+                "tie breaker chose index {} of {} candidates at "
+                "t={}".format(choice, len(candidates), time)
+            )
+        return choice if live is None else live[choice]

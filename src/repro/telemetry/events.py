@@ -5,7 +5,8 @@ Each event is a frozen dataclass carrying the simulated timestamp
 string used by the exporters. Events know how to fold themselves into a
 :class:`~repro.telemetry.metrics.MetricsRegistry` (:meth:`record`), so
 the tracer derives every metric from the same stream the timeline
-export consumes — there is one source of truth.
+export consumes — there is one source of truth. The tracer folds them
+when its metrics are read, in stream order, not as each is emitted.
 
 The module is also the home of :class:`SleepRecord`, promoted here from
 ``repro.sync.trace`` (which keeps a backward-compatible alias): it is

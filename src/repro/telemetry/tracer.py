@@ -5,7 +5,10 @@ The overhead contract: every instrumentation site guards on
 disabled tracer costs one attribute load and a branch per site and
 allocates nothing. ``benchmarks/bench_telemetry_overhead.py`` enforces
 the budget (disabled-tracer runtime within 5% of the untraced
-baseline).
+baseline). An enabled tracer's :meth:`~Tracer.emit` only appends: the
+metrics are derived from the stream when :attr:`Tracer.metrics` is
+read, not per emit, so a run whose metrics nobody reads (an explored
+schedule) never folds them.
 
 :data:`NULL_TRACER` is the shared disabled sentinel wired in wherever
 no tracer was requested; its :meth:`~NullTracer.emit` *raises*, turning
@@ -50,32 +53,49 @@ class Tracer:
     enabled:
         The guard flag every instrumentation site checks. A tracer
         created disabled never receives events and never allocates.
-    metrics:
-        Optional externally owned :class:`MetricsRegistry`; by default
-        the tracer owns a fresh one.
     """
 
-    __slots__ = ("enabled", "events", "metrics")
+    __slots__ = ("enabled", "events", "_registry", "_folded")
 
-    def __init__(self, enabled=True, metrics=None):
+    def __init__(self, enabled=True):
         self.enabled = enabled
         self.events = []
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._registry = MetricsRegistry()
+        # How many events of the stream the registry has recorded.
+        self._folded = 0
 
     def emit(self, event):
-        """Append one event and fold it into the metrics registry."""
+        """Append one event; its metrics are folded when read."""
         self.events.append(event)
-        event.record(self.metrics)
+
+    @property
+    def metrics(self):
+        """The :class:`MetricsRegistry` of the stream so far.
+
+        Each read first records, in stream order, every event emitted
+        since the last read, so a registry kept across later emits is
+        stale until this is read again.
+        """
+        registry = self._registry
+        events = self.events
+        for index in range(self._folded, len(events)):
+            events[index].record(registry)
+        self._folded = len(events)
+        return registry
+
+    def counter(self, name):
+        """The registry's counter ``name``, for a writer that bumps it
+        directly instead of through an event (the energy ledger's
+        residency totals). Folds nothing; no event may record into a
+        counter bumped this way, or the fold would reorder their sums.
+        """
+        return self._registry.counter(name)
 
     def snapshot(self):
         """Freeze the stream and metrics into a :class:`TelemetrySnapshot`."""
         return TelemetrySnapshot(
             events=tuple(self.events), metrics=self.metrics.snapshot()
         )
-
-    def clear(self):
-        self.events.clear()
-        self.metrics = MetricsRegistry()
 
     def __repr__(self):
         return "Tracer(enabled={}, {} events)".format(

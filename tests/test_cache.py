@@ -90,12 +90,6 @@ class TestCache:
         cache.insert(2, LineState.MODIFIED)
         assert sorted(cache.dirty_lines()) == [0, 2]
 
-    def test_clear(self):
-        cache = tiny_cache()
-        cache.insert(0, LineState.SHARED)
-        cache.clear()
-        assert cache.occupancy() == 0
-
     @given(st.lists(st.integers(0, 200), min_size=1, max_size=100))
     def test_occupancy_never_exceeds_capacity(self, lines):
         cache = tiny_cache(ways=2, sets=4)

@@ -197,6 +197,38 @@ class TestUnknownApplication:
         assert completed.stderr.count("\n") == 1
 
 
+class TestUnknownConfiguration:
+    """An unknown ``--configs`` name is a usage error in every verb:
+    exit 2, one stderr line naming the valid configurations, and no
+    journal, cache or simulation."""
+
+    @pytest.mark.parametrize("argv", [
+        ["figure5", "--apps", "fmm", "--run-id", "r"],
+        ["headline", "--apps", "fmm"],
+        ["table2", "--apps", "fmm"],
+        ["chaos", "--apps", "fmm", "--plans", "1", "--run-id", "r"],
+        ["check", "--schedules", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_2_before_touching_storage(
+        self, argv, capsys, tmp_path, count_simulations,
+    ):
+        journal = tmp_path / "runs"
+        cache = tmp_path / "cache"
+        assert main(argv + [
+            "--threads", "8", "--configs", "thrifty", "nosuch",
+            "--journal-dir", str(journal), "--cache-dir", str(cache),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("unknown configuration(s) 'nosuch';")
+        assert "oracle-halt" in lines[0]
+        assert not journal.exists()
+        assert not cache.exists()
+        assert count_simulations() == 0
+
+
 class TestChaosCommand:
     def test_campaign_reports_and_exits_zero(self, capsys):
         assert main([

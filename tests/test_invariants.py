@@ -12,6 +12,8 @@ from repro.faults.invariants import (
     MONOTONIC_TIME,
     InvariantChecker,
     InvariantError,
+    InvariantViolation,
+    annotate_window_indices,
 )
 from repro.telemetry.events import (
     BarrierCheckIn,
@@ -151,6 +153,14 @@ class TestEnergyConservation:
     def test_skipped_without_accounts(self):
         assert InvariantChecker().check(CLEAN) == []
 
+    def test_window_is_the_failed_threads_events(self):
+        accounts = [_Account(210), _Account(999)]
+        (violation,) = InvariantChecker().check(CLEAN, accounts=accounts)
+        assert violation.window == tuple(
+            event for event in CLEAN if event.thread == 1
+        )
+        assert (violation.first_index, violation.last_index) == (1, 4)
+
 
 class TestReporting:
     def test_assert_ok_raises_with_structured_violations(self):
@@ -161,6 +171,24 @@ class TestReporting:
         violation = excinfo.value.violations[0]
         assert violation.invariant == BARRIER_LIVENESS
         assert violation.window  # the offending event window travels
+
+    def test_one_shot_iterators_are_read_once(self):
+        accounts = [_Account(210), _Account(205)]
+        assert InvariantChecker().check(iter(CLEAN), accounts=accounts) == []
+        violations = InvariantChecker().check(iter([check_in(100, 0)]))
+        assert names(violations) == [BARRIER_LIVENESS]
+        assert (violations[0].first_index, violations[0].last_index) == (
+            0, 0,
+        )
+
+    def test_annotation_without_windows_never_reads_the_stream(self):
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("the stream was read")
+
+        assert annotate_window_indices([], Unreadable()) == []
+        bare = InvariantViolation(invariant=BARRIER_LIVENESS, message="m")
+        assert annotate_window_indices([bare], Unreadable()) == [bare]
 
     def test_audit_emits_one_check_event_per_invariant(self):
         tracer = Tracer()

@@ -192,14 +192,26 @@ class TestTracer:
         ))
         assert len(snapshot.events) == 1  # unchanged by later emits
 
-    def test_clear(self):
+    def test_metrics_fold_each_event_once_when_read(self):
+        recorded = []
+
+        class Probe:
+            def record(self, metrics):
+                recorded.append(self)
+
         tracer = Tracer()
-        tracer.emit(BarrierCheckIn(
-            ts=10, thread=0, pc="b1", sequence=0, is_last=False
-        ))
-        tracer.clear()
-        assert tracer.events == []
-        assert len(tracer.metrics) == 0
+        first, second = Probe(), Probe()
+        tracer.emit(first)
+        tracer.emit(second)
+        assert recorded == []  # emitting only appends
+        registry = tracer.metrics
+        assert recorded == [first, second]
+        assert tracer.metrics is registry
+        assert recorded == [first, second]
+        third = Probe()
+        tracer.emit(third)
+        tracer.snapshot()
+        assert recorded == [first, second, third]
 
     def test_snapshot_registry_rebuilds(self):
         tracer = Tracer()
@@ -222,6 +234,67 @@ class TestTracer:
             NULL_TRACER.emit(BarrierCheckIn(
                 ts=0, thread=0, pc="b1", sequence=0, is_last=False
             ))
+
+
+def _thrifty_snapshot(tracer, read_mid_run):
+    """A traced 4-thread FMM Thrifty run's snapshot, pickled, with one
+    callback at 16.7 ms of simulated time (about half the run) that
+    reads the metrics when ``read_mid_run``. Every case schedules it,
+    so every run dequeues the same callbacks."""
+    from repro.config import MachineConfig
+    from repro.experiments.configs import barrier_factory_for
+    from repro.experiments.runner import build_simulation
+    from repro.telemetry.tracer import collect_run_metrics
+
+    system, runner = build_simulation(
+        "fmm", 4, 1, barrier_factory_for("thrifty"),
+        MachineConfig(n_nodes=4), telemetry=tracer,
+    )
+    read_at = []
+
+    def midway():
+        if read_mid_run:
+            tracer.metrics
+        read_at.append(len(tracer.events))
+
+    system.sim.schedule(16_700_000, midway)
+    run = runner.run()
+    collect_run_metrics(tracer, system, run)
+    assert 0 < read_at[0] < len(tracer.events)
+    return pickle.dumps(tracer.snapshot())
+
+
+class TestLazyMetrics:
+    """The stream is the source of truth: when the registry is folded
+    from it never changes what the snapshot holds."""
+
+    def test_unread_metrics_record_no_event(self, monkeypatch):
+        from repro.check.harness import run_schedule
+        from repro.telemetry.events import EVENT_TYPES
+
+        recorded = []
+        for event_type in EVENT_TYPES:
+            monkeypatch.setattr(
+                event_type, "record",
+                lambda event, metrics: recorded.append(event),
+            )
+        # An explored schedule audits its stream and never reads the
+        # tracer's metrics, its energy residency counters included.
+        result = run_schedule("fmm", "thrifty", threads=4, seed=1)
+        assert result.ok and result.events
+        assert recorded == []
+
+    def test_snapshot_is_the_same_whenever_metrics_are_read(self):
+        class EagerTracer(Tracer):
+            __slots__ = ()
+
+            def emit(self, event):
+                super().emit(event)
+                self.metrics
+
+        at_end = _thrifty_snapshot(Tracer(), read_mid_run=False)
+        assert _thrifty_snapshot(Tracer(), read_mid_run=True) == at_end
+        assert _thrifty_snapshot(EagerTracer(), read_mid_run=False) == at_end
 
 
 class TestDisabledTelemetry:
