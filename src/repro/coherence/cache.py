@@ -56,13 +56,19 @@ class Cache:
             )
         self._sets[line_addr % self._n_sets].move_to_end(line_addr)
 
-    def _count_dirty(self, set_index, delta):
+    def _dirty(self, set_index):
+        """One more MODIFIED line in ``set_index``."""
         counts = self._dirty_counts
-        remaining = counts.get(set_index, 0) + delta
+        counts[set_index] = counts.get(set_index, 0) + 1
+
+    def _undirty(self, set_index):
+        """One fewer MODIFIED line in ``set_index``."""
+        counts = self._dirty_counts
+        remaining = counts[set_index] - 1
         if remaining:
             counts[set_index] = remaining
         else:
-            counts.pop(set_index, None)
+            del counts[set_index]
 
     def insert(self, line_addr, state):
         """Install a line; returns the evicted ``(line, state)`` or None."""
@@ -79,18 +85,18 @@ class Cache:
             if len(cache_set) >= self._ways:
                 evicted = cache_set.popitem(last=False)  # LRU victim
                 if evicted[1] is _MODIFIED:
-                    self._count_dirty(set_index, -1)
+                    self._undirty(set_index)
             cache_set[line_addr] = state
             if state is _MODIFIED:
-                self._count_dirty(set_index, 1)
+                self._dirty(set_index)
             return evicted
         cache_set[line_addr] = state
         cache_set.move_to_end(line_addr)
         if state is not old_state:
             if state is _MODIFIED:
-                self._count_dirty(set_index, 1)
+                self._dirty(set_index)
             elif old_state is _MODIFIED:
-                self._count_dirty(set_index, -1)
+                self._undirty(set_index)
         return evicted
 
     def set_state(self, line_addr, state):
@@ -107,9 +113,9 @@ class Cache:
         cache_set[line_addr] = state
         if state is not old_state:
             if state is _MODIFIED:
-                self._count_dirty(set_index, 1)
+                self._dirty(set_index)
             elif old_state is _MODIFIED:
-                self._count_dirty(set_index, -1)
+                self._undirty(set_index)
 
     def invalidate(self, line_addr):
         """Drop a line; returns its former state or None if absent."""
@@ -117,7 +123,7 @@ class Cache:
         cache_set = self._sets[set_index]
         state = None if cache_set is None else cache_set.pop(line_addr, None)
         if state is _MODIFIED:
-            self._count_dirty(set_index, -1)
+            self._undirty(set_index)
         return state
 
     def dirty_lines(self):
@@ -136,10 +142,6 @@ class Cache:
                 if state is _MODIFIED:
                     dirty.append(line)
         return dirty
-
-    def occupancy(self):
-        """Number of resident lines."""
-        return sum(len(cache_set) for cache_set in self._sets if cache_set)
 
 
 class CacheHierarchy:

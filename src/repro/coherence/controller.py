@@ -144,7 +144,7 @@ class CacheController:
         post-wake refill penalty.
         """
         config = self.memsys.config
-        dirty = list(self.hierarchy.dirty_lines())
+        dirty = self.hierarchy.dirty_lines()
         if extra_lines < 0:
             raise ProtocolError("extra_lines must be non-negative")
         yield config.flush_base_ns

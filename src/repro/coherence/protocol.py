@@ -8,9 +8,9 @@ a single authoritative store is updated when a write transaction commits,
 which is exact for the lock-protected and flag-based sharing patterns the
 barrier code uses.
 
-The home directory's per-line lock is held for the whole transaction
+The home directory entry's lock is held for the whole transaction
 (request arrival through requester fill), mirroring DASH's busy/pending
-serialization. Invalidations fan out in parallel and their acks are
+serialization; a transaction looks its entry up once. Invalidations fan out in parallel and their acks are
 collected before the exclusive grant — this is the very invalidation the
 thrifty barrier uses as its external wake-up signal.
 """
@@ -123,26 +123,34 @@ class MemorySystem:
                 stats.l2_hits += 1
             return self._values.get(addr, 0)
         stats.misses += 1
-        yield from self._shared_miss(node, line)
+        # GetS: obtain a shared copy of the line.
+        home = self.home_of_line(line)
+        yield self.network.delivery_ns(node, home, CONTROL_BYTES)
+        entry = self.directories[home].entry(line)
+        lock = entry.lock
+        if (queued := lock.request()) is not None:
+            yield queued
+        try:
+            if entry.state is _DIR_EXCLUSIVE and entry.owner != node:
+                yield from self._fetch_from_owner(
+                    home, line, entry, invalidate=False
+                )
+            elif entry.state is _DIR_EXCLUSIVE:
+                # Our own write-back for this line is still in flight
+                # (eviction raced the re-read); treat memory as current.
+                entry.state = _DIR_UNCACHED
+                entry.owner = None
+            yield self.memory_access_ns
+            entry.grant_shared(node)
+            yield self.network.delivery_ns(home, node, DATA_BYTES)
+            self._fill(node, line, _SHARED_COPY)
+        finally:
+            lock.release()
         return self._values.get(addr, 0)
 
     def store(self, node, addr, value):
         """Write ``value`` to ``addr`` from ``node``."""
-        self.stats.stores += 1
-        if not self._detailed:
-            yield FAST_MODE_ACCESS_NS
-            self._values[addr] = value
-            self._fast_mode_notify(node, addr // self._line_bytes)
-            return
-        line = addr // self._line_bytes
-        hierarchy = self.hierarchies[node]
-        latency, state = hierarchy.lookup(line)
-        yield latency
-        if state is _MODIFIED:
-            self._values[addr] = value
-            return
-        yield from self._exclusive_miss(node, line)
-        self._values[addr] = value
+        return self._write(node, addr, value, None)
 
     def rmw(self, node, addr, update):
         """Atomic read-modify-write; returns the *old* value.
@@ -150,19 +158,53 @@ class MemorySystem:
         ``update`` maps the old value to the new one. Used for the
         barrier count and for lock acquisition (test&set style).
         """
-        self.stats.rmws += 1
+        return self._write(node, addr, None, update)
+
+    def _write(self, node, addr, value, update):
+        """The transaction of :meth:`store` (``update`` None: write
+        ``value``) and of :meth:`rmw`. One generator for both, with the
+        GetX inline, so a write's resumes cross one frame, not two."""
+        if update is None:
+            self.stats.stores += 1
+        else:
+            self.stats.rmws += 1
         if not self._detailed:
             yield FAST_MODE_ACCESS_NS
             old = self._values.get(addr, 0)
-            self._values[addr] = update(old)
+            self._values[addr] = value if update is None else update(old)
             self._fast_mode_notify(node, addr // self._line_bytes)
-            return old
+            return None if update is None else old
         line = addr // self._line_bytes
-        hierarchy = self.hierarchies[node]
-        latency, state = hierarchy.lookup(line)
+        latency, state = self.hierarchies[node].lookup(line)
         yield latency
         if state is not _MODIFIED:
-            yield from self._exclusive_miss(node, line)
+            # GetX: obtain an exclusive (M) copy of the line.
+            home = self.home_of_line(line)
+            yield self.network.delivery_ns(node, home, CONTROL_BYTES)
+            entry = self.directories[home].entry(line)
+            lock = entry.lock
+            if (queued := lock.request()) is not None:
+                yield queued
+            try:
+                if entry.state is _DIR_EXCLUSIVE and entry.owner != node:
+                    yield from self._fetch_from_owner(
+                        home, line, entry, invalidate=True
+                    )
+                elif entry.state is _DIR_SHARED:
+                    victims = sorted(entry.sharers - {node})
+                    if victims:
+                        yield self._invalidate_sharers(home, line, victims)
+                        entry.drop_sharers(victims)
+                yield self.memory_access_ns
+                entry.sharers &= {node}
+                entry.grant_exclusive(node)
+                yield self.network.delivery_ns(home, node, DATA_BYTES)
+                self._fill(node, line, _MODIFIED)
+            finally:
+                lock.release()
+        if update is None:
+            self._values[addr] = value
+            return None
         old = self._values.get(addr, 0)
         self._values[addr] = update(old)
         return old
@@ -172,68 +214,17 @@ class MemorySystem:
         self.stats.writebacks += 1
         home = self.home_of_line(line)
         yield self.network.delivery_ns(node, home, DATA_BYTES)
-        directory = self.directories[home]
-        if (queued := directory.lock(line).request()) is not None:
+        entry = self.directories[home].entry(line)
+        lock = entry.lock
+        if (queued := lock.request()) is not None:
             yield queued
         try:
-            directory.release_exclusive(line, node)
+            entry.release_exclusive(node)
             yield self.memory_access_ns
         finally:
-            directory.lock(line).release()
+            lock.release()
 
     # -- protocol internals ------------------------------------------------
-
-    def _shared_miss(self, node, line):
-        """GetS: obtain a shared copy of ``line`` at ``node``."""
-        home = self.home_of_line(line)
-        yield self.network.delivery_ns(node, home, CONTROL_BYTES)
-        directory = self.directories[home]
-        if (queued := directory.lock(line).request()) is not None:
-            yield queued
-        try:
-            entry = directory.entry(line)
-            if entry.state is _DIR_EXCLUSIVE and entry.owner != node:
-                yield from self._fetch_from_owner(
-                    home, line, entry.owner, invalidate=False
-                )
-            elif entry.state is _DIR_EXCLUSIVE:
-                # Our own write-back for this line is still in flight
-                # (eviction raced the re-read); treat memory as current.
-                entry.state = _DIR_UNCACHED
-                entry.owner = None
-            yield self.memory_access_ns
-            directory.grant_shared(line, node)
-            yield self.network.delivery_ns(home, node, DATA_BYTES)
-            self._fill(node, line, _SHARED_COPY)
-        finally:
-            directory.lock(line).release()
-
-    def _exclusive_miss(self, node, line):
-        """GetX: obtain an exclusive (M) copy of ``line`` at ``node``."""
-        home = self.home_of_line(line)
-        yield self.network.delivery_ns(node, home, CONTROL_BYTES)
-        directory = self.directories[home]
-        if (queued := directory.lock(line).request()) is not None:
-            yield queued
-        try:
-            entry = directory.entry(line)
-            if entry.state is _DIR_EXCLUSIVE and entry.owner != node:
-                yield from self._fetch_from_owner(
-                    home, line, entry.owner, invalidate=True
-                )
-            elif entry.state is _DIR_SHARED:
-                victims = sorted(entry.sharers - {node})
-                if victims:
-                    yield self._invalidate_sharers(home, line, victims)
-                    for victim in victims:
-                        directory.drop_sharer(line, victim)
-            yield self.memory_access_ns
-            entry.sharers &= {node}
-            directory.grant_exclusive(line, node)
-            yield self.network.delivery_ns(home, node, DATA_BYTES)
-            self._fill(node, line, _MODIFIED)
-        finally:
-            directory.lock(line).release()
 
     def _invalidate_sharers(self, home, line, victims):
         """Fan INVs out in parallel; returns the event of the last ack.
@@ -270,9 +261,11 @@ class MemorySystem:
             insert(sim._now, leg(victim))
         return acked
 
-    def _fetch_from_owner(self, home, line, owner, invalidate):
-        """Pull (and optionally invalidate) the dirty copy at ``owner``."""
+    def _fetch_from_owner(self, home, line, entry, invalidate):
+        """Pull (and optionally invalidate) the dirty copy at the owner
+        ``entry`` records."""
         self.stats.owner_fetches += 1
+        owner = entry.owner
         yield self.network.delivery_ns(home, owner, CONTROL_BYTES)
         hierarchy = self.hierarchies[owner]
         if invalidate:
@@ -280,14 +273,12 @@ class MemorySystem:
         elif hierarchy.state(line) is _MODIFIED:
             hierarchy.set_state(line, _SHARED_COPY)
         yield self.network.delivery_ns(owner, home, DATA_BYTES)
-        directory = self.directories[home]
         if invalidate:
-            entry = directory.entry(line)
             entry.state = _DIR_UNCACHED
             entry.owner = None
             entry.sharers = set()
         else:
-            directory.demote_owner(line)
+            entry.demote_owner()
 
     def _deliver_invalidation(self, node, line):
         """Invalidate ``line`` at ``node`` and poke its controller.

@@ -327,8 +327,10 @@ class InvariantChecker:
         """Like :meth:`check`, additionally emitting one
         :class:`~repro.telemetry.events.InvariantCheck` event per
         invariant into ``tracer`` (when enabled), so chaos runs are
-        inspectable in the trace export."""
-        events = list(events)
+        inspectable in the trace export. ``events`` may be ``tracer``'s
+        own stream: it is read in place, and ``ts`` is taken before the
+        checks are appended to it."""
+        events = _stream(events)
         violations = self.check(events, accounts=accounts)
         if tracer is not None and tracer.enabled:
             ts = max((event.ts for event in events), default=0)

@@ -13,7 +13,9 @@ the network entirely.
 
 Contention is not modeled (a documented simplification — the paper's
 barrier traffic is latency-, not bandwidth-bound); link-load statistics
-are still collected so tests and reports can observe hot links.
+are still collected so tests and reports can observe hot links. A
+message only bumps the count of its route; :class:`NetworkStats`
+derives every total from those counts when read.
 """
 
 import math
@@ -24,27 +26,59 @@ from repro.interconnect.routing import links_used
 from repro.interconnect.topology import Hypercube
 
 
-class NetworkStats:
-    """Counters a :class:`Network` maintains for reporting and tests."""
+class _Route:
+    """One ``(src, dst, size)`` route: its constants and message count."""
 
-    def __init__(self):
+    __slots__ = ("hops", "size_bytes", "links", "latency", "messages")
+
+    def __init__(self, hops, size_bytes, links, latency):
+        self.hops = hops
+        self.size_bytes = size_bytes
+        self.links = links
+        self.latency = latency
         self.messages = 0
-        self.total_bytes = 0
-        self.total_hops = 0
-        self.link_loads = Counter()
 
-    def record(self, hops, size_bytes, links):
-        self.messages += 1
-        self.total_bytes += size_bytes
-        self.total_hops += hops
-        for link in links:
-            self.link_loads[link] += 1
+
+class NetworkStats:
+    """A :class:`Network`'s message counters, derived when read from the
+    per-route counts it keeps (node-local messages are not counted)."""
+
+    def __init__(self, routes):
+        self._routes = routes
+
+    @property
+    def messages(self):
+        return sum(
+            route.messages for route in self._routes.values() if route.hops
+        )
+
+    @property
+    def total_bytes(self):
+        return sum(
+            route.messages * route.size_bytes
+            for route in self._routes.values() if route.hops
+        )
+
+    @property
+    def total_hops(self):
+        return sum(
+            route.messages * route.hops for route in self._routes.values()
+        )
 
     @property
     def mean_hops(self):
-        if self.messages == 0:
+        messages = self.messages
+        if messages == 0:
             return 0.0
-        return self.total_hops / self.messages
+        return self.total_hops / messages
+
+    @property
+    def link_loads(self):
+        loads = Counter()
+        for route in self._routes.values():
+            for link in route.links:
+                loads[link] += route.messages
+        return loads
 
 
 class Network:
@@ -62,14 +96,14 @@ class Network:
         self._track_links = track_links or config.model_contention
         self._model_contention = config.model_contention
         self._link_busy_until = {}
-        # Packed (src, dst, size) int key -> (hops, links, uncontended
-        # latency). Pure function of the topology and config, so
-        # memoizing it is safe; the per-message statistics and
-        # contention walk stay live. The packed key (src and dst below
-        # 4096 nodes, size below 8192 bytes) avoids a tuple allocation
-        # per message.
-        self._route_cache = {}
-        self.stats = NetworkStats()
+        # Packed (src, dst, size) int key -> _Route: the route's hops,
+        # links and uncontended latency (a pure function of the topology
+        # and config, so memoizing it is safe) and its message count,
+        # the one statistic a message updates. The packed key (src and
+        # dst below 4096 nodes, size below 8192 bytes) avoids a tuple
+        # allocation per message.
+        self._routes = {}
+        self.stats = NetworkStats(self._routes)
 
     def latency_ns(self, src, dst, size_bytes=16):
         """Uncontended one-way delivery latency (the base estimate)."""
@@ -114,56 +148,48 @@ class Network:
         return arrival - self.sim.now
 
     def _delivery_latency(self, src, dst, size_bytes):
-        """Latency for one concrete message; records statistics."""
+        """Latency for one concrete message; counts it on its route,
+        which the route's first message creates."""
         if size_bytes <= 0:
             raise ConfigError("message size must be positive")
-        if src == dst:
-            return 0
         key = ((src << 12) | dst) << 13 | size_bytes
-        route = self._route_cache.get(key)
+        route = self._routes.get(key)
         if route is None:
-            links = (
-                links_used(src, dst, self.topology.dimension)
-                if self._track_links
-                else ()
-            )
-            route = (
-                self.topology.hops(src, dst),
-                links,
-                self.latency_ns(src, dst, size_bytes),
-            )
-            self._route_cache[key] = route
-        hops, links, base_latency = route
-        self.stats.record(hops, size_bytes, links)
-        if self._model_contention:
-            return self._contended_latency_ns(links, size_bytes)
-        return base_latency
+            if src == dst:
+                route = _Route(0, size_bytes, (), 0)
+            else:
+                route = _Route(
+                    self.topology.hops(src, dst),
+                    size_bytes,
+                    links_used(src, dst, self.topology.dimension)
+                    if self._track_links
+                    else (),
+                    self.latency_ns(src, dst, size_bytes),
+                )
+            self._routes[key] = route
+        route.messages += 1
+        if self._model_contention and route.hops:
+            return self._contended_latency_ns(route.links, size_bytes)
+        return route.latency
 
     def delivery_ns(self, src, dst, size_bytes=16):
-        """Latency of one concrete message in ns; records statistics.
+        """Latency of one concrete message in ns; counts it on its route.
 
         Processes that just wait out the wire should ``yield`` this int
         directly; use :meth:`transfer` only when the delivery must be an
         :class:`~repro.sim.events.Event` (e.g. raced in an ``AnyOf``).
         Each call models one message, so call exactly once per message.
         """
-        # Warm-route fast path with the statistics update unrolled; the
-        # cold path (and all validation) lives in _delivery_latency.
-        route = self._route_cache.get(((src << 12) | dst) << 13 | size_bytes)
-        if route is None:
+        # Known-route fast path; the first message of a route (and all
+        # validation) takes _delivery_latency.
+        try:
+            route = self._routes[((src << 12) | dst) << 13 | size_bytes]
+        except KeyError:
             return self._delivery_latency(src, dst, size_bytes)
-        hops, links, base_latency = route
-        stats = self.stats
-        stats.messages += 1
-        stats.total_bytes += size_bytes
-        stats.total_hops += hops
-        if links:
-            link_loads = stats.link_loads
-            for link in links:
-                link_loads[link] += 1
-        if self._model_contention:
-            return self._contended_latency_ns(links, size_bytes)
-        return base_latency
+        route.messages += 1
+        if self._model_contention and route.hops:
+            return self._contended_latency_ns(route.links, size_bytes)
+        return route.latency
 
     def transfer(self, src, dst, size_bytes=16):
         """An event that succeeds when the message arrives at ``dst``."""

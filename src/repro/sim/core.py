@@ -11,22 +11,26 @@ already-known timestamp, which barrier simultaneity makes the dominant
 pattern) is one dict probe and one list append instead of an O(log n)
 sift, and dequeue is an index increment instead of a heap pop.
 
-Two kinds of entry live in a bucket:
+Three kinds of entry live in a bucket:
 
 * a :class:`Handle` — the cancellable record returned by
   :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`;
-* a bare callable — the non-cancellable fast lane, invoked as
-  ``entry(None, None)``: the resume method
-  :class:`~repro.sim.process.Process` queues for a plain integer-delay
-  yield (``yield 40``), or one leg of the coherence layer's
-  invalidation fan-out. These cannot be cancelled, so the dispatch
-  loops skip the cancellation check for them.
+* a :class:`~repro.sim.process.Process` — a generator process due to
+  resume, queued by a plain integer-delay yield (``yield 40``) or by
+  :meth:`Simulator.spawn`. Both dispatch loops send ``None`` into its
+  generator themselves and re-queue a non-negative int delay inline;
+  every other outcome goes to ``Process._advance``;
+* a bare callable — invoked as ``entry(None, None)``, one leg of the
+  coherence layer's invalidation fan-out.
+
+Processes and bare callables cannot be cancelled, so the dispatch loops
+skip the cancellation check for them.
 
 A bucket holding a single entry is stored as the entry itself rather
 than a one-element list (most timestamps only ever receive one
 callback); it is promoted to a list on the second insertion at the same
-time. Entries are Handles or callables, never lists, so
-``bucket.__class__ is list`` distinguishes the representations.
+time. Entries are never lists, so ``bucket.__class__ is list``
+distinguishes the representations.
 
 Two loops dispatch the queue. :meth:`Simulator.run` with no horizon,
 event budget, trace hook or tie-breaker — the only mode the campaign
@@ -42,17 +46,17 @@ transitions, barrier releases — is expressed as callbacks or as
 generator processes resumed by callbacks.
 """
 
-import heapq
 import inspect
 import operator
+from heapq import heappop, heappush
 
 from repro.errors import SchedulingError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 
-#: The argument tuple fast-lane resumes are invoked with (and reported
-#: to trace hooks with): ``resume(None, None)`` means "no value, no
-#: exception" — the contract of ``Process._resume``.
+#: The argument tuple bare callables are invoked with, and the one a
+#: trace hook is shown for a queued process: ``_resume(None, None)``
+#: means "no value, no exception".
 _FAST_ARGS = (None, None)
 
 
@@ -108,8 +112,8 @@ class Simulator:
         * For a callback that is about to execute, the hook is invoked
           as ``trace(now, fn, args)`` immediately before ``fn(*args)``
           runs, with the clock already advanced to the callback's time.
-          For a fast-lane process resume, ``fn`` is the process's bound
-          resume method and ``args`` is ``(None, None)``.
+          For a queued process, ``fn`` is its pinned ``_resume_cb`` and
+          ``args`` is ``(None, None)``.
         * For a callback whose :class:`Handle` was cancelled, the
           dequeue is also reported — as ``trace(time, fn, args,
           cancelled=True)`` — but **only** when the hook's signature
@@ -131,21 +135,21 @@ class Simulator:
     --------
     :attr:`executed` and :attr:`skipped_cancelled` count dequeued
     callbacks over the simulator's lifetime; the telemetry layer
-    harvests them after a run. Fast-lane resumes count as executed
+    harvests them after a run. Process resumes count as executed
     callbacks exactly like :class:`Handle` callbacks (they occupy one
     dequeue each), so the counters are invariant under the
     Timeout-object vs. integer-yield encoding of a delay.
     """
 
     def __init__(self, trace=None):
-        # time -> list of entries (Handles and fast-lane resumes) in
-        # schedule order; the heap orders the distinct times only.
+        # time -> an entry, or a list of entries in schedule order; the
+        # heap orders the distinct times only.
         self._buckets = {}
         self._times = []
-        # The full drain's consumption cursor into the earliest bucket,
-        # so a bucket it leaves partly drained (a callback raised)
-        # resumes in place; the instrumented loop pops entries instead
-        # and trims what the cursor marks consumed.
+        # The list bucket the full drain is walking, or left when a
+        # callback raised out of it: its time, and how many of its
+        # entries were consumed. Whichever loop next opens that bucket
+        # trims them first. Only meaningful while _head_time is set.
         self._head_time = None
         self._head_index = 0
         self._now = 0
@@ -209,14 +213,15 @@ class Simulator:
 
     def _insert(self, time, entry):
         buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = entry
-            heapq.heappush(self._times, time)
-        elif bucket.__class__ is list:
-            bucket.append(entry)
+        if time in buckets:
+            bucket = buckets[time]
+            if bucket.__class__ is list:
+                bucket.append(entry)
+            else:
+                buckets[time] = [bucket, entry]
         else:
-            buckets[time] = [bucket, entry]
+            buckets[time] = entry
+            heappush(self._times, time)
         return entry
 
     def event(self):
@@ -263,40 +268,90 @@ class Simulator:
             return
         # The full drain — the campaign runner's main loop, with no
         # per-callback checks. Local aliases keep it free of repeated
-        # attribute loads, and bucket open/close is inlined because
-        # nearly every callback sits in its own bucket.
+        # attribute loads, bucket open/close is inlined because nearly
+        # every callback sits in its own bucket, and a process is
+        # resumed in place (a singleton's and a list entry's copies of
+        # that block must stay alike). A time is popped before its
+        # bucket runs; a list bucket a callback raised out of is put
+        # back under its time by the ``finally``.
         self._running = True
         executed = 0
         buckets = self._buckets
         times = self._times
-        pop_time = heapq.heappop
+        pop_time = heappop
+        push_time = heappush
         try:
             while times:
-                time = times[0]
-                bucket = buckets[time]
-                if bucket.__class__ is not list:
-                    del buckets[time]
-                    pop_time(times)
-                    if bucket.__class__ is Handle:
-                        if bucket.cancelled:
-                            self.skipped_cancelled += 1
-                            continue
-                        self._now = time
-                        bucket.fn(*bucket.args)
+                time = pop_time(times)
+                entry = buckets.pop(time)
+                if entry.__class__ is Process:
+                    self._now = time
+                    try:
+                        target = entry.generator.send(None)
+                    except BaseException as stop:  # noqa: BLE001
+                        entry._advance(None, stop)
                     else:
-                        self._now = time
-                        bucket(None, None)
+                        if target.__class__ is int and target >= 0:
+                            time += target
+                            if time in buckets:
+                                bucket = buckets[time]
+                                if bucket.__class__ is list:
+                                    bucket.append(entry)
+                                else:
+                                    buckets[time] = [bucket, entry]
+                            else:
+                                buckets[time] = entry
+                                push_time(times, time)
+                        else:
+                            entry._advance(target, None)
                     executed += 1
                     continue
-                if time != self._head_time:
+                if entry.__class__ is Handle:
+                    if entry.cancelled:
+                        self.skipped_cancelled += 1
+                        continue
+                    self._now = time
+                    entry.fn(*entry.args)
+                    executed += 1
+                    continue
+                if entry.__class__ is not list:
+                    self._now = time
+                    entry(None, None)
+                    executed += 1
+                    continue
+                head = buckets[time] = entry
+                if time == self._head_time:
+                    # A callback raised out of this bucket: drop the
+                    # entries it had consumed.
+                    del head[:self._head_index]
+                else:
                     self._head_time = time
-                    self._head_index = 0
-                i = self._head_index
-                while i < len(bucket):
-                    entry = bucket[i]
-                    i += 1
-                    self._head_index = i
-                    if entry.__class__ is Handle:
+                self._head_index = 0
+                # A list iterator also yields the same-time children
+                # appended while it walks.
+                for entry in head:
+                    self._head_index += 1
+                    if entry.__class__ is Process:
+                        self._now = time
+                        try:
+                            target = entry.generator.send(None)
+                        except BaseException as stop:  # noqa: BLE001
+                            entry._advance(None, stop)
+                        else:
+                            if target.__class__ is int and target >= 0:
+                                due = time + target
+                                if due in buckets:
+                                    bucket = buckets[due]
+                                    if bucket.__class__ is list:
+                                        bucket.append(entry)
+                                    else:
+                                        buckets[due] = [bucket, entry]
+                                else:
+                                    buckets[due] = entry
+                                    push_time(times, due)
+                            else:
+                                entry._advance(target, None)
+                    elif entry.__class__ is Handle:
                         if entry.cancelled:
                             self.skipped_cancelled += 1
                             continue
@@ -307,10 +362,10 @@ class Simulator:
                         entry(None, None)
                     executed += 1
                 del buckets[time]
-                pop_time(times)
                 self._head_time = None
-                self._head_index = 0
         finally:
+            if self._head_time is not None:
+                push_time(times, self._head_time)
             self.executed += executed
             self._running = False
 
@@ -353,7 +408,7 @@ class Simulator:
                 if entry.__class__ is not list:
                     if entry.__class__ is Handle and entry.cancelled:
                         del buckets[time]
-                        heapq.heappop(times)
+                        heappop(times)
                         self.skipped_cancelled += 1
                         if trace_cancelled:
                             trace(time, entry.fn, entry.args, cancelled=True)
@@ -361,7 +416,7 @@ class Simulator:
                     if until is not None and time > until:
                         break
                     del buckets[time]
-                    heapq.heappop(times)
+                    heappop(times)
                 else:
                     bucket = entry
                     if time == self._head_time:
@@ -382,7 +437,7 @@ class Simulator:
                             trace(time, entry.fn, entry.args, cancelled=True)
                     if not bucket:
                         del buckets[time]
-                        heapq.heappop(times)
+                        heappop(times)
                         continue
                     if until is not None and time > until:
                         break
@@ -391,7 +446,29 @@ class Simulator:
                         index = self._choose(chooser, time, bucket)
                     entry = bucket.pop(index)
                 self._now = time
-                if entry.__class__ is Handle:
+                kind = entry.__class__
+                if kind is Process:
+                    if trace is not None:
+                        trace(time, entry._resume_cb, _FAST_ARGS)
+                    try:
+                        target = entry.generator.send(None)
+                    except BaseException as stop:  # noqa: BLE001
+                        entry._advance(None, stop)
+                    else:
+                        if target.__class__ is int and target >= 0:
+                            due = time + target
+                            if due in buckets:
+                                bucket = buckets[due]
+                                if bucket.__class__ is list:
+                                    bucket.append(entry)
+                                else:
+                                    buckets[due] = [bucket, entry]
+                            else:
+                                buckets[due] = entry
+                                heappush(times, due)
+                        else:
+                            entry._advance(target, None)
+                elif kind is Handle:
                     if trace is not None:
                         trace(time, entry.fn, entry.args)
                     entry.fn(*entry.args)

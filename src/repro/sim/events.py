@@ -15,6 +15,10 @@ class Event:
 
     Callbacks added before the trigger run (in order) at the simulated time
     of the trigger; callbacks added after run immediately.
+
+    ``_callbacks`` holds None, the one callback of an event that has one
+    (most have exactly one waiter), or a list once a second is added, so
+    an event allocates no list until it needs one.
     """
 
     __slots__ = ("sim", "_value", "_exception", "_callbacks")
@@ -23,7 +27,7 @@ class Event:
         self.sim = sim
         self._value = _PENDING
         self._exception = None
-        self._callbacks = []
+        self._callbacks = None
 
     @property
     def triggered(self):
@@ -55,15 +59,18 @@ class Event:
             raise SchedulingError("event triggered twice")
         self._value = value
         callbacks = self._callbacks
-        if callbacks:
-            self._callbacks = []
-            for fn in callbacks:
-                fn(self)
+        if callbacks is not None:
+            self._callbacks = None
+            if callbacks.__class__ is list:
+                for fn in callbacks:
+                    fn(self)
+            else:
+                callbacks(self)
         return self
 
     def fail(self, exception):
         """Trigger the event with an exception, running callbacks now."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             raise SchedulingError("event triggered twice")
         if not isinstance(exception, BaseException):
             raise SchedulingError("fail() requires an exception instance")
@@ -73,15 +80,24 @@ class Event:
 
     def add_callback(self, fn):
         """Run ``fn(event)`` when the event triggers (immediately if it has)."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             fn(self)
+            return
+        callbacks = self._callbacks
+        if callbacks is None:
+            self._callbacks = fn
+        elif callbacks.__class__ is list:
+            callbacks.append(fn)
         else:
-            self._callbacks.append(fn)
+            self._callbacks = [callbacks, fn]
 
     def _dispatch(self):
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
+        callbacks, self._callbacks = self._callbacks, None
+        if callbacks.__class__ is list:
+            for fn in callbacks:
+                fn(self)
+        elif callbacks is not None:
+            callbacks(self)
 
     def __repr__(self):
         state = "pending"
@@ -103,7 +119,7 @@ class Timeout(Event):
         self._handle = sim.schedule(delay, self._expire, value)
 
     def _expire(self, value):
-        if not self.triggered:
+        if self._value is _PENDING and self._exception is None:
             self.succeed(value)
 
     def cancel(self):
@@ -130,10 +146,10 @@ class AnyOf(Event):
             event.add_callback(self._child_triggered)
 
     def _child_triggered(self, event):
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return
-        if event.exception is not None:
-            self.fail(event.exception)
+        if event._exception is not None:
+            self.fail(event._exception)
         else:
             self.succeed(event)
 
@@ -158,10 +174,10 @@ class AllOf(Event):
             event.add_callback(self._child_triggered)
 
     def _child_triggered(self, event):
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             return
-        if event.exception is not None:
-            self.fail(event.exception)
+        if event._exception is not None:
+            self.fail(event._exception)
             return
         self._remaining -= 1
         if self._remaining == 0:

@@ -62,7 +62,12 @@ class BarrierBase:
         self.telemetry = system.telemetry
         self.count_addr = system.alloc_shared()
         self.flag_addr = system.alloc_shared()
+        self._flag_line = self.memsys.line_of(self.flag_addr)
         self._local_sense = [0] * max(system.n_nodes, n_threads)
+        #: Arrival count that releases the barrier: the full participant
+        #: count. A seam the intentionally broken variants in
+        #: :mod:`repro.sync.mutants` set differently.
+        self._arrival_target = n_threads
 
     # -- pieces used by every variant ---------------------------------------
 
@@ -70,15 +75,6 @@ class BarrierBase:
         sense = 1 - self._local_sense[thread_id]
         self._local_sense[thread_id] = sense
         return sense
-
-    def _arrival_target(self):
-        """Arrival count that releases the barrier.
-
-        A seam for the intentionally broken variants in
-        :mod:`repro.sync.mutants`; correct barriers release on the
-        full participant count.
-        """
-        return self.n_threads
 
     def _check_in(self, node, thread_id=None):
         """Check in: ``count++`` (S1 in Figure 2).
@@ -104,7 +100,7 @@ class BarrierBase:
             node.node_id, self.count_addr, _increment
         )
         cpu.charge_spin(self.sim._now - started)
-        is_last = (count + 1) == self._arrival_target()
+        is_last = (count + 1) == self._arrival_target
         if is_last:
             started = self.sim._now
             yield from self.memsys.store(node.node_id, self.count_addr, 0)
@@ -184,13 +180,17 @@ class BarrierBase:
         was armed, so its wake-up is lost). In fast (non-detailed)
         memory mode there are no cached lines and notifications are
         synthesized from the functional store, so only the value check
-        applies."""
-        if self.memsys.peek(self.flag_addr) == sense:
+        applies. Both reads go straight to the functional store and the
+        L2's set array: this runs at every monitor arming."""
+        memsys = self.memsys
+        if memsys._values.get(self.flag_addr, 0) == sense:
             return True
-        if not self.memsys.config.detailed_memory:
+        if not memsys._detailed:
             return False
-        line = self.memsys.line_of(self.flag_addr)
-        return self.memsys.hierarchies[node.node_id].state(line) is None
+        line = self._flag_line
+        l2 = memsys.hierarchies[node.node_id].l2
+        cache_set = l2._sets[line % l2._n_sets]
+        return not cache_set or line not in cache_set
 
     def _depart(self, node, record, thread_id=None):
         thread_id = node.node_id if thread_id is None else thread_id

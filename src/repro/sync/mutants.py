@@ -69,7 +69,7 @@ class RacyCheckInBarrier(ConventionalBarrier):
         count = yield from self.memsys.load(node.node_id, self.count_addr)
         yield from self.memsys.store(node.node_id, self.count_addr, count + 1)
         cpu.charge_spin(self.sim._now - started)
-        is_last = (count + 1) == self._arrival_target()
+        is_last = (count + 1) == self._arrival_target
         if is_last:
             started = self.sim._now
             yield from self.memsys.store(node.node_id, self.count_addr, 0)
@@ -92,8 +92,9 @@ class OffByOneReleaseBarrier(ConventionalBarrier):
     compounds across episodes.
     """
 
-    def _arrival_target(self):
-        return self.n_threads - 1
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arrival_target = self.n_threads - 1
 
 
 class WakeBeforeFlipBarrier(ConventionalBarrier):

@@ -161,3 +161,79 @@ class TestNetwork:
         sim = Simulator()
         with pytest.raises(ConfigError):
             Network(sim, object(), MachineConfig().network)
+
+
+class TestStatsDerivedFromRoutes:
+    """``NetworkStats`` is derived on read from per-route counts; it
+    must equal counters kept call by call around every message."""
+
+    def test_stats_equal_call_by_call_counters_on_a_cell(self, monkeypatch):
+        import functools
+        from collections import Counter
+
+        from repro.coherence import protocol
+        from repro.experiments.configs import barrier_factory_for
+        from repro.machine import System
+        from repro.workloads import WorkloadRunner, get_model
+
+        calls = []
+
+        def recording(name):
+            original = getattr(Network, name)
+
+            @functools.wraps(original)
+            def wrapper(self, src, dst, *args, size_bytes=16, **kwargs):
+                if name != "send" and args:
+                    size_bytes, args = args[0], args[1:]
+                calls.append((src, dst, size_bytes))
+                return original(
+                    self, src, dst, *args, size_bytes=size_bytes, **kwargs
+                )
+            return wrapper
+
+        for name in ("delivery_ns", "send", "transfer"):
+            monkeypatch.setattr(Network, name, recording(name))
+        monkeypatch.setattr(
+            protocol, "Network", functools.partial(Network, track_links=True)
+        )
+        system = System(MachineConfig(n_nodes=16))
+        WorkloadRunner(
+            get_model("fmm"), system=system, n_threads=16, seed=1,
+            barrier_factory=barrier_factory_for("thrifty"),
+        ).run()
+        network = system.memsys.network
+        # send and transfer count too, node-local messages do not.
+        network.send(0, 5, lambda: None, size_bytes=72)
+        network.send(3, 3, lambda: None)
+        network.transfer(6, 9)
+        network.transfer(2, 2, size_bytes=8)
+        assert len(calls) > 1000
+
+        topology = network.topology
+        messages = total_bytes = total_hops = 0
+        loads = Counter()
+        for src, dst, size in calls:
+            if src == dst:
+                continue
+            messages += 1
+            total_bytes += size
+            total_hops += topology.hops(src, dst)
+            for link in links_used(src, dst, topology.dimension):
+                loads[link] += 1
+        stats = network.stats
+        assert stats.messages == messages
+        assert stats.total_bytes == total_bytes
+        assert stats.total_hops == total_hops
+        assert stats.mean_hops == total_hops / messages
+        assert stats.link_loads == loads
+
+    def test_local_messages_take_the_cached_route_uncounted(self):
+        config = MachineConfig(n_nodes=8)
+        sim = Simulator()
+        net = Network(sim, Hypercube(8), config.network)
+        for _ in range(3):
+            assert net.delivery_ns(4, 4) == 0
+        assert net.stats.messages == 0
+        assert net.stats.mean_hops == 0.0
+        with pytest.raises(ConfigError):
+            net.delivery_ns(4, 4, 0)

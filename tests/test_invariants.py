@@ -218,6 +218,46 @@ class TestReporting:
         assert checks[MONOTONIC_TIME].passed
 
 
+    def test_audit_of_the_tracers_own_stream_copies_nothing(self):
+        """Auditing ``tracer.events`` in place (as a chaos cell does)
+        reports what an audit of a copy reports, and a one-shot
+        iterator is read once."""
+        stream = [*CLEAN, check_in(300, 0, sequence=2)]
+        accounts = [_Account(210), _Account(205)]
+
+        def audited(events, tracer):
+            violations = InvariantChecker().audit(
+                events, accounts=accounts, tracer=tracer
+            )
+            checks = [
+                event for event in tracer.events
+                if isinstance(event, InvariantCheck)
+            ]
+            return violations, checks
+
+        in_place = Tracer()
+        in_place.events.extend(stream)
+        copied = Tracer()
+        copied.events.extend(stream)
+        one_shot = Tracer()
+        one_shot.events.extend(stream)
+        reads = []
+
+        def once():
+            reads.append(1)
+            yield from stream
+
+        got = audited(in_place.events, in_place)
+        assert got == audited(list(copied.events), copied)
+        assert got == audited(once(), one_shot)
+        assert reads == [1]
+        assert names(got[0]) == [BARRIER_LIVENESS, ENERGY_CONSERVATION]
+        assert {check.ts for check in got[1]} == {
+            max(event.ts for event in stream)
+        }
+        assert in_place.events[:len(stream)] == stream
+
+
 class TestRealRuns:
     @pytest.mark.parametrize("config", ["baseline", "thrifty"])
     def test_clean_simulation_satisfies_all_invariants(self, config):

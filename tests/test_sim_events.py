@@ -133,3 +133,29 @@ def test_allof_failure_short_circuits():
     both = AllOf(sim, [sim.timeout(5), bad])
     bad.fail(KeyError("k"))
     assert both.triggered and not both.ok
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+@pytest.mark.parametrize("trigger", ["succeed", "fail"])
+def test_callbacks_fire_in_the_order_added(count, trigger):
+    """The first callback sits in the event's slot and later ones in a
+    list; either way they run in the order they were added, and one
+    added while they run (the event is triggered) runs at once."""
+    sim = Simulator()
+    event = sim.event()
+    order = []
+
+    def make(tag):
+        def callback(ev):
+            order.append(tag)
+            if tag == 0:
+                ev.add_callback(lambda _ev: order.append("late"))
+        return callback
+
+    for tag in range(count):
+        event.add_callback(make(tag))
+    if trigger == "succeed":
+        event.succeed()
+    else:
+        event.fail(RuntimeError("x"))
+    assert order == [0, "late", *range(1, count)]

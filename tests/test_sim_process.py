@@ -243,3 +243,149 @@ def test_many_interleaved_processes_deterministic():
     # Same-time events keep spawn order: workers 0 and 2 share period 7.
     sevens = [ident for now, ident in log if now == 7]
     assert sevens == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# A queued process is resumed by the dispatch loops themselves; every
+# outcome of that resume must end the process the same way whichever
+# loop (the full drain, the instrumented loop, step(), or a choice
+# point) runs it.
+
+
+def _ending(kind, sim, log):
+    """A process body whose resume from the queue ends as ``kind``."""
+
+    def body():
+        log.append(("start", sim.now))
+        yield 5  # every ending below happens on a queued resume
+        log.append(("resumed", sim.now))
+        if kind == "return":
+            return "done"
+        if kind == "raise":
+            raise ValueError("inside")
+        if kind == "negative":
+            yield -1
+        elif kind == "non-event":
+            yield "not an event"
+        elif kind == "caught-bad-yield":
+            try:
+                yield "not an event"
+            except ProcessError:
+                log.append(("caught", sim.now))
+            yield 3  # left suspended: the process fails regardless
+        elif kind == "triggered":
+            event = sim.event()
+            event.succeed("ready")
+            got = yield event
+            log.append(("got", got, sim.now))
+            yield 3
+            log.append(("after", sim.now))
+            return got
+        elif kind == "triggered-failed":
+            event = sim.event()
+            event.fail(KeyError("gone"))
+            try:
+                yield event
+            except KeyError:
+                log.append(("threw", sim.now))
+            return "recovered"
+
+    return body()
+
+
+ENDINGS = (
+    "return", "raise", "negative", "non-event", "caught-bad-yield",
+    "triggered", "triggered-failed",
+)
+
+
+def _drive(kind, mode):
+    from repro.check.tiebreak import FifoTieBreaker
+
+    sim = Simulator()
+    log = []
+    # A sibling at the same times makes each resume share its bucket,
+    # so the list-bucket paths run too.
+    sibling_log = []
+
+    def sibling():
+        yield 5
+        sibling_log.append(sim.now)
+        yield 3
+        sibling_log.append(sim.now)
+
+    proc = sim.spawn(_ending(kind, sim, log), name="p")
+    sim.spawn(sibling(), name="s")
+    if mode == "run":
+        sim.run()
+    elif mode == "until":
+        sim.run(until=1_000)
+    elif mode == "step":
+        while sim.step():
+            pass
+    else:
+        sim.tie_breaker = FifoTieBreaker()
+        sim.run()
+    if proc.ok:
+        outcome = ("ok", proc.value)
+    else:
+        exc = proc.exception
+        outcome = ("failed", type(exc).__name__, str(exc))
+    return outcome, log, sibling_log, sim.executed, sim.pending
+
+
+@pytest.mark.parametrize("kind", ENDINGS)
+@pytest.mark.parametrize("mode", ["until", "step", "tie-breaker"])
+def test_queued_process_ends_alike_in_every_dispatch_mode(kind, mode):
+    assert _drive(kind, mode) == _drive(kind, "run")
+
+
+@pytest.mark.parametrize("kind", ENDINGS)
+def test_queued_process_endings(kind):
+    outcome, log, sibling_log, _, pending = _drive(kind, "run")
+    assert pending == 0
+    assert sibling_log == [5, 8]
+    expected = {
+        "return": ("ok", "done"),
+        "raise": ("failed", "ValueError", "inside"),
+        "triggered": ("ok", "ready"),
+        "triggered-failed": ("ok", "recovered"),
+    }
+    if kind in expected:
+        assert outcome == expected[kind]
+    else:
+        assert outcome[:2] == ("failed", "ProcessError")
+    if kind == "triggered":
+        # An already-triggered event continues the generator at once.
+        assert ("got", "ready", 5) in log and ("after", 8) in log
+    if kind == "caught-bad-yield":
+        assert ("caught", 5) in log
+
+
+def test_pending_counts_a_queued_process():
+    sim = Simulator()
+
+    def sleeper():
+        yield 10
+
+    sim.spawn(sleeper())
+    assert sim.pending == 1
+    sim.run(until=5)
+    assert sim.pending == 1  # resumed once, queued again at t=10
+    sim.run()
+    assert sim.pending == 0
+
+
+def test_trace_hook_is_shown_the_pinned_resume_callback():
+    seen = []
+    sim = Simulator(trace=lambda now, fn, args: seen.append((now, fn, args)))
+
+    def sleeper():
+        yield 4
+
+    proc = sim.spawn(sleeper())
+    sim.run()
+    assert seen == [
+        (0, proc._resume_cb, (None, None)),
+        (4, proc._resume_cb, (None, None)),
+    ]
