@@ -16,7 +16,9 @@ The package is organized bottom-up:
 
 The top-level names below are loaded lazily so that importing a low-level
 subpackage (for instance :mod:`repro.sim` in a unit test) does not pull in
-the whole stack.
+the whole stack. :func:`lazy_exports` gives :mod:`repro.experiments`,
+:mod:`repro.serve` and :mod:`repro.faults` the same behaviour, so a
+command that reads only the result cache never imports the simulator.
 """
 
 __version__ = "1.6.0"
@@ -42,19 +44,30 @@ _LAZY = {
 __all__ = sorted(_LAZY) + ["__version__"]
 
 
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            "module {!r} has no attribute {!r}".format(__name__, name)
-        ) from None
-    import importlib
+def lazy_exports(namespace, table):
+    """The module ``__getattr__`` and ``__dir__`` of a package whose
+    ``table`` names (``name -> (module, attribute)``) are imported on
+    first use and then cached in ``namespace``, its ``globals()``."""
 
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
+    def __getattr__(name):
+        try:
+            module_name, attr = table[name]
+        except KeyError:
+            raise AttributeError(
+                "module {!r} has no attribute {!r}".format(
+                    namespace["__name__"], name
+                )
+            ) from None
+        import importlib
+
+        value = getattr(importlib.import_module(module_name), attr)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return namespace["__all__"]
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return __all__
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -1,75 +1,32 @@
-"""Command-line interface: regenerate any table or figure, or trace a run.
+"""Command-line interface: regenerate any table or figure, or run the
+harness around them (telemetry cells, chaos campaigns, schedule
+exploration, the campaign service, cache and journal upkeep).
 
-Examples
---------
-::
+:func:`build_parser` gives each verb its own subcommand, which takes only
+the flags its handler reads; flags that several verbs share are declared
+once, in parent parsers. ``repro --help`` lists the verbs and the exit
+codes (:data:`EXIT_CODES`), ``repro VERB --help`` a verb's flags, and
+README.md has worked examples::
 
-    thrifty-barrier table2 --apps fmm ocean
-    thrifty-barrier figure5 --threads 64
-    thrifty-barrier headline
-    python -m repro figure3
-
-Telemetry surface::
-
+    repro figure5 --apps fmm ocean --threads 16 --json figure5.json
     repro run --app fmm --config thrifty --threads 16 --trace out.json
-    repro trace --app fmm --threads 16
-    repro metrics --app ocean --config thrifty-halt --threads 16
+    repro chaos --run-id soak --plans 25      # journaled; --resume soak
+    repro check --mutant racy-check-in        # must be caught: exits 1
 
-``run`` executes one (application, configuration) cell with tracing on
-and prints its summary; ``--trace`` writes a Perfetto-loadable Chrome
-trace, ``--metrics-csv`` a CSV metric dump. ``trace`` prints the
-human-readable timeline digest; ``metrics`` the full metrics tables.
-
-Model checking::
-
-    repro check --schedules 64 --depth 24     # all five configs
-    repro check --mutant racy-check-in        # must be caught
-    repro check --replay counterexample.json  # reproduce a finding
-
-``check`` drives the simulator through bounded alternative orderings
-of same-timestamp events and audits every schedule with the protocol
-oracles; a violation is shrunk to a minimal decision string and
-exported as a replayable artifact plus a Perfetto witness trace.
-
-Crash safety::
-
-    repro figure5 --run-id nightly            # journaled sweep
-    repro figure5 --resume nightly            # continue after a kill
-    repro chaos --run-id soak --plans 25
-    repro chaos --resume soak
-
-``--run-id`` journals the campaign (durable per-cell records under
-``$REPRO_JOURNAL_DIR`` or ``<cache dir>/runs``); after a SIGTERM/
-SIGINT, OOM kill, or crash, ``--resume`` reconstructs the work queue,
-skips every finished cell, and produces output byte-identical to an
-uninterrupted run.
-
-Exit codes
-----------
-
-* ``0`` (:data:`EXIT_OK`) — clean completion (chaos: no invariant
-  violations; check: every explored schedule clean, or a replay
-  reproduced its artifact exactly);
-* ``1`` (:data:`EXIT_VIOLATION`) — the campaign finished but found
-  violations / failures (check: a counterexample was found, or a
-  replay did not reproduce);
-* ``2`` (:data:`EXIT_USAGE`) — bad invocation (unknown application or
-  configuration, argparse errors);
-* ``3`` (:data:`EXIT_RESUMABLE`) — gracefully preempted; everything
-  finished so far is journaled/cached and ``--resume`` continues it.
+Each handler imports what it runs, so the result-cache and campaign-client
+verbs start without loading the simulator. A handler reports bad input by
+raising :class:`~repro.errors.ConfigError`, which :func:`main` turns into
+one stderr line and exit status :data:`EXIT_USAGE`, as the parser does for
+an unknown verb, flag or flag value.
 """
 
 import argparse
 import sys
 
+from repro.config import DEFAULT_SEED
 from repro.errors import CampaignInterrupted, ConfigError, ServeError
-from repro.experiments import figures, tables
-from repro.experiments import report
-from repro.experiments.configs import CONFIG_NAMES, check_configs
 from repro.experiments.preemption import EXIT_RESUMABLE, PreemptionGuard
-from repro.experiments.runner import DEFAULT_SEED, run_matrix
-from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
-from repro.workloads.splash2 import SPLASH2_NAMES, check_apps
+from repro.serve import DEFAULT_PORT as SERVE_DEFAULT_PORT
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -77,236 +34,275 @@ EXIT_USAGE = 2
 # EXIT_RESUMABLE (3) is defined in repro.experiments.preemption and
 # re-exported here so every exit status reads from one module.
 
-_ARTIFACTS = (
-    "table1", "table2", "table3", "figure3", "figure5", "figure6",
-    "headline", "all",
-)
+EXIT_CODES = """\
+exit status:
+  0  clean completion (chaos: no invariant violation; check: every
+     schedule clean, or a replay reproduced its artifact)
+  1  finished with violations or failed cells, or the campaign
+     service failed
+  2  bad invocation: unknown verb, flag, application, configuration
+     or run id, or a bad flag value
+  3  preempted; everything finished is journaled or cached, and
+     --resume continues it
 
-#: Telemetry commands operating on a single (app, config) cell.
-_CELL_COMMANDS = ("run", "trace", "metrics")
+'repro VERB --help' lists the flags each verb takes."""
 
-#: Robustness commands.
-_CHAOS_COMMANDS = ("chaos",)
 
-#: Model-checking commands: bounded schedule exploration and replay.
-_CHECK_COMMANDS = ("check",)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line."""
 
-#: Campaign-service commands: the server plus its client verbs.
-_SERVE_COMMANDS = ("serve", "submit", "status", "results", "cancel",
-                   "shutdown")
+    def error(self, message):
+        self.exit(EXIT_USAGE, "{}: error: {} (see {} --help)\n".format(
+            self.prog, message, self.prog,
+        ))
 
-#: Result-cache maintenance.
-_CACHE_COMMANDS = ("cache",)
 
-#: Offline storage audit/repair.
-_FSCK_COMMANDS = ("fsck",)
+def positive_int(text):
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be at least 1, got {}".format(value)
+        )
+    return value
+
+
+def _flag(*names, parents=(), **kwargs):
+    """A parent parser holding a flag that several verbs share."""
+    parent = _Parser(add_help=False, parents=parents)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thrifty-barrier",
         description=(
             "Reproduce tables and figures of 'The Thrifty Barrier' "
             "(HPCA 2004)."
         ),
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "artifact",
-        choices=(_ARTIFACTS + _CELL_COMMANDS + _CHAOS_COMMANDS
-                 + _CHECK_COMMANDS + _SERVE_COMMANDS + _CACHE_COMMANDS
-                 + _FSCK_COMMANDS),
-        help="which artifact to regenerate, a telemetry command "
-             "(run / trace / metrics) on one experiment cell, "
-             "'chaos' to run a seeded fault-injection campaign, "
-             "'check' to model-check barrier/sleep protocols over "
-             "alternative event orderings, "
-             "a campaign-service command (serve / submit / status / "
-             "results / cancel / shutdown), 'cache' maintenance, or "
-             "'fsck' to audit/repair journal and cache trees",
+    verbs = parser.add_subparsers(dest="verb", required=True,
+                                  metavar="VERB")
+
+    def verb(name, handler, summary, *parents):
+        sub = verbs.add_parser(name, help=summary, description=summary,
+                               parents=parents)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    seed = _flag("--seed", type=int, default=DEFAULT_SEED,
+                 help="workload random seed (default %(default)s)")
+    workload = _flag(
+        "--threads", parents=[seed], type=positive_int, default=64,
+        help="thread/processor count (default 64, as in the paper)",
     )
-    parser.add_argument(
-        "action", nargs="?", default=None, metavar="ARG",
-        help="campaign id for status/results/cancel, the cache "
-             "action (stats / prune / clear), or the run id for fsck "
-             "(default: every journal)",
+    apps = _flag("--apps", nargs="*", metavar="APP",
+                 help="applications to include (default: all ten)")
+    app = _flag("--app", default="fmm", help="application (default fmm)")
+    configs = _flag("--configs", nargs="*", metavar="CFG",
+                    help="configurations to include (default: all five)")
+    intensity = _flag(
+        "--intensity", type=float, default=1.0,
+        help="fault-probability scale of sampled fault plans (default 1.0)",
     )
-    parser.add_argument(
-        "--app", default="fmm", metavar="APP",
-        help="application for run/trace/metrics (default fmm)",
-    )
-    parser.add_argument(
-        "--config", default="thrifty", metavar="CFG",
-        help="configuration for run/trace/metrics (default thrifty)",
-    )
-    parser.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write a Perfetto-loadable Chrome trace of the cell "
-             "(run/trace/metrics only)",
-    )
-    parser.add_argument(
-        "--metrics-csv", metavar="PATH", default=None,
-        help="write the cell's metrics as CSV (run/trace/metrics only)",
-    )
-    parser.add_argument(
-        "--apps", nargs="*", default=None, metavar="APP",
-        help="applications to include (default: all ten; {})".format(
-            ", ".join(SPLASH2_NAMES)
-        ),
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="thread/processor count (default 64, as in the paper; "
-             "check defaults to 8 — exploration budgets scale with "
-             "the choice-point count)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="workload random seed (default {})".format(DEFAULT_SEED),
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the run matrix as JSON (figure5/figure6/"
-             "headline/all), or the chaos campaign report with "
-             "violation event windows (chaos)",
-    )
-    parser.add_argument(
-        "--csv", metavar="PATH", default=None,
-        help="also write the run matrix as CSV",
-    )
-    parser.add_argument(
-        "--chart", action="store_true",
-        help="append ASCII bar charts to figure5/figure6 output",
-    )
-    parser.add_argument(
+    workers = _flag(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the run matrix or the chaos "
-             "campaign (default 1 = serial; 0 = one per CPU); results "
-             "are bit-identical either way",
+        help="worker processes (default 1 = serial; 0 = one per CPU); "
+             "results are bit-identical either way",
     )
-    parser.add_argument(
-        "--cache-dir", metavar="PATH", default=None,
+    cache_dir = _flag(
+        "--cache-dir", metavar="PATH",
         help="result-cache directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro-thrifty)",
     )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache",
-    )
-    parser.add_argument(
-        "--plans", type=int, default=5, metavar="N",
-        help="number of sampled fault plans for the chaos campaign "
-             "(default 5)",
-    )
-    parser.add_argument(
-        "--intensity", type=float, default=1.0,
-        help="fault-probability scale for sampled chaos plans "
-             "(default 1.0)",
-    )
-    parser.add_argument(
-        "--configs", nargs="*", default=None, metavar="CFG",
-        help="configurations for the chaos campaign or check sweep "
-             "(default: all five)",
-    )
-    parser.add_argument(
-        "--fail-fast", action="store_true",
-        help="chaos: end the report at the first violating cell in "
-             "sweep order (the campaign still simulates every planned "
-             "cell)",
-    )
-    parser.add_argument(
-        "--schedules", type=int, default=64, metavar="N",
-        help="check: schedule budget per explored cell (default 64)",
-    )
-    parser.add_argument(
-        "--depth", type=int, default=24, metavar="N",
-        help="check: deepest choice point the dfs strategy deviates at "
-             "(default 24; random walks are unbounded)",
-    )
-    parser.add_argument(
-        "--strategy", choices=("dfs", "random"), default="dfs",
-        help="check: exploration strategy — 'dfs' for CHESS-style "
-             "bounded systematic search, 'random' for seeded random "
-             "walks (default dfs)",
-    )
-    parser.add_argument(
-        "--mutant", metavar="NAME", default=None,
-        help="check: explore a deliberately broken barrier variant "
-             "from repro.sync.mutants instead of the correct one "
-             "(its registered cell supplies the defaults)",
-    )
-    parser.add_argument(
-        "--plan-seed", type=int, default=None, metavar="N",
-        help="check: compose a sampled FaultPlan (seeded with N, "
-             "scaled by --intensity) with the exploration",
-    )
-    parser.add_argument(
-        "--counterexample", metavar="PATH", default="counterexample.json",
-        help="check: where to write the minimized replayable "
-             "counterexample when a violation is found "
-             "(default counterexample.json; a Perfetto witness trace "
-             "is written beside it)",
-    )
-    parser.add_argument(
-        "--replay", metavar="PATH", default=None,
-        help="check: replay a counterexample artifact and exit 0 iff "
-             "the recorded violations reproduce exactly",
-    )
-    parser.add_argument(
-        "--run-id", metavar="ID", default=None,
-        help="journal this campaign under ID (durable per-cell records; "
-             "a killed run becomes resumable)",
-    )
-    parser.add_argument(
-        "--resume", metavar="ID", default=None,
-        help="resume the journaled campaign ID: skip finished cells, "
-             "produce output byte-identical to an uninterrupted run",
-    )
-    parser.add_argument(
-        "--journal-dir", metavar="PATH", default=None,
+    cached = _flag("--no-cache", parents=[cache_dir], action="store_true",
+                   help="disable the on-disk result cache")
+    journal_dir = _flag(
+        "--journal-dir", metavar="PATH",
         help="run-journal root (default: $REPRO_JOURNAL_DIR or "
              "<cache dir>/runs)",
     )
-    parser.add_argument(
+    journaled = _flag(
+        "--run-id", parents=[journal_dir], metavar="ID",
+        help="journal this campaign under ID (durable per-cell records; "
+             "a killed run becomes resumable)",
+    )
+    journaled.add_argument(
+        "--resume", metavar="ID",
+        help="resume the journaled campaign ID: skip finished cells, "
+             "produce output byte-identical to an uninterrupted run",
+    )
+    json_out = _flag(
+        "--json", metavar="PATH",
+        help="also write the result as JSON (results: instead of "
+             "printing it)",
+    )
+    matrix = _flag(
+        "--csv", metavar="PATH", help="also write the run matrix as CSV",
+        parents=[apps, workload, workers, cached, journaled, json_out],
+    )
+    chart = _flag("--chart", action="store_true",
+                  help="append ASCII bar charts to the figures")
+    address = _flag(
         "--host", default="127.0.0.1", metavar="ADDR",
-        help="campaign-service bind/connect address "
-             "(default 127.0.0.1)",
+        help="campaign-service bind/connect address (default 127.0.0.1)",
     )
-    parser.add_argument(
-        "--port", type=int, default=None, metavar="PORT",
-        help="campaign-service port (default {}; 0 = pick a free "
-             "port when serving)".format(SERVE_DEFAULT_PORT),
+    address.add_argument(
+        "--port", type=int, default=SERVE_DEFAULT_PORT,
+        help="campaign-service port (default %(default)s; 0 = pick a "
+             "free port when serving)",
     )
-    parser.add_argument(
+    campaign = _flag(
+        "run_id", parents=[address], metavar="CAMPAIGN_ID",
+        help="the campaign's run id, as 'repro submit' printed it",
+    )
+
+    verb("table1", _run_table_command, "Table 1: the simulated architecture")
+    verb("table2", _run_table_command,
+         "Table 2: barrier imbalance per application", apps, workload, cached)
+    verb("table3", _run_table_command, "Table 3: the CPU sleep states")
+    verb("figure3", _run_table_command,
+         "Figure 3: FMM's BIT/BST variability", workload)
+    verb("figure5", _run_matrix_command,
+         "Figure 5: normalized energy per application", matrix, chart)
+    verb("figure6", _run_matrix_command,
+         "Figure 6: normalized execution time", matrix, chart)
+    verb("headline", _run_matrix_command, "the Section 5.1 aggregates",
+         matrix)
+    verb("all", _run_matrix_command, "every table and figure", matrix, chart)
+
+    cell = _flag("--config", parents=[app, workload], default="thrifty",
+                 help="configuration (default thrifty)")
+    cell.add_argument(
+        "--trace", metavar="PATH",
+        help="write a Perfetto-loadable Chrome trace of the cell",
+    )
+    cell.add_argument("--metrics-csv", metavar="PATH",
+                      help="write the cell's metrics as CSV")
+    verb("run", _run_cell_command,
+         "run one traced cell and print its summary", cell)
+    verb("trace", _run_cell_command,
+         "print one traced cell's timeline digest", cell)
+    verb("metrics", _run_cell_command,
+         "print one traced cell's metrics tables", cell)
+
+    chaos = verb(
+        "chaos", _run_chaos_command, "run a seeded fault-injection campaign",
+        apps, configs, workload, intensity, workers, journaled, json_out,
+    )
+    chaos.add_argument("--plans", type=int, default=5, metavar="N",
+                       help="number of sampled fault plans (default 5)")
+    chaos.add_argument(
+        "--fail-fast", action="store_true",
+        help="end the report at the first violating cell in sweep order "
+             "(the campaign still simulates every planned cell)",
+    )
+
+    check = verb(
+        "check", _run_check_command,
+        "model-check the protocols over same-time event orderings",
+        app, configs, seed, intensity,
+    )
+    check.add_argument(
+        "--threads", type=positive_int, default=8,
+        help="thread/processor count (default 8: exploration budgets "
+             "scale with the choice-point count)",
+    )
+    check.add_argument(
+        "--schedules", type=int, default=64, metavar="N",
+        help="schedule budget per explored cell (default 64)",
+    )
+    check.add_argument(
+        "--depth", type=int, default=24, metavar="N",
+        help="deepest choice point the dfs strategy deviates at "
+             "(default 24; random walks are unbounded)",
+    )
+    check.add_argument(
+        "--strategy", choices=("dfs", "random"), default="dfs",
+        help="'dfs' for CHESS-style bounded systematic search, 'random' "
+             "for seeded random walks (default dfs)",
+    )
+    check.add_argument(
+        "--mutant", metavar="NAME",
+        help="explore a deliberately broken barrier variant from "
+             "repro.sync.mutants instead of the correct one (its "
+             "registered cell supplies the defaults)",
+    )
+    check.add_argument(
+        "--plan-seed", type=int, metavar="N",
+        help="compose a sampled FaultPlan (seeded with N, scaled by "
+             "--intensity) with the exploration",
+    )
+    check.add_argument(
+        "--counterexample", metavar="PATH", default="counterexample.json",
+        help="where to write the minimized replayable counterexample "
+             "when a violation is found (default counterexample.json; a "
+             "Perfetto witness trace is written beside it)",
+    )
+    check.add_argument(
+        "--replay", metavar="PATH",
+        help="replay a counterexample artifact and exit 0 iff the "
+             "recorded violations reproduce exactly",
+    )
+
+    serve = verb("serve", _run_serve_command,
+                 "run the campaign service until shut down",
+                 address, cache_dir, journal_dir)
+    serve.add_argument(
         "--pool", type=int, default=2, metavar="N",
-        help="initial worker-pool size for 'serve' (default 2; "
-             "hotplug at runtime via POST /pool)",
+        help="initial worker-pool size (default 2; hotplug at runtime "
+             "via POST /pool)",
     )
-    parser.add_argument(
-        "--timeout", type=float, default=600.0, metavar="S",
-        help="client-side wait budget in seconds for 'results' "
-             "(default 600)",
-    )
-    parser.add_argument(
-        "--max-entries", type=int, default=None, metavar="N",
-        help="entry budget for 'cache prune'",
-    )
-    parser.add_argument(
-        "--repair", action="store_true",
-        help="fsck: apply the safe repairs (truncate torn journal "
-             "tails, quarantine corrupt cache entries, sweep stale tmp "
-             "files) instead of only reporting",
-    )
-    parser.add_argument(
+    serve.add_argument(
         "--idle-timeout", type=float, default=30.0, metavar="S",
-        help="serve: per-connection idle/read deadline in seconds; a "
-             "stalled client gets 408 and its connection back "
-             "(default 30, 0 disables)",
+        help="per-connection idle/read deadline in seconds; a stalled "
+             "client gets 408 and its connection back (default 30, 0 "
+             "disables)",
     )
-    parser.add_argument(
+    serve.add_argument(
         "--max-connections", type=int, default=128, metavar="N",
-        help="serve: load-shedding cap on concurrent connections; "
-             "beyond it new requests get 503 + Retry-After "
-             "(default 128, 0 disables)",
+        help="load-shedding cap on concurrent connections; beyond it new "
+             "requests get 503 + Retry-After (default 128, 0 disables)",
+    )
+    verb("submit", _submit,
+         "submit a campaign to the service; prints its run id",
+         address, apps, configs, workload)
+    verb("status", _status, "print a campaign's status as JSON", campaign)
+    results = verb(
+        "results", _results,
+        "wait for a campaign to finish and print its records as JSON",
+        campaign, json_out,
+    )
+    results.add_argument(
+        "--timeout", type=float, default=600.0, metavar="S",
+        help="wait budget in seconds (default 600)",
+    )
+    verb("cancel", _cancel, "cancel a campaign", campaign)
+    verb("shutdown", _shutdown, "stop the service", address)
+
+    cache = verb("cache", _run_cache_command,
+                 "result-cache stats and upkeep", cache_dir)
+    cache.add_argument(
+        "action", nargs="?", default="stats",
+        choices=("stats", "prune", "clear"),
+        help="print the cache's stats (default), evict the oldest "
+             "entries beyond --max-entries, or remove every entry",
+    )
+    cache.add_argument("--max-entries", type=int, metavar="N",
+                       help="entry budget for 'prune'")
+    fsck = verb("fsck", _run_fsck_command,
+                "audit (and repair) run journals and the result cache",
+                cached, journal_dir)
+    fsck.add_argument("run_id", nargs="?", metavar="RUN_ID",
+                      help="the one run to audit (default: every journal)")
+    fsck.add_argument(
+        "--repair", action="store_true",
+        help="apply the safe repairs (truncate torn journal tails, "
+             "quarantine corrupt cache entries, sweep stale tmp files) "
+             "instead of only reporting",
     )
     return parser
 
@@ -359,21 +355,141 @@ def _resume_hint(args, run_id):
     return hint
 
 
+def _run_table_command(args):
+    """table1 / table2 / table3 / figure3, which need no matrix; ``all``
+    prints them first."""
+    from repro.experiments import figures, report, tables
+    from repro.workloads.splash2 import check_apps
+
+    if args.verb in ("table1", "all"):
+        _emit(report.render_table1(*tables.table1_rows()))
+    if args.verb in ("table2", "all"):
+        check_apps(args.apps or ())
+        _emit(report.render_table2(tables.table2_rows(
+            threads=args.threads, seed=args.seed, apps=args.apps,
+            cache=_cache_argument(args),
+        )))
+    if args.verb in ("table3", "all"):
+        _emit(report.render_table3(*tables.table3_rows()))
+    if args.verb in ("figure3", "all"):
+        _emit(report.render_figure3(
+            figures.figure3_rows(threads=args.threads, seed=args.seed)
+        ))
+    return EXIT_OK
+
+
+def _render_engine_metrics(engine_metrics):
+    from repro.experiments import report
+
+    _emit(report.render_metrics(
+        engine_metrics, title="Run summary — engine & cache counters",
+        prefixes=("engine.", "cache.", "journal.", "storage."),
+    ))
+
+
+def _run_matrix_command(args):
+    """figure5 / figure6 / headline / all: run the application x
+    configuration matrix on the engine (journaled with ``--run-id``,
+    resumable with ``--resume``, preemption-aware), then print the
+    verb's artifacts."""
+    from repro import __version__
+    from repro.experiments import figures, report
+    from repro.experiments.configs import CONFIG_NAMES
+    from repro.experiments.runner import run_matrix
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.workloads.splash2 import SPLASH2_NAMES, check_apps
+
+    check_apps(args.apps or ())
+    apps = tuple(args.apps or SPLASH2_NAMES)
+    spec = {
+        "kind": "matrix", "apps": list(apps),
+        "configs": list(CONFIG_NAMES), "threads": args.threads,
+        "seed": args.seed, "version": __version__,
+    }
+    journal, resumed = _journal_argument(
+        args, spec, total=len(apps) * len(CONFIG_NAMES),
+    )
+    engine_metrics = MetricsRegistry()
+    if args.resume:
+        from repro.telemetry.events import ResumeStarted
+
+        ResumeStarted(
+            ts=0, run_id=journal.run_id, completed=resumed,
+            remaining=len(apps) * len(CONFIG_NAMES) - resumed,
+        ).record(engine_metrics)
+    try:
+        with PreemptionGuard() as guard:
+            matrix = run_matrix(
+                apps=apps, threads=args.threads, seed=args.seed,
+                workers=args.workers or None,
+                cache=_cache_argument(args),
+                metrics=engine_metrics,
+                journal=journal,
+                preemption=guard,
+            )
+    except CampaignInterrupted as exc:
+        print(
+            "preempted ({} of {} cells finished); everything "
+            "completed is {}".format(
+                exc.completed, exc.total,
+                "journaled and cached" if journal is not None
+                else "in the result cache",
+            ),
+            file=sys.stderr,
+        )
+        if exc.run_id:
+            print(
+                "resume with: repro {} {}".format(
+                    args.verb, _resume_hint(args, exc.run_id)
+                ),
+                file=sys.stderr,
+            )
+        if len(engine_metrics):
+            _render_engine_metrics(engine_metrics)
+        return EXIT_RESUMABLE
+    if args.verb == "all":
+        _run_table_command(args)
+    if args.verb in ("figure5", "all"):
+        rows = figures.figure5_rows(matrix)
+        _emit(report.render_figure5(rows))
+        if args.chart:
+            _emit(report.render_bar_chart(rows))
+    if args.verb in ("figure6", "all"):
+        rows = figures.figure6_rows(matrix)
+        _emit(report.render_figure6(rows))
+        if args.chart:
+            _emit(report.render_bar_chart(rows, value_key="wall"))
+    if args.verb in ("headline", "all"):
+        _emit(report.render_headline(matrix))
+    if args.json:
+        from repro.experiments.export import matrix_to_json
+
+        matrix_to_json(matrix, path=args.json)
+    if args.csv:
+        from repro.experiments.export import matrix_to_records, records_to_csv
+
+        records_to_csv(matrix_to_records(matrix), args.csv)
+    if len(engine_metrics):
+        _render_engine_metrics(engine_metrics)
+    return EXIT_OK
+
+
 def _run_cell_command(args):
     """The run / trace / metrics telemetry commands: one traced cell."""
+    from repro.experiments import report
+    from repro.experiments.configs import check_configs
     from repro.experiments.runner import run_experiment
     from repro.telemetry.export import metrics_to_csv, write_chrome_trace
+    from repro.workloads.splash2 import check_apps
 
-    try:
-        check_configs((args.config,))
-    except ConfigError as exc:
-        return _usage(str(exc))
+    check_apps((args.app,))
+    check_configs((args.config,))
     result = run_experiment(
         args.app, args.config, threads=args.threads, seed=args.seed,
         telemetry=True,
     )
     snapshot = result.telemetry
-    if args.artifact == "run":
+    if args.verb == "run":
         _emit(report.render_table(
             ("Field", "Value"),
             [
@@ -395,7 +511,7 @@ def _run_cell_command(args):
             snapshot.metrics, title="Cell metrics",
             prefixes=("barrier.", "sleep.", "wake.", "predictor."),
         ))
-    elif args.artifact == "trace":
+    elif args.verb == "trace":
         _emit(report.render_trace_summary(snapshot.events))
     else:  # metrics
         _emit(report.render_metrics(snapshot.metrics))
@@ -424,13 +540,17 @@ def _run_chaos_command(args):
     import json
 
     from repro import __version__
+    from repro.experiments.configs import CONFIG_NAMES, check_configs
     from repro.faults.chaos import (
         chaos_report_as_dict,
         render_chaos_report,
         run_chaos_campaign,
         sample_plans,
     )
+    from repro.workloads.splash2 import check_apps
 
+    check_apps(args.apps or ())
+    check_configs(args.configs or ())
     apps = tuple(args.apps or ("fmm",))
     configs = tuple(args.configs or CONFIG_NAMES)
     plans = sample_plans(args.plans, seed=args.seed, intensity=args.intensity)
@@ -499,11 +619,15 @@ def _run_check_command(args):
         write_counterexample,
     )
     from repro.check.harness import explored_config
+    from repro.experiments.configs import CONFIG_NAMES, check_configs
+    from repro.workloads.splash2 import check_apps
 
+    check_apps((args.app,))
+    check_configs(args.configs or ())
     if args.replay:
         try:
             reproduced, result, expected = replay_counterexample(args.replay)
-        except (ConfigError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             return _usage("cannot replay {}: {}".format(args.replay, exc))
         print("replay {}: {} recorded violation(s), {} observed".format(
             args.replay, len(expected), len(result.violations)
@@ -525,10 +649,7 @@ def _run_check_command(args):
     if args.mutant:
         from repro.sync.mutants import mutant_spec
 
-        try:
-            spec = mutant_spec(args.mutant)
-        except ConfigError as exc:
-            return _usage(str(exc))
+        spec = mutant_spec(args.mutant)
         app, configs = spec.app, (spec.base_config,)
     else:
         app = args.app
@@ -538,17 +659,14 @@ def _run_check_command(args):
     # (Oracle-Halt and Ideal read the Baseline) prints its line.
     explorations = {}
     for config in configs:
-        try:
-            live = explored_config(config)
-            if live not in explorations:
-                explorations[live] = explore(
-                    app, config, threads=args.threads, seed=args.seed,
-                    max_schedules=args.schedules, max_depth=args.depth,
-                    strategy=args.strategy, fault_plan=fault_plan,
-                    mutant=args.mutant,
-                )
-        except ConfigError as exc:
-            return _usage(str(exc))
+        live = explored_config(config)
+        if live not in explorations:
+            explorations[live] = explore(
+                app, config, threads=args.threads, seed=args.seed,
+                max_schedules=args.schedules, max_depth=args.depth,
+                strategy=args.strategy, fault_plan=fault_plan,
+                mutant=args.mutant,
+            )
         exploration = explorations[live]
         print("check {}/{}/{}t seed {} [{}]: {} schedule(s), "
               "{} unique{}{}".format(
@@ -602,96 +720,95 @@ def _run_check_command(args):
 
 
 def _run_serve_command(args):
-    """The campaign-service commands: the server and its client verbs.
+    """``repro serve``: block until shut down. The exit status tells a
+    clean stop from a preemption with in-flight campaigns, exactly like
+    a batch run."""
+    from repro.serve.server import CampaignServer
 
-    ``serve`` blocks until shut down (its exit status distinguishes a
-    clean stop from a preemption with in-flight campaigns, exactly
-    like a batch run). The client verbs talk to a running server;
-    ``submit`` prints the new campaign's run id *alone* on stdout so
-    shell scripts can capture it (details go to stderr).
-    """
-    import json
+    server = CampaignServer(
+        host=args.host, port=args.port, pool_size=args.pool,
+        cache=args.cache_dir, journal_root=args.journal_dir,
+        idle_timeout_s=args.idle_timeout or None,
+        max_connections=args.max_connections or None,
+    )
+    return server.run()
 
+
+def _client(args):
     from repro.serve.client import ServeClient
 
-    port = args.port if args.port is not None else SERVE_DEFAULT_PORT
-    if args.artifact == "serve":
-        from repro.serve.server import CampaignServer
+    return ServeClient(host=args.host, port=args.port)
 
-        if args.no_cache:
-            return _usage(
-                "repro serve needs the result cache (cross-campaign "
-                "dedup and restart recovery are built on it); drop "
-                "--no-cache"
-            )
-        server = CampaignServer(
-            host=args.host, port=port, pool_size=args.pool,
-            cache=args.cache_dir, journal_root=args.journal_dir,
-            idle_timeout_s=args.idle_timeout or None,
-            max_connections=args.max_connections or None,
-        )
-        return server.run()
 
-    client = ServeClient(host=args.host, port=port)
-    try:
-        if args.artifact == "submit":
-            spec = {"threads": args.threads, "seed": args.seed}
-            if args.apps:
-                spec["apps"] = list(args.apps)
-            if args.configs:
-                spec["configs"] = list(args.configs)
-            status = client.submit(spec)
-            print(
-                "campaign {run_id}: {total} cells ({cached} cached, "
-                "{deduped} deduped), state {state}".format(**status),
-                file=sys.stderr,
-            )
-            print(status["run_id"])
-            return EXIT_OK
-        if args.artifact == "shutdown":
-            client.shutdown()
-            print("server stopping", file=sys.stderr)
-            return EXIT_OK
-        if not args.action:
-            return _usage(
-                "repro {} needs a campaign id (see 'repro submit' "
-                "output or GET /campaigns)".format(args.artifact)
-            )
-        if args.artifact == "status":
-            print(json.dumps(client.status(args.action), indent=2,
-                             sort_keys=True))
-            return EXIT_OK
-        if args.artifact == "cancel":
-            status = client.cancel(args.action)
-            print("campaign {} {} after {} of {} cells".format(
-                status["run_id"], status["state"],
-                status["completed"], status["total"],
-            ))
-            return EXIT_OK
-        # results: wait for the terminal state, then fetch.
-        status = client.wait(args.action, timeout=args.timeout)
-        if status["state"] == "cancelled":
-            print("campaign {} was cancelled".format(args.action),
-                  file=sys.stderr)
-            return EXIT_VIOLATION
-        document = client.results(args.action)
-        text = json.dumps(document["records"], indent=2, sort_keys=True)
-        if args.json:
-            from repro.experiments.journal import atomic_write_text
+def _submit(args):
+    """``repro submit`` prints the new campaign's run id *alone* on
+    stdout so shell scripts can capture it (details go to stderr). The
+    spec passes the server's own validation before any connection."""
+    from repro.serve.campaigns import normalize_spec
 
-            atomic_write_text(args.json, text + "\n")
-            print("results written to {}".format(args.json),
-                  file=sys.stderr)
-        else:
-            print(text)
-        if document["failed"]:
-            print("{} cell(s) failed".format(document["failed"]),
-                  file=sys.stderr)
-            return EXIT_VIOLATION
-        return EXIT_OK
-    except ServeError as exc:
-        print(str(exc), file=sys.stderr)
+    spec = {"threads": args.threads, "seed": args.seed}
+    if args.apps:
+        spec["apps"] = list(args.apps)
+    if args.configs:
+        spec["configs"] = list(args.configs)
+    normalize_spec(spec)
+    status = _client(args).submit(spec)
+    print(
+        "campaign {run_id}: {total} cells ({cached} cached, "
+        "{deduped} deduped), state {state}".format(**status),
+        file=sys.stderr,
+    )
+    print(status["run_id"])
+    return EXIT_OK
+
+
+def _status(args):
+    import json
+
+    print(json.dumps(_client(args).status(args.run_id), indent=2,
+                     sort_keys=True))
+    return EXIT_OK
+
+
+def _cancel(args):
+    status = _client(args).cancel(args.run_id)
+    print("campaign {} {} after {} of {} cells".format(
+        status["run_id"], status["state"],
+        status["completed"], status["total"],
+    ))
+    return EXIT_OK
+
+
+def _results(args):
+    """``repro results``: wait for the terminal state, then fetch."""
+    import json
+
+    client = _client(args)
+    status = client.wait(args.run_id, timeout=args.timeout)
+    if status["state"] == "cancelled":
+        print("campaign {} was cancelled".format(args.run_id),
+              file=sys.stderr)
         return EXIT_VIOLATION
+    document = client.results(args.run_id)
+    text = json.dumps(document["records"], indent=2, sort_keys=True)
+    if args.json:
+        from repro.faults.storage import atomic_write_text
+
+        atomic_write_text(args.json, text + "\n")
+        print("results written to {}".format(args.json), file=sys.stderr)
+    else:
+        print(text)
+    if document["failed"]:
+        print("{} cell(s) failed".format(document["failed"]),
+              file=sys.stderr)
+        return EXIT_VIOLATION
+    return EXIT_OK
+
+
+def _shutdown(args):
+    _client(args).shutdown()
+    print("server stopping", file=sys.stderr)
+    return EXIT_OK
 
 
 def _run_fsck_command(args):
@@ -709,13 +826,10 @@ def _run_fsck_command(args):
         from repro.experiments.cache import default_cache_dir
 
         cache_dir = args.cache_dir or default_cache_dir()
-    try:
-        report = fsck_tree(
-            journal_root=args.journal_dir, run_id=args.action,
-            cache_dir=cache_dir, repair=args.repair,
-        )
-    except ConfigError as exc:
-        return _usage(str(exc))
+    report = fsck_tree(
+        journal_root=args.journal_dir, run_id=args.run_id,
+        cache_dir=cache_dir, repair=args.repair,
+    )
     _emit(render_fsck_report(report))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -726,13 +840,10 @@ def _run_cache_command(args):
 
     from repro.experiments.cache import ResultCache
 
-    if args.no_cache:
-        return _usage("repro cache needs a cache; drop --no-cache")
     cache = ResultCache(args.cache_dir)
-    action = args.action or "stats"
-    if action == "prune":
+    if args.action == "prune":
         if args.max_entries is None or args.max_entries < 0:
-            return _usage(
+            raise ConfigError(
                 "repro cache prune needs --max-entries N (the entry "
                 "budget to keep)"
             )
@@ -740,16 +851,11 @@ def _run_cache_command(args):
         print("evicted {} entr{}".format(
             evicted, "y" if evicted == 1 else "ies"
         ), file=sys.stderr)
-    elif action == "clear":
+    elif args.action == "clear":
         removed = cache.clear()
         print("removed {} entr{}".format(
             removed, "y" if removed == 1 else "ies"
         ), file=sys.stderr)
-    elif action != "stats":
-        return _usage(
-            "unknown cache action {!r}; choose from stats, prune, "
-            "clear".format(action)
-        )
     stats = dict(cache.stats())
     stats["entries"] = len(cache)
     stats["size_bytes"] = cache.size_bytes()
@@ -760,138 +866,19 @@ def _run_cache_command(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        # check explores interleavings — budgets scale with the number
-        # of choice points, so its default cell is small.
-        args.threads = 8 if args.artifact in _CHECK_COMMANDS else 64
-    # A seeded storage fault plan in $REPRO_STORAGE_FAULTS applies to
-    # any command — this is how CI runs a *subprocess* campaign under
-    # injected ENOSPC/torn-write faults.
-    from repro.faults.storage import install_from_env
+    try:
+        # A seeded storage fault plan in $REPRO_STORAGE_FAULTS applies
+        # to any command — this is how CI runs a *subprocess* campaign
+        # under injected ENOSPC/torn-write faults.
+        from repro.faults.storage import install_from_env
 
-    install_from_env()
-    if args.artifact in _SERVE_COMMANDS:
-        return _run_serve_command(args)
-    if args.artifact in _FSCK_COMMANDS:
-        return _run_fsck_command(args)
-    if args.artifact in _CACHE_COMMANDS:
-        return _run_cache_command(args)
-    try:  # before any journal, cache or simulation is touched
-        check_apps(
-            (args.app,) if args.artifact in _CELL_COMMANDS + _CHECK_COMMANDS
-            else args.apps or ()
-        )
-        check_configs(args.configs or ())
+        install_from_env()
+        return args.handler(args)
     except ConfigError as exc:
         return _usage(str(exc))
-    if args.artifact in _CELL_COMMANDS:
-        return _run_cell_command(args)
-    if args.artifact in _CHAOS_COMMANDS:
-        return _run_chaos_command(args)
-    if args.artifact in _CHECK_COMMANDS:
-        return _run_check_command(args)
-    from repro.telemetry.metrics import MetricsRegistry
-
-    needs_matrix = args.artifact in ("figure5", "figure6", "headline", "all")
-    matrix = None
-    engine_metrics = MetricsRegistry()
-    if needs_matrix:
-        from repro import __version__
-
-        apps = tuple(args.apps or SPLASH2_NAMES)
-        spec = {
-            "kind": "matrix", "apps": list(apps),
-            "configs": list(CONFIG_NAMES), "threads": args.threads,
-            "seed": args.seed, "version": __version__,
-        }
-        journal, resumed = _journal_argument(
-            args, spec, total=len(apps) * len(CONFIG_NAMES),
-        )
-        if args.resume:
-            from repro.telemetry.events import ResumeStarted
-
-            ResumeStarted(
-                ts=0, run_id=journal.run_id, completed=resumed,
-                remaining=len(apps) * len(CONFIG_NAMES) - resumed,
-            ).record(engine_metrics)
-        try:
-            with PreemptionGuard() as guard:
-                matrix = run_matrix(
-                    apps=apps, threads=args.threads, seed=args.seed,
-                    workers=args.workers or None,
-                    cache=_cache_argument(args),
-                    metrics=engine_metrics,
-                    journal=journal,
-                    preemption=guard,
-                )
-        except CampaignInterrupted as exc:
-            print(
-                "preempted ({} of {} cells finished); everything "
-                "completed is {}".format(
-                    exc.completed, exc.total,
-                    "journaled and cached" if journal is not None
-                    else "in the result cache",
-                ),
-                file=sys.stderr,
-            )
-            if exc.run_id:
-                print(
-                    "resume with: repro {} {}".format(
-                        args.artifact, _resume_hint(args, exc.run_id)
-                    ),
-                    file=sys.stderr,
-                )
-            if len(engine_metrics):
-                _emit(report.render_metrics(
-                    engine_metrics,
-                    title="Run summary — engine & cache counters",
-                    prefixes=("engine.", "cache.", "journal.", "storage."),
-                ))
-            return EXIT_RESUMABLE
-    if args.artifact in ("table1", "all"):
-        rows, validation = tables.table1_rows()
-        _emit(report.render_table1(rows, validation))
-    if args.artifact in ("table2", "all"):
-        rows = tables.table2_rows(
-            threads=args.threads, seed=args.seed, apps=args.apps,
-            cache=_cache_argument(args),
-        )
-        _emit(report.render_table2(rows))
-    if args.artifact in ("table3", "all"):
-        rows, tdp = tables.table3_rows()
-        _emit(report.render_table3(rows, tdp))
-    if args.artifact in ("figure3", "all"):
-        rows = figures.figure3_rows(threads=args.threads, seed=args.seed)
-        _emit(report.render_figure3(rows))
-    if args.artifact in ("figure5", "all"):
-        rows = figures.figure5_rows(matrix)
-        _emit(report.render_figure5(rows))
-        if args.chart:
-            _emit(report.render_bar_chart(rows))
-    if args.artifact in ("figure6", "all"):
-        rows = figures.figure6_rows(matrix)
-        _emit(report.render_figure6(rows))
-        if args.chart:
-            _emit(report.render_bar_chart(rows, value_key="wall"))
-    if args.artifact in ("headline", "all"):
-        _emit(report.render_headline(matrix))
-    if matrix is not None and (args.json or args.csv):
-        from repro.experiments.export import (
-            matrix_to_json,
-            matrix_to_records,
-            records_to_csv,
-        )
-
-        if args.json:
-            matrix_to_json(matrix, path=args.json)
-        if args.csv:
-            records_to_csv(matrix_to_records(matrix), args.csv)
-    if matrix is not None and len(engine_metrics):
-        _emit(report.render_metrics(
-            engine_metrics, title="Run summary — engine & cache counters",
-            prefixes=("engine.", "cache.", "journal.", "storage."),
-        ))
-    return EXIT_OK
+    except ServeError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

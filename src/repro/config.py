@@ -13,6 +13,9 @@ from repro.errors import ConfigError
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 
+#: The workload seed every experiment runs with unless told otherwise.
+DEFAULT_SEED = 1
+
 
 @dataclass(frozen=True)
 class SleepStateConfig:

@@ -22,46 +22,34 @@
   watchdog (kill and requeue on stale beats);
 * :mod:`repro.experiments.preemption` — SIGTERM/SIGINT handling that
   turns preemption into a graceful, resumable stop.
+
+Every name below is imported on first use, so reading one module (the
+result cache, say) does not load the simulator.
 """
 
-from repro.experiments.cache import ResultCache, content_key
-from repro.experiments.configs import (
-    CONFIG_NAMES,
-    CONFIG_SHORT,
-    DERIVED_CONFIGS,
-    LIVE_CONFIGS,
-)
-from repro.experiments.journal import RunJournal, spec_hash
-from repro.experiments.parallel import (
-    CellFailure,
-    ExperimentCell,
-    ExperimentEngine,
-)
-from repro.experiments.preemption import EXIT_RESUMABLE, PreemptionGuard
-from repro.experiments.runner import (
-    ExperimentResult,
-    run_experiment,
-    run_matrix,
-)
-from repro.experiments.watchdog import HeartbeatMonitor, WatchdogPolicy
+from repro import lazy_exports
 
-__all__ = [
-    "CONFIG_NAMES",
-    "CONFIG_SHORT",
-    "CellFailure",
-    "DERIVED_CONFIGS",
-    "EXIT_RESUMABLE",
-    "ExperimentCell",
-    "ExperimentEngine",
-    "ExperimentResult",
-    "HeartbeatMonitor",
-    "LIVE_CONFIGS",
-    "PreemptionGuard",
-    "ResultCache",
-    "RunJournal",
-    "WatchdogPolicy",
-    "content_key",
-    "run_experiment",
-    "run_matrix",
-    "spec_hash",
-]
+_LAZY = {
+    "CONFIG_NAMES": ("repro.experiments.configs", "CONFIG_NAMES"),
+    "CONFIG_SHORT": ("repro.experiments.configs", "CONFIG_SHORT"),
+    "CellFailure": ("repro.experiments.parallel", "CellFailure"),
+    "DERIVED_CONFIGS": ("repro.experiments.configs", "DERIVED_CONFIGS"),
+    "EXIT_RESUMABLE": ("repro.experiments.preemption", "EXIT_RESUMABLE"),
+    "ExperimentCell": ("repro.experiments.parallel", "ExperimentCell"),
+    "ExperimentEngine": ("repro.experiments.parallel", "ExperimentEngine"),
+    "ExperimentResult": ("repro.experiments.runner", "ExperimentResult"),
+    "HeartbeatMonitor": ("repro.experiments.watchdog", "HeartbeatMonitor"),
+    "LIVE_CONFIGS": ("repro.experiments.configs", "LIVE_CONFIGS"),
+    "PreemptionGuard": ("repro.experiments.preemption", "PreemptionGuard"),
+    "ResultCache": ("repro.experiments.cache", "ResultCache"),
+    "RunJournal": ("repro.experiments.journal", "RunJournal"),
+    "WatchdogPolicy": ("repro.experiments.watchdog", "WatchdogPolicy"),
+    "content_key": ("repro.experiments.cache", "content_key"),
+    "run_experiment": ("repro.experiments.runner", "run_experiment"),
+    "run_matrix": ("repro.experiments.runner", "run_matrix"),
+    "spec_hash": ("repro.experiments.journal", "spec_hash"),
+}
+
+__all__ = sorted(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

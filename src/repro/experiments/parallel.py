@@ -39,7 +39,6 @@ count the engine returns field-identical results in identical order
 """
 
 import os
-import random
 import time
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -58,7 +57,7 @@ from repro.experiments.runner import (
     _shared_baseline,
     _simulation_cost,
 )
-from repro.experiments.watchdog import WatchdogPolicy
+from repro.experiments.watchdog import RetryBackoff, WatchdogPolicy
 
 #: Placeholder for a cell whose result has not been produced yet.
 _PENDING = object()
@@ -170,38 +169,6 @@ class EngineStats:
             "retries": self.retries,
             "stalled": self.stalled,
         }
-
-
-class RetryBackoff:
-    """Bounded exponential backoff with deterministic seeded jitter.
-
-    ``delay_for(attempt)`` (attempt numbering starts at 1 for the first
-    *retry*) returns ``min(cap, base * 2**(attempt-1))`` scaled by a
-    jitter factor drawn uniformly from [0.5, 1.0) — decorrelating the
-    retry times of cells that failed together (e.g. the unfinished
-    cells of one dead worker) without sacrificing reproducibility: the
-    jitter RNG is seeded from ``seed`` alone, so a fixed seed yields the
-    same retry schedule on every run.
-    """
-
-    def __init__(self, base_s=0.05, cap_s=2.0, seed=0):
-        if base_s < 0 or cap_s < 0:
-            raise ConfigError("backoff delays must be non-negative")
-        if cap_s < base_s:
-            raise ConfigError("backoff cap must be >= base")
-        self.base_s = base_s
-        self.cap_s = cap_s
-        self.seed = seed
-        # String seeding hashes via SHA-512 — stable across processes
-        # and runs, unlike hash() of arbitrary objects.
-        self._rng = random.Random("retry-backoff:{}".format(seed))
-
-    def delay_for(self, attempt):
-        """Delay in seconds before retry number ``attempt`` (>= 1)."""
-        if attempt < 1:
-            raise ConfigError("attempt numbering starts at 1")
-        raw = min(self.cap_s, self.base_s * (2 ** (attempt - 1)))
-        return raw * (0.5 + 0.5 * self._rng.random())
 
 
 def record_engine_metrics(metrics, engine):

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.config import MachineConfig
+from repro.config import DEFAULT_SEED, MachineConfig
 from repro.energy.accounting import EnergyAccount
 from repro.errors import WorkloadError
 from repro.experiments.configs import (
@@ -36,8 +36,6 @@ from repro.telemetry.tracer import (
     collect_run_metrics,
 )
 from repro.workloads import WorkloadRunner, get_model
-
-DEFAULT_SEED = 1
 
 
 @dataclass

@@ -13,9 +13,11 @@ that posts a **heartbeat** onto its result queue every
 :class:`HeartbeatMonitor` and, when a worker's beats go stale
 (``stale_after_s`` without one), kills it and requeues its unfinished
 cells through the engine's normal retry machinery —
-:class:`~repro.experiments.parallel.RetryBackoff` delays, attempt
-accounting, and exclusion as ``failed-permanent`` once a cell has
-struck out ``retries + 1`` times.
+:class:`RetryBackoff` delays, attempt accounting, and exclusion as
+``failed-permanent`` once a cell has struck out ``retries + 1`` times.
+:class:`RetryBackoff` lives here, beside the other supervision policy,
+because the serve client's retries wait the same way and must not
+import the engine.
 
 A beat thread is pure liveness: it beats as long as the interpreter
 schedules threads. That is exactly the right signal — the failure
@@ -24,6 +26,7 @@ pure-Python infinite loop (which still beats) stays the per-cell
 timeout's job.
 """
 
+import random
 import threading
 import time
 from dataclasses import dataclass
@@ -151,3 +154,35 @@ def start_beat_thread(out_queue, interval_s):
     thread = threading.Thread(target=loop, daemon=True, name="heartbeat")
     thread.start()
     return stop
+
+
+class RetryBackoff:
+    """Bounded exponential backoff with deterministic seeded jitter.
+
+    ``delay_for(attempt)`` (attempt numbering starts at 1 for the first
+    *retry*) returns ``min(cap, base * 2**(attempt-1))`` scaled by a
+    jitter factor drawn uniformly from [0.5, 1.0) — decorrelating the
+    retry times of cells that failed together (e.g. the unfinished
+    cells of one dead worker) without sacrificing reproducibility: the
+    jitter RNG is seeded from ``seed`` alone, so a fixed seed yields the
+    same retry schedule on every run.
+    """
+
+    def __init__(self, base_s=0.05, cap_s=2.0, seed=0):
+        if base_s < 0 or cap_s < 0:
+            raise ConfigError("backoff delays must be non-negative")
+        if cap_s < base_s:
+            raise ConfigError("backoff cap must be >= base")
+        self.base_s = base_s
+        self.cap_s = cap_s
+        self.seed = seed
+        # String seeding hashes via SHA-512 — stable across processes
+        # and runs, unlike hash() of arbitrary objects.
+        self._rng = random.Random("retry-backoff:{}".format(seed))
+
+    def delay_for(self, attempt):
+        """Delay in seconds before retry number ``attempt`` (>= 1)."""
+        if attempt < 1:
+            raise ConfigError("attempt numbering starts at 1")
+        raw = min(self.cap_s, self.base_s * (2 ** (attempt - 1)))
+        return raw * (0.5 + 0.5 * self._rng.random())

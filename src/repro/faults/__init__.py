@@ -18,55 +18,44 @@ Three layers:
   TCP forwarder injecting delays, drops, truncation, and corruption
   between a serve client and its server.
 
-:mod:`repro.faults.chaos` (imported lazily — it pulls in the
-experiment harness) sweeps sampled plans across the paper's five
-configurations; the CLI surfaces it as ``repro chaos``.
+:mod:`repro.faults.chaos` sweeps sampled plans across the paper's
+five configurations; the CLI surfaces it as ``repro chaos``.
+
+Every name below is imported on first use, so the storage seam the
+journal and result cache write through does not load the simulator.
 """
 
-from repro.faults.injector import FAULT_KINDS, FaultInjector, install_fault_plan
-from repro.faults.netchaos import NET_FAULT_KINDS, ChaosProxy, NetChaosPlan
-from repro.faults.storage import (
-    STORAGE_FAULT_KINDS,
-    SimulatedCrash,
-    StorageFaultInjector,
-    StorageFaultPlan,
-    install_storage_faults,
-    storage_faults,
-    uninstall_storage_faults,
-)
-from repro.faults.invariants import (
-    BARRIER_LIVENESS,
-    BARRIER_SAFETY,
-    ENERGY_CONSERVATION,
-    INVARIANTS,
-    MONOTONIC_TIME,
-    InvariantChecker,
-    InvariantError,
-    InvariantViolation,
-)
-from repro.faults.plan import FaultPlan
+from repro import lazy_exports
 
-__all__ = [
-    "BARRIER_LIVENESS",
-    "BARRIER_SAFETY",
-    "ChaosProxy",
-    "ENERGY_CONSERVATION",
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "INVARIANTS",
-    "InvariantChecker",
-    "InvariantError",
-    "InvariantViolation",
-    "MONOTONIC_TIME",
-    "NET_FAULT_KINDS",
-    "NetChaosPlan",
-    "STORAGE_FAULT_KINDS",
-    "SimulatedCrash",
-    "StorageFaultInjector",
-    "StorageFaultPlan",
-    "install_fault_plan",
-    "install_storage_faults",
-    "storage_faults",
-    "uninstall_storage_faults",
-]
+_LAZY = {
+    "BARRIER_LIVENESS": ("repro.faults.invariants", "BARRIER_LIVENESS"),
+    "BARRIER_SAFETY": ("repro.faults.invariants", "BARRIER_SAFETY"),
+    "ChaosProxy": ("repro.faults.netchaos", "ChaosProxy"),
+    "ENERGY_CONSERVATION": ("repro.faults.invariants", "ENERGY_CONSERVATION"),
+    "FAULT_KINDS": ("repro.faults.injector", "FAULT_KINDS"),
+    "FaultInjector": ("repro.faults.injector", "FaultInjector"),
+    "FaultPlan": ("repro.faults.plan", "FaultPlan"),
+    "INVARIANTS": ("repro.faults.invariants", "INVARIANTS"),
+    "InvariantChecker": ("repro.faults.invariants", "InvariantChecker"),
+    "InvariantError": ("repro.faults.invariants", "InvariantError"),
+    "InvariantViolation": ("repro.faults.invariants", "InvariantViolation"),
+    "MONOTONIC_TIME": ("repro.faults.invariants", "MONOTONIC_TIME"),
+    "NET_FAULT_KINDS": ("repro.faults.netchaos", "NET_FAULT_KINDS"),
+    "NetChaosPlan": ("repro.faults.netchaos", "NetChaosPlan"),
+    "STORAGE_FAULT_KINDS": ("repro.faults.storage", "STORAGE_FAULT_KINDS"),
+    "SimulatedCrash": ("repro.faults.storage", "SimulatedCrash"),
+    "StorageFaultInjector": ("repro.faults.storage", "StorageFaultInjector"),
+    "StorageFaultPlan": ("repro.faults.storage", "StorageFaultPlan"),
+    "install_fault_plan": ("repro.faults.injector", "install_fault_plan"),
+    "install_storage_faults": (
+        "repro.faults.storage", "install_storage_faults",
+    ),
+    "storage_faults": ("repro.faults.storage", "storage_faults"),
+    "uninstall_storage_faults": (
+        "repro.faults.storage", "uninstall_storage_faults",
+    ),
+}
+
+__all__ = sorted(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

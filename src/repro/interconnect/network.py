@@ -11,15 +11,13 @@ where serialization is the extra flits behind the head at the router
 clock. Node-local "messages" (a node talking to its own directory) skip
 the network entirely.
 
-Contention is not modeled (a documented simplification — the paper's
-barrier traffic is latency-, not bandwidth-bound); link-load statistics
-are still collected so tests and reports can observe hot links. A
-message only bumps the count of its route; :class:`NetworkStats`
-derives every total from those counts when read.
+Contention is not modeled by default (a documented simplification — the
+paper's barrier traffic is latency-, not bandwidth-bound). A message
+only bumps the count of its route; :class:`NetworkStats` derives every
+total from those counts when read.
 """
 
 import math
-from collections import Counter
 
 from repro.errors import ConfigError
 from repro.interconnect.routing import links_used
@@ -29,11 +27,10 @@ from repro.interconnect.topology import Hypercube
 class _Route:
     """One ``(src, dst, size)`` route: its constants and message count."""
 
-    __slots__ = ("hops", "size_bytes", "links", "latency", "messages")
+    __slots__ = ("hops", "links", "latency", "messages")
 
-    def __init__(self, hops, size_bytes, links, latency):
+    def __init__(self, hops, links, latency):
         self.hops = hops
-        self.size_bytes = size_bytes
         self.links = links
         self.latency = latency
         self.messages = 0
@@ -53,13 +50,6 @@ class NetworkStats:
         )
 
     @property
-    def total_bytes(self):
-        return sum(
-            route.messages * route.size_bytes
-            for route in self._routes.values() if route.hops
-        )
-
-    @property
     def total_hops(self):
         return sum(
             route.messages * route.hops for route in self._routes.values()
@@ -72,19 +62,11 @@ class NetworkStats:
             return 0.0
         return self.total_hops / messages
 
-    @property
-    def link_loads(self):
-        loads = Counter()
-        for route in self._routes.values():
-            for link in route.links:
-                loads[link] += route.messages
-        return loads
-
 
 class Network:
     """Latency model bound to a :class:`~repro.sim.Simulator`."""
 
-    def __init__(self, sim, topology, config, track_links=False):
+    def __init__(self, sim, topology, config):
         if not isinstance(topology, Hypercube):
             raise ConfigError("Network requires a Hypercube topology")
         self.sim = sim
@@ -93,7 +75,6 @@ class Network:
         self.flit_bytes = 16
         # 250 MHz -> 4 ns per router cycle; one flit advances per cycle.
         self.flit_cycle_ns = max(1, int(round(1_000 / config.router_freq_mhz)))
-        self._track_links = track_links or config.model_contention
         self._model_contention = config.model_contention
         self._link_busy_until = {}
         # Packed (src, dst, size) int key -> _Route: the route's hops,
@@ -156,13 +137,12 @@ class Network:
         route = self._routes.get(key)
         if route is None:
             if src == dst:
-                route = _Route(0, size_bytes, (), 0)
+                route = _Route(0, (), 0)
             else:
                 route = _Route(
                     self.topology.hops(src, dst),
-                    size_bytes,
                     links_used(src, dst, self.topology.dimension)
-                    if self._track_links
+                    if self._model_contention
                     else (),
                     self.latency_ns(src, dst, size_bytes),
                 )

@@ -79,11 +79,11 @@ class System:
     def run_threads(self, program, n_threads=None):
         """Run ``program(node)`` on the first ``n_threads`` nodes to
         completion (one thread per CPU, the paper's dedicated mode)."""
-        n_threads = n_threads or self.n_nodes
-        if n_threads > self.n_nodes:
-            raise ConfigError(
-                "{} threads exceed {} nodes".format(n_threads, self.n_nodes)
-            )
+        if n_threads is None:
+            n_threads = self.n_nodes
+        if not 1 <= n_threads <= self.n_nodes:
+            raise ConfigError("need 1 to {} threads (one per node), got {}"
+                              .format(self.n_nodes, n_threads))
         for node in self.nodes[:n_threads]:
             self.spawn_thread(node.node_id, program(node))
         self.run()

@@ -21,25 +21,27 @@ equivalent.
 * :mod:`repro.serve.campaigns` — specs, campaign state, recovery;
 * :mod:`repro.serve.server` — the dispatcher + API endpoint;
 * :mod:`repro.serve.client` — the blocking client the CLI uses.
+
+Every class and function below is imported on first use, so the client
+verbs do not load the server, the engine or the simulator.
 """
 
-from repro.serve.campaigns import (
-    Campaign,
-    CampaignStore,
-    cells_for,
-    normalize_spec,
-)
-from repro.serve.client import ServeClient
-from repro.serve.pool import WorkerPool
-from repro.serve.server import DEFAULT_PORT, CampaignServer
+from repro import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "CampaignServer",
-    "CampaignStore",
-    "DEFAULT_PORT",
-    "ServeClient",
-    "WorkerPool",
-    "cells_for",
-    "normalize_spec",
-]
+#: Default port of the service; unregistered, chosen to stay clear of
+#: common services.
+DEFAULT_PORT = 8734
+
+_LAZY = {
+    "Campaign": ("repro.serve.campaigns", "Campaign"),
+    "CampaignServer": ("repro.serve.server", "CampaignServer"),
+    "CampaignStore": ("repro.serve.campaigns", "CampaignStore"),
+    "ServeClient": ("repro.serve.client", "ServeClient"),
+    "WorkerPool": ("repro.serve.pool", "WorkerPool"),
+    "cells_for": ("repro.serve.campaigns", "cells_for"),
+    "normalize_spec": ("repro.serve.campaigns", "normalize_spec"),
+}
+
+__all__ = sorted(_LAZY) + ["DEFAULT_PORT"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -36,8 +36,8 @@ import socket
 import time
 
 from repro.errors import ServeError
-from repro.experiments.parallel import RetryBackoff
-from repro.serve.server import DEFAULT_PORT
+from repro.experiments.watchdog import RetryBackoff
+from repro.serve import DEFAULT_PORT
 
 #: Methods safe to retry: no request state is created server-side.
 _IDEMPOTENT = ("GET", "DELETE")
@@ -56,7 +56,7 @@ class ServeClient:
 
     ``retries`` bounds both idempotent-request retries and event-
     stream reconnects, which wait as the engine's retries do (see
-    :class:`~repro.experiments.parallel.RetryBackoff`);
+    :class:`~repro.experiments.watchdog.RetryBackoff`);
     ``backoff_seed`` makes the jittered backoff schedule reproducible
     (fleet-wide decorrelation still holds — give each client its own
     seed).
@@ -197,7 +197,7 @@ class ServeClient:
         about ``poll_s`` (the floor — a short campaign is still seen
         finishing promptly), doubling up to ``poll_cap_s``, each
         scaled by seeded jitter (a
-        :class:`~repro.experiments.parallel.RetryBackoff`, so
+        :class:`~repro.experiments.watchdog.RetryBackoff`, so
         ``poll_s > poll_cap_s`` raises
         :class:`~repro.errors.ConfigError`). Returns the final status
         payload; raises :class:`~repro.errors.ServeError` on timeout.

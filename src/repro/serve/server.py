@@ -85,6 +85,7 @@ from repro.serve.campaigns import (
     CampaignStore,
     normalize_spec,
 )
+from repro.serve import DEFAULT_PORT
 from repro.serve.http import (
     HttpError,
     JsonResponse,
@@ -103,9 +104,6 @@ from repro.telemetry.events import (
     WorkerStalled,
 )
 from repro.telemetry.metrics import MetricsRegistry
-
-#: Default port; unregistered, chosen to stay clear of common services.
-DEFAULT_PORT = 8734
 
 #: Clean-exit status (mirrors the CLI constant without importing it).
 EXIT_OK = 0

@@ -157,23 +157,3 @@ class WorkloadModel:
             self.name, len(self.static_barriers), self.dynamic_instances
         )
 
-
-def predicted_imbalance(model, n_threads, seed=0):
-    """Analytic estimate of the Table 2 barrier-imbalance metric.
-
-    Ignores barrier overheads: imbalance = sum of stalls over
-    ``P * sum of interval maxima``. The simulator's measured value runs
-    slightly higher because check-in serialization extends intervals.
-    """
-    instances = model.generate(n_threads, seed)
-    total_stall = 0
-    total_interval = 0
-    for instance in instances:
-        longest = int(instance.durations.max())
-        total_interval += longest
-        total_stall += int(
-            (longest - instance.durations).sum()
-        )
-    if total_interval == 0:
-        return 0.0
-    return total_stall / (n_threads * total_interval)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.energy.accounting import Category, EnergyAccount
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import ConfigError, SimulationError, WorkloadError
 from repro.machine import System
 from repro.predict import LastValuePredictor, TimingDomain
 from repro.sync import BarrierTrace, ConventionalBarrier
@@ -74,7 +74,13 @@ class WorkloadRunner:
         telemetry=None,
     ):
         self.model = model
-        self.n_threads = n_threads or model.default_threads
+        if n_threads is None:
+            n_threads = model.default_threads
+        if n_threads < 1:
+            raise ConfigError(
+                "a workload needs at least 1 thread, got {}".format(n_threads)
+            )
+        self.n_threads = n_threads
         self.system = system or System(telemetry=telemetry)
         if self.n_threads > self.system.n_nodes:
             raise WorkloadError(

@@ -7,6 +7,15 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _exit_status(argv):
+    """``main``'s exit status, returned by a handler or raised by the
+    parser."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestParser:
     def test_artifact_required(self):
         with pytest.raises(SystemExit):
@@ -17,12 +26,16 @@ class TestParser:
             build_parser().parse_args(["figure7"])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["table3"])
-        # --threads defaults per command (64 for experiments, 8 for
-        # check); the parser leaves it None and main() resolves it.
-        assert args.threads is None
+        # --threads defaults per verb: 64 as in the paper, 8 for check
+        # (exploration budgets scale with the choice-point count).
+        args = build_parser().parse_args(["figure5"])
+        assert args.threads == 64
         assert args.apps is None
         assert not args.chart
+        assert build_parser().parse_args(["check"]).threads == 8
+        # table3 reads no flag, so it takes none.
+        args = build_parser().parse_args(["table3"])
+        assert sorted(vars(args)) == ["handler", "verb"]
 
     def test_check_defaults(self):
         args = build_parser().parse_args(["check"])
@@ -32,7 +45,6 @@ class TestParser:
         assert args.mutant is None
         assert args.replay is None
         assert args.counterexample == "counterexample.json"
-        assert not args.fail_fast
 
     def test_cell_command_defaults(self):
         args = build_parser().parse_args(["run"])
@@ -149,19 +161,20 @@ class TestUnknownApplication:
     naming the valid apps, and no journal, cache or run directory."""
 
     @pytest.mark.parametrize("argv", [
-        ["figure5", "--apps", "nosuch", "--run-id", "r"],
-        ["table2", "--apps", "fmm", "nosuch"],
-        ["chaos", "--apps", "nosuch", "--plans", "1", "--run-id", "r"],
+        ["figure5", "--apps", "nosuch", "--run-id", "r",
+         "--journal-dir", "{runs}", "--cache-dir", "{cache}"],
+        ["table2", "--apps", "fmm", "nosuch", "--cache-dir", "{cache}"],
+        ["chaos", "--apps", "nosuch", "--plans", "1", "--run-id", "r",
+         "--journal-dir", "{runs}"],
         ["run", "--app", "nosuch"],
         ["check", "--app", "nosuch", "--schedules", "1"],
     ], ids=lambda argv: argv[0])
     def test_exits_2_before_touching_storage(self, argv, capsys, tmp_path):
+        # Each verb gets the storage flags it takes.
         journal = tmp_path / "runs"
         cache = tmp_path / "cache"
-        assert main(argv + [
-            "--threads", "8", "--journal-dir", str(journal),
-            "--cache-dir", str(cache),
-        ]) == 2
+        argv = [arg.format(runs=journal, cache=cache) for arg in argv]
+        assert main(argv + ["--threads", "8"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -198,15 +211,18 @@ class TestUnknownApplication:
 
 
 class TestUnknownConfiguration:
-    """An unknown ``--configs`` name is a usage error in every verb:
-    exit 2, one stderr line naming the valid configurations, and no
-    journal, cache or simulation."""
+    """An unknown ``--configs`` name is a usage error in every verb that
+    takes ``--configs``, and the verbs that always run all five
+    configurations reject the flag itself: exit 2, one stderr line, and
+    no journal, cache or simulation."""
 
     @pytest.mark.parametrize("argv", [
-        ["figure5", "--apps", "fmm", "--run-id", "r"],
-        ["headline", "--apps", "fmm"],
-        ["table2", "--apps", "fmm"],
-        ["chaos", "--apps", "fmm", "--plans", "1", "--run-id", "r"],
+        ["figure5", "--apps", "fmm", "--run-id", "r",
+         "--journal-dir", "{runs}", "--cache-dir", "{cache}"],
+        ["headline", "--apps", "fmm", "--cache-dir", "{cache}"],
+        ["table2", "--apps", "fmm", "--cache-dir", "{cache}"],
+        ["chaos", "--apps", "fmm", "--plans", "1", "--run-id", "r",
+         "--journal-dir", "{runs}"],
         ["check", "--schedules", "1"],
     ], ids=lambda argv: argv[0])
     def test_exits_2_before_touching_storage(
@@ -214,16 +230,23 @@ class TestUnknownConfiguration:
     ):
         journal = tmp_path / "runs"
         cache = tmp_path / "cache"
-        assert main(argv + [
+        argv = [arg.format(runs=journal, cache=cache) for arg in argv]
+        assert _exit_status(argv + [
             "--threads", "8", "--configs", "thrifty", "nosuch",
-            "--journal-dir", str(journal), "--cache-dir", str(cache),
         ]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("unknown configuration(s) 'nosuch';")
-        assert "oracle-halt" in lines[0]
+        if argv[0] in ("chaos", "check"):
+            assert lines[0].startswith(
+                "unknown configuration(s) 'nosuch';"
+            )
+            assert "oracle-halt" in lines[0]
+        else:
+            assert lines[0].startswith(
+                "thrifty-barrier: error: unrecognized arguments: --configs"
+            )
         assert not journal.exists()
         assert not cache.exists()
         assert count_simulations() == 0
@@ -361,14 +384,15 @@ class TestChaosResume:
 
 class TestServeParser:
     def test_serve_commands_are_known(self):
-        for command in ("serve", "submit", "status", "results", "cancel",
-                        "shutdown", "cache"):
-            args = build_parser().parse_args([command])
-            assert args.artifact == command
+        for argv in (["serve"], ["submit"], ["status", "c1"],
+                     ["results", "c1"], ["cancel", "c1"], ["shutdown"],
+                     ["cache"]):
+            args = build_parser().parse_args(argv)
+            assert args.verb == argv[0]
 
     def test_action_positional(self):
         args = build_parser().parse_args(["status", "c123"])
-        assert args.action == "c123"
+        assert args.run_id == "c123"
         args = build_parser().parse_args(["cache", "prune",
                                           "--max-entries", "10"])
         assert args.action == "prune"
@@ -385,16 +409,20 @@ class TestServeParser:
 
 class TestServeCommands:
     def test_serve_refuses_no_cache(self, capsys):
-        assert main(["serve", "--no-cache"]) == 2
-        assert "result cache" in capsys.readouterr().err
+        # Cross-campaign dedup and restart recovery are built on the
+        # result cache, so serve has no --no-cache flag.
+        assert _exit_status(["serve", "--no-cache"]) == 2
+        assert "unrecognized arguments: --no-cache" in (
+            capsys.readouterr().err
+        )
 
     def test_client_without_server_exits_1(self, capsys):
         assert main(["status", "c1", "--port", "1"]) == 1
         assert "cannot reach" in capsys.readouterr().err
 
     def test_status_needs_an_id(self, capsys):
-        assert main(["status", "--port", "1"]) == 2
-        assert "campaign id" in capsys.readouterr().err
+        assert _exit_status(["status", "--port", "1"]) == 2
+        assert "CAMPAIGN_ID" in capsys.readouterr().err
 
 
 class TestCacheCommand:
@@ -425,8 +453,105 @@ class TestCacheCommand:
         assert "--max-entries" in capsys.readouterr().err
 
     def test_unknown_action_is_usage_error(self, capsys, tmp_path):
-        assert main(["cache", "vacuum", "--cache-dir", str(tmp_path)]) == 2
-        assert "unknown cache action" in capsys.readouterr().err
+        assert _exit_status(
+            ["cache", "vacuum", "--cache-dir", str(tmp_path)]
+        ) == 2
+        assert "invalid choice: 'vacuum'" in capsys.readouterr().err
 
     def test_no_cache_flag_conflicts(self, capsys):
-        assert main(["cache", "--no-cache"]) == 2
+        assert _exit_status(["cache", "--no-cache"]) == 2
+
+
+class TestVerbFlags:
+    """Each verb takes only the flags it reads: any other flag, and a
+    bad value, is a usage error with one stderr line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table3", "--mutant", "racy-check-in", "--repair", "--plans", "7",
+         "--pool", "9"],
+        ["chaos", "--apps", "fmm", "--threads", "8", "--plans", "1",
+         "--pool", "9", "--schedules", "3"],
+        ["figure5", "--apps", "fmm", "--threads", "8", "--configs",
+         "thrifty"],
+        ["run", "--cache-dir", "x"],
+        ["status", "c1", "--json", "x"],
+    ], ids=lambda argv: argv[0])
+    def test_a_flag_the_verb_does_not_read_exits_2(
+        self, argv, capsys, count_simulations,
+    ):
+        assert _exit_status(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "unrecognized arguments: " in line
+        assert count_simulations() == 0
+
+    MISUSE = [
+        (["figure5", "--resume", "nosuch"], "no journal for run 'nosuch'"),
+        (["chaos", "--resume", "nosuch"], "no journal for run 'nosuch'"),
+        (["figure5", "--apps", "fmm", "--threads", "8", "--workers", "-1",
+          "--no-cache"], "workers must be >= 1"),
+        (["chaos", "--apps", "fmm", "--threads", "8", "--plans", "-1"],
+         "at least one plan"),
+        (["run", "--threads", "0"], "--threads: must be at least 1"),
+        (["check", "--threads", "0"], "--threads: must be at least 1"),
+        (["submit", "--apps", "nosuch", "--port", "1"],
+         "unknown application(s) nosuch;"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", MISUSE, ids=[" ".join(argv) for argv, _ in MISUSE],
+    )
+    def test_misuse_exits_2_with_one_line(
+        self, argv, message, capsys, tmp_path, count_simulations,
+    ):
+        if argv[0] in ("figure5", "chaos"):
+            argv = argv + ["--journal-dir", str(tmp_path / "runs")]
+        assert _exit_status(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert message in line
+        assert count_simulations() == 0
+
+    def test_submit_validates_before_connecting(self, capsys, monkeypatch):
+        from repro.serve.client import ServeClient
+
+        def no_request(self, *args, **kwargs):
+            raise AssertionError("submit opened a connection")
+
+        monkeypatch.setattr(ServeClient, "_once", no_request)
+        assert main([
+            "submit", "--apps", "fmm", "--configs", "nosuch", "--port", "1",
+        ]) == 2
+        assert "unknown configuration(s) 'nosuch'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "--cache-dir", "{tmp}"],
+        ["status", "c1", "--port", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_cache_and_client_verbs_load_no_simulator(self, argv, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "status = main({!r})\n"
+            "heavy = sorted(name for name in sys.modules if name == 'numpy'"
+            " or name.startswith(('repro.sim', 'repro.workloads')))\n"
+            "print(heavy)\n"
+            "sys.exit(status)\n"
+        ).format(argv)
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode in (0, 1), completed.stderr
+        assert completed.stdout.splitlines()[-1] == "[]"

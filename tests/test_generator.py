@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import MachineConfig
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.machine import System
 from repro.sync import ThriftyBarrier
 from repro.workloads import (
@@ -82,6 +82,20 @@ class TestWorkloadRunner:
             WorkloadRunner(
                 toy_model(), system=small_system(), n_threads=8
             )
+
+    @pytest.mark.parametrize("n_threads", [0, -4])
+    def test_fewer_than_one_thread_rejected(self, n_threads):
+        # Only None selects the model's default thread count.
+        with pytest.raises(ConfigError, match="at least 1 thread"):
+            WorkloadRunner(
+                toy_model(), system=small_system(), n_threads=n_threads
+            )
+
+    def test_zero_threads_is_no_cell(self):
+        from repro.experiments.runner import run_experiment
+
+        with pytest.raises(ConfigError):
+            run_experiment("fmm", "baseline", threads=0)
 
     def test_imbalance_metric_in_unit_range(self):
         result = WorkloadRunner(toy_model(), system=small_system()).run()

@@ -143,15 +143,6 @@ class TestNetwork:
         assert net.stats.total_hops == 3
         assert net.stats.mean_hops == pytest.approx(1.5)
 
-    def test_link_tracking_optional(self):
-        config = MachineConfig(n_nodes=8)
-        sim = Simulator()
-        net = Network(sim, Hypercube(8), config.network, track_links=True)
-        net.transfer(0, 3)
-        sim.run()
-        assert net.stats.link_loads[(0, 1)] == 1
-        assert net.stats.link_loads[(1, 3)] == 1
-
     def test_invalid_size_rejected(self):
         _, net = self._network()
         with pytest.raises(ConfigError):
@@ -169,9 +160,7 @@ class TestStatsDerivedFromRoutes:
 
     def test_stats_equal_call_by_call_counters_on_a_cell(self, monkeypatch):
         import functools
-        from collections import Counter
 
-        from repro.coherence import protocol
         from repro.experiments.configs import barrier_factory_for
         from repro.machine import System
         from repro.workloads import WorkloadRunner, get_model
@@ -193,9 +182,6 @@ class TestStatsDerivedFromRoutes:
 
         for name in ("delivery_ns", "send", "transfer"):
             monkeypatch.setattr(Network, name, recording(name))
-        monkeypatch.setattr(
-            protocol, "Network", functools.partial(Network, track_links=True)
-        )
         system = System(MachineConfig(n_nodes=16))
         WorkloadRunner(
             get_model("fmm"), system=system, n_threads=16, seed=1,
@@ -210,22 +196,16 @@ class TestStatsDerivedFromRoutes:
         assert len(calls) > 1000
 
         topology = network.topology
-        messages = total_bytes = total_hops = 0
-        loads = Counter()
-        for src, dst, size in calls:
+        messages = total_hops = 0
+        for src, dst, _size in calls:
             if src == dst:
                 continue
             messages += 1
-            total_bytes += size
             total_hops += topology.hops(src, dst)
-            for link in links_used(src, dst, topology.dimension):
-                loads[link] += 1
         stats = network.stats
         assert stats.messages == messages
-        assert stats.total_bytes == total_bytes
         assert stats.total_hops == total_hops
         assert stats.mean_hops == total_hops / messages
-        assert stats.link_loads == loads
 
     def test_local_messages_take_the_cached_route_uncounted(self):
         config = MachineConfig(n_nodes=8)

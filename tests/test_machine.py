@@ -306,6 +306,12 @@ class TestSystem:
         with pytest.raises(ConfigError):
             system.run_threads(lambda node: iter(()), n_threads=9)
 
+    def test_zero_threads_rejected(self):
+        # Only None selects every node.
+        system = small_system()
+        with pytest.raises(ConfigError, match="need 1 to 4 threads"):
+            system.run_threads(lambda node: iter(()), n_threads=0)
+
     def test_thread_failure_surfaces(self):
         system = small_system()
 

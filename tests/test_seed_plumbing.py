@@ -111,15 +111,16 @@ class TestCliSeeds:
     def test_cli_forwards_seed_workers_and_cache(self, monkeypatch, seed,
                                                  tmp_path, capsys):
         from repro import cli
+        from repro.experiments import runner
 
         captured = {}
-        real_run_matrix = cli.run_matrix
+        real_run_matrix = runner.run_matrix
 
         def spy(**kwargs):
             captured.update(kwargs)
             return real_run_matrix(**kwargs)
 
-        monkeypatch.setattr(cli, "run_matrix", spy)
+        monkeypatch.setattr(runner, "run_matrix", spy)
         assert cli.main([
             "headline", "--apps", APP, "--threads", str(THREADS),
             "--seed", str(seed), "--workers", "2",
@@ -132,15 +133,16 @@ class TestCliSeeds:
 
     def test_cli_no_cache_disables_cache(self, monkeypatch, capsys):
         from repro import cli
+        from repro.experiments import runner
 
         captured = {}
-        real_run_matrix = cli.run_matrix
+        real_run_matrix = runner.run_matrix
 
         def spy(**kwargs):
             captured.update(kwargs)
             return real_run_matrix(**kwargs)
 
-        monkeypatch.setattr(cli, "run_matrix", spy)
+        monkeypatch.setattr(runner, "run_matrix", spy)
         assert cli.main([
             "headline", "--apps", APP, "--threads", str(THREADS),
             "--no-cache",
