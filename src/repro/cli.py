@@ -23,7 +23,7 @@ an unknown verb, flag or flag value.
 import argparse
 import sys
 
-from repro.config import DEFAULT_SEED
+from repro.config import DEFAULT_SEED, MachineConfig
 from repro.errors import CampaignInterrupted, ConfigError, ServeError
 from repro.experiments.preemption import EXIT_RESUMABLE, PreemptionGuard
 from repro.serve import DEFAULT_PORT as SERVE_DEFAULT_PORT
@@ -67,6 +67,29 @@ def positive_int(text):
     return value
 
 
+def non_negative_int(text):
+    """argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "must be at least 0, got {}".format(value)
+        )
+    return value
+
+
+def thread_count(text):
+    """argparse type: a thread count the default machine hosts, one
+    thread per node."""
+    value = positive_int(text)
+    if value > MachineConfig.n_nodes:
+        raise argparse.ArgumentTypeError(
+            "must be at most {} (one thread per node), got {}".format(
+                MachineConfig.n_nodes, value
+            )
+        )
+    return value
+
+
 def _flag(*names, parents=(), **kwargs):
     """A parent parser holding a flag that several verbs share."""
     parent = _Parser(add_help=False, parents=parents)
@@ -96,7 +119,7 @@ def build_parser():
     seed = _flag("--seed", type=int, default=DEFAULT_SEED,
                  help="workload random seed (default %(default)s)")
     workload = _flag(
-        "--threads", parents=[seed], type=positive_int, default=64,
+        "--threads", parents=[seed], type=thread_count, default=64,
         help="thread/processor count (default 64, as in the paper)",
     )
     apps = _flag("--apps", nargs="*", metavar="APP",
@@ -109,7 +132,7 @@ def build_parser():
         help="fault-probability scale of sampled fault plans (default 1.0)",
     )
     workers = _flag(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=non_negative_int, default=1, metavar="N",
         help="worker processes (default 1 = serial; 0 = one per CPU); "
              "results are bit-identical either way",
     )

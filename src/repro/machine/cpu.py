@@ -4,8 +4,8 @@ A :class:`Cpu` exposes generator primitives that thread programs (and the
 barrier implementations) compose:
 
 * :meth:`Cpu.compute` — run for a duration at compute power;
-* :meth:`Cpu.spin_until` / :meth:`Cpu.spin_for` — spin-wait at 85% of
-  compute power (paper Section 4.3);
+* :meth:`Cpu.spin_until` — spin-wait at 85% of compute power (paper
+  Section 4.3);
 * :meth:`Cpu.sleep` — the full sleep sequence: optional dirty-data flush
   (for non-snooping states), transition in, residency until a wake event,
   transition out. Each piece lands in the right accounting category:
@@ -147,16 +147,6 @@ class Cpu:
         spun = self.sim._now - started
         self._account_add(_SPIN, spun, power_watts=self._spin_watts)
         return spun
-
-    def spin_for(self, duration_ns):
-        """Spin for a fixed duration (used by oracle accounting paths)."""
-        if duration_ns < 0:
-            raise SimulationError("spin duration must be non-negative")
-        yield operator.index(duration_ns)
-        self._account_add(
-            _SPIN, duration_ns, power_watts=self.power.spin_watts
-        )
-        return duration_ns
 
     def sleep(self, state, wake_event, controller=None, flush_lines=0):
         """The full sleep sequence; returns a :class:`SleepOutcome`.

@@ -3,11 +3,18 @@
 * :mod:`repro.sync.lock` — a queued test-and-set spinlock (the ``lock(c)``
   of the paper's Figure 2);
 * :mod:`repro.sync.barrier` — the conventional sense-reversal barrier
-  (Figure 2) and the shared machinery (check-in, flag spin, tracing);
+  (Figure 2) and :class:`BarrierBase`, which holds the one copy of each
+  wait primitive the variants compose: the check-in, the last thread's
+  publish-and-release, the flag monitor, the flag spin and the
+  spin-then-Halt wait;
 * :mod:`repro.sync.thrifty` — the thrifty barrier (Section 3): BIT
   prediction, conditional multi-state sleep, hybrid wake-up, thresholds;
 * :mod:`repro.sync.spin_then_sleep` — the conventional spin-then-halt
   wait policy the paper cites as bounded by Oracle-Halt;
+* :mod:`repro.sync.yielding` — a barrier for over-threaded programs
+  that yields its CPU instead of spinning (Section 3.4.1);
+* :mod:`repro.sync.mutants` — intentionally broken barriers, the
+  detector self-test of ``repro check``;
 * :mod:`repro.sync.oracle` — exact post-hoc accounting for the
   Oracle-Halt and Ideal configurations;
 * :mod:`repro.sync.thrifty_lock` — the future-work extension: a

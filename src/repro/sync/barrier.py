@@ -1,16 +1,19 @@
 """The conventional sense-reversal barrier (paper Figure 2).
 
 Also home to :class:`BarrierBase`, the machinery every barrier variant
-shares: the check-in critical section, the coherence-driven flag spin,
-trace instrumentation, and the BRTS bookkeeping hooks.
+shares: the check-in critical section, the last thread's
+publish-and-release, the flag monitor, the coherence-driven flag spin,
+the spin-then-Halt wait, and trace instrumentation.
 """
 
 from repro.errors import SimulationError
-from repro.sync.trace import BarrierTrace
+from repro.sim.events import AnyOf
+from repro.sync.trace import BarrierTrace, SleepRecord
 from repro.telemetry.events import (
     BarrierCheckIn,
     BarrierDepart,
     BarrierRelease,
+    WakeUp,
 )
 
 
@@ -96,9 +99,7 @@ class BarrierBase:
         record.arrivals.setdefault(thread_id, self.sim._now)
         cpu = node.cpu
         started = self.sim._now
-        count = yield from self.memsys.rmw(
-            node.node_id, self.count_addr, _increment
-        )
+        count = yield from self._count_transaction(node)
         cpu.charge_spin(self.sim._now - started)
         is_last = (count + 1) == self._arrival_target
         if is_last:
@@ -112,6 +113,26 @@ class BarrierBase:
                 pc=self.pc, sequence=record.sequence, is_last=is_last,
             ))
         return is_last, record
+
+    def _count_transaction(self, node):
+        """The check-in's ``count++``: one atomic fetch-and-increment
+        transaction, whose value is the count it read. A seam for
+        :class:`~repro.sync.mutants.RacyCheckInBarrier`."""
+        return self.memsys.rmw(node.node_id, self.count_addr, _increment)
+
+    def _publish_and_release(self, node, sense, record, bit, thread_id=None):
+        """Last thread: publish the measured ``bit`` in the shared BIT
+        variable, then release the barrier.
+
+        A write fence orders the BIT before the flag flip under release
+        consistency (footnote 1 of the paper); the simulator's in-order
+        per-thread execution provides it.
+        """
+        record.measured_bit = bit
+        started = self.sim._now
+        yield from self.memsys.store(node.node_id, self.domain.bit_addr, bit)
+        node.cpu.charge_spin(self.sim._now - started)
+        yield from self._release(node, sense, record, thread_id)
 
     def _release(self, node, sense, record, thread_id=None):
         """Last thread: flip the flag, waking spinners/monitors.
@@ -134,44 +155,30 @@ class BarrierBase:
         node.cpu.charge_spin(self.sim._now - started)
         self.trace.close_instance(self.pc)
 
-    def _spin_on_flag(self, node, sense):
-        """Spin-wait until the flag reads ``sense`` (S2 in Figure 2).
+    def _watch_flag(self, node, sense, fired):
+        """Arm ``node``'s flag monitor: the flag line's invalidation (the
+        external wake-up of Section 3.3.1) succeeds ``fired``. Returns
+        the monitor, the key :meth:`_unwatch_flag` takes.
 
-        The first read caches a shared copy; the thread then blocks on
-        the controller's invalidation of that line and re-reads a fresh
-        copy — exactly the coherence behaviour the paper describes. The
-        loop also absorbs false wake-ups (re-check, re-arm). Returns the
-        time spent, all charged as Spin.
+        The controller reads the flag in when armed. If the monitor
+        raced (:meth:`_monitor_raced`), it is disarmed and None
+        returned: the caller re-reads the flag instead of waiting, and
+        the re-read serializes behind the in-flight flag write at the
+        directory.
         """
-        cpu = node.cpu
-        controller = node.controller
-        started = self.sim._now
-        while True:
-            load_started = self.sim._now
-            value = yield from self.memsys.load(node.node_id, self.flag_addr)
-            cpu.charge_spin(self.sim._now - load_started)
-            if value == sense:
-                break
-            fired = self.sim.event()
+        def on_invalidation(_line):
+            if not fired.triggered:
+                fired.succeed()
 
-            def on_invalidation(_line, fired=fired):
-                if not fired.triggered:
-                    fired.succeed()
+        node.controller.arm_flag_monitor(self.flag_addr, on_invalidation)
+        if self._monitor_raced(node, sense):
+            self._unwatch_flag(node, on_invalidation)
+            return None
+        return on_invalidation
 
-            key = controller.arm_flag_monitor(self.flag_addr, on_invalidation)
-            # The controller "reads the flag in" when armed: if the flip
-            # already landed or the line was invalidated in the same
-            # instant our read completed (that INV's wake-up is lost),
-            # re-read instead of waiting. The re-read serializes behind
-            # the in-flight flag write at the directory and returns the
-            # fresh value.
-            if self._monitor_raced(node, sense):
-                controller.disarm_flag_monitor(key, on_invalidation)
-                continue
-            wait_started = self.sim._now
-            yield fired
-            cpu.charge_spin(self.sim._now - wait_started)
-        return self.sim._now - started
+    def _unwatch_flag(self, node, monitor):
+        """Disarm a monitor of :meth:`_watch_flag`; safe once fired."""
+        node.controller.disarm_flag_monitor(self._flag_line, monitor)
 
     def _monitor_raced(self, node, sense):
         """True when an armed monitor cannot be trusted: the flag has
@@ -191,6 +198,85 @@ class BarrierBase:
         l2 = memsys.hierarchies[node.node_id].l2
         cache_set = l2._sets[line % l2._n_sets]
         return not cache_set or line not in cache_set
+
+    def _spin_on_flag(self, node, sense):
+        """Spin-wait until the flag reads ``sense`` (S2 in Figure 2).
+
+        The first read caches a shared copy; the thread then blocks on
+        the controller's invalidation of that line and re-reads a fresh
+        copy — exactly the coherence behaviour the paper describes. The
+        loop also absorbs false wake-ups (re-check, re-arm). Returns the
+        time spent, all charged as Spin.
+        """
+        cpu = node.cpu
+        started = self.sim._now
+        while True:
+            load_started = self.sim._now
+            value = yield from self.memsys.load(node.node_id, self.flag_addr)
+            cpu.charge_spin(self.sim._now - load_started)
+            if value == sense:
+                break
+            fired = self.sim.event()
+            if self._watch_flag(node, sense, fired) is None:
+                continue
+            wait_started = self.sim._now
+            yield fired
+            cpu.charge_spin(self.sim._now - wait_started)
+        return self.sim._now - started
+
+    def _spin_then_halt(self, node, sense, record, state, threshold_ns):
+        """Spin on the flag for up to ``threshold_ns``, then Halt in
+        ``state`` until the flag line's invalidation wakes the CPU: the
+        conventional spin-then-sleep policy of Section 5.1, with no
+        prediction and so no internal timer. Without a ``state`` the
+        wait ends spinning.
+
+        Returns how the Halt ended, ``"invalidation"`` or
+        ``"spurious"`` (a fault-injected wake, whose monitor is
+        disarmed), or None when there was no Halt. The caller's
+        residual spin re-checks the flag either way.
+        """
+        cpu = node.cpu
+        started = self.sim._now
+        value = yield from self.memsys.load(node.node_id, self.flag_addr)
+        cpu.charge_spin(self.sim._now - started)
+        if value == sense:
+            return None
+        fired = self.sim.event()
+        monitor = self._watch_flag(node, sense, fired)
+        if monitor is None:
+            return None
+        race = AnyOf(self.sim, [fired, self.sim.timeout(threshold_ns)])
+        yield from cpu.spin_until(race)
+        if race.value is fired:
+            return None  # released during the bounded spin
+        if state is None:
+            yield from cpu.spin_until(fired)
+            return None
+        outcome = yield from cpu.sleep(state, fired)
+        woke_by = "invalidation"
+        if fired.value == "fault:spurious":
+            woke_by = "spurious"
+            self._unwatch_flag(node, monitor)
+        self._note_wake(node, record, outcome, woke_by)
+        return woke_by
+
+    def _note_wake(self, node, record, outcome, woke_by):
+        """Trace a sleep that ``woke_by`` ended: its ``WakeUp`` event
+        and the instance's sleep record."""
+        name = outcome.state.name
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.emit(WakeUp(
+                ts=self.sim._now, thread=node.node_id, pc=self.pc,
+                source=woke_by, state=name,
+            ))
+        record.sleeps[node.node_id] = SleepRecord(
+            state_name=name,
+            resident_ns=outcome.resident_ns,
+            flushed_lines=outcome.flushed_lines,
+            woke_by=woke_by,
+        )
 
     def _depart(self, node, record, thread_id=None):
         thread_id = node.node_id if thread_id is None else thread_id
@@ -224,19 +310,13 @@ class ConventionalBarrier(BarrierBase):
         sense = self._flip_sense(thread_id)
         is_last, record = yield from self._check_in(node)
         if is_last:
-            bit = self.domain.measure_bit(thread_id)
-            record.measured_bit = bit
             # Publish the BIT for the benefit of any thrifty barrier
-            # sharing the domain, then release.
-            started = self.sim._now
-            yield from self.memsys.store(
-                node.node_id, self.domain.bit_addr, bit
+            # sharing the domain.
+            yield from self._publish_and_release(
+                node, sense, record, self.domain.measure_bit(thread_id)
             )
-            node.cpu.charge_spin(self.sim._now - started)
-            yield from self._release(node, sense, record)
-            self.domain.record_observed_release(thread_id)
         else:
             yield from self._spin_on_flag(node, sense)
-            self.domain.record_observed_release(thread_id)
+        self.domain.record_observed_release(thread_id)
         self._depart(node, record)
         return record

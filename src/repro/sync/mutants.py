@@ -41,7 +41,7 @@ from repro.errors import ConfigError
 from repro.experiments.configs import thrifty_config_for
 from repro.sync.barrier import BarrierBase, ConventionalBarrier
 from repro.sync.thrifty import ThriftyBarrier
-from repro.telemetry.events import BarrierCheckIn, BarrierRelease
+from repro.telemetry.events import BarrierRelease
 
 
 class RacyCheckInBarrier(ConventionalBarrier):
@@ -55,32 +55,12 @@ class RacyCheckInBarrier(ConventionalBarrier):
     whole machine wedges spinning on a flag nobody will ever flip.
     """
 
-    def _check_in(self, node, thread_id=None):
-        if thread_id is None:
-            thread_id = node.node_id
-        record = self.trace.current(self.pc)
-        if record is None:
-            record = self.trace.open_instance(self.pc)
-        record.arrivals.setdefault(thread_id, self.sim._now)
-        cpu = node.cpu
-        started = self.sim._now
+    def _count_transaction(self, node):
         # The bug: two separate transactions where one atomic RMW
         # belongs. Another arrival can slip between them.
         count = yield from self.memsys.load(node.node_id, self.count_addr)
         yield from self.memsys.store(node.node_id, self.count_addr, count + 1)
-        cpu.charge_spin(self.sim._now - started)
-        is_last = (count + 1) == self._arrival_target
-        if is_last:
-            started = self.sim._now
-            yield from self.memsys.store(node.node_id, self.count_addr, 0)
-            cpu.charge_spin(self.sim._now - started)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.emit(BarrierCheckIn(
-                ts=record.arrivals[thread_id], thread=thread_id,
-                pc=self.pc, sequence=record.sequence, is_last=is_last,
-            ))
-        return is_last, record
+        return count
 
 
 class OffByOneReleaseBarrier(ConventionalBarrier):

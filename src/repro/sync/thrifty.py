@@ -35,7 +35,6 @@ from repro.errors import ConfigError
 from repro.predict.thresholds import is_overpredicted, should_update_predictor
 from repro.sim.events import AnyOf
 from repro.sync.barrier import BarrierBase
-from repro.sync.trace import SleepRecord
 from repro.telemetry.events import (
     LateWake,
     PredictorDisable,
@@ -43,7 +42,6 @@ from repro.telemetry.events import (
     PredictorHit,
     PredictorReenable,
     PredictorTrain,
-    WakeUp,
 )
 
 #: Cycles spent running the prediction/selection code at check-in — the
@@ -148,29 +146,15 @@ class ThriftyBarrier(BarrierBase):
             self.stats.aborted_sleeps += 1
             return None
         wake_sources = []
-        external = None
-        monitor_key = None
-
-        def on_invalidation(_line):
-            if external is not None and not external.triggered:
-                external.succeed()
-
+        external = monitor = None
         if self.config.use_external_wakeup:
             external = self.sim.event()
-            monitor_key = controller.arm_flag_monitor(
-                self.flag_addr, on_invalidation
-            )
-            # The controller reads the flag in at arming: abort if the
-            # flip already landed, or if the line was invalidated in the
-            # same instant our read completed (that INV's wake-up is
-            # lost, so sleeping now would miss the release).
-            if self._monitor_raced(node, sense):
-                controller.disarm_flag_monitor(monitor_key, on_invalidation)
+            monitor = self._watch_flag(node, sense, external)
+            if monitor is None:
                 self.stats.aborted_sleeps += 1
                 return None
             wake_sources.append(external)
-        timer = None
-        timer_handle = None
+        timer = timer_handle = None
         if self.config.use_internal_wakeup:
             # Anticipate the release: count down to the predicted wake
             # time minus the exit latency (Section 3.3.2).
@@ -184,109 +168,28 @@ class ThriftyBarrier(BarrierBase):
         outcome = yield from cpu.sleep(
             state, wake, controller=controller, flush_lines=dirty_lines,
         )
-        # First wake source cancels the other.
-        woke_by = "timer"
-        if external is not None and wake.value is external:
+        # First wake source cancels the other. A wake by neither is a
+        # spurious one (fault injection): cancel both, and the residual
+        # spin re-checks the flag (Section 3.3.1).
+        if wake.value is external:
             woke_by = "invalidation"
             self.stats.invalidation_wakes += 1
-            if timer_handle is not None:
-                timer_handle.cancel()
-        elif timer is not None and wake.value is timer:
+        elif wake.value is timer:
+            woke_by = "timer"
             self.stats.timer_wakes += 1
-            if monitor_key is not None:
-                controller.disarm_flag_monitor(monitor_key, on_invalidation)
         else:
-            # Woken by neither source: a spurious wake-up (fault
-            # injection). Both sources are still armed — cancel both;
-            # the residual spin re-checks the flag (Section 3.3.1).
             woke_by = "spurious"
             self.stats.spurious_wakes += 1
-            if timer_handle is not None:
-                timer_handle.cancel()
-            if monitor_key is not None:
-                controller.disarm_flag_monitor(monitor_key, on_invalidation)
+        if timer_handle is not None and woke_by != "timer":
+            timer_handle.cancel()
+        if monitor is not None and woke_by != "invalidation":
+            self._unwatch_flag(node, monitor)
         self.stats.sleeps += 1
         self.stats.sleeps_by_state[state.name] = (
             self.stats.sleeps_by_state.get(state.name, 0) + 1
         )
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.emit(WakeUp(
-                ts=self.sim._now, thread=node.node_id, pc=self.pc,
-                source=woke_by, state=state.name,
-            ))
-        record.sleeps[node.node_id] = SleepRecord(
-            state_name=state.name,
-            resident_ns=outcome.resident_ns,
-            flushed_lines=outcome.flushed_lines,
-            woke_by=woke_by,
-        )
+        self._note_wake(node, record, outcome, woke_by)
         return self.sim._now
-
-    # -- degraded mode: spin-then-sleep for a disabled (thread, PC) ----------
-
-    def _fallback_state(self):
-        """Shallowest snooping state (no prediction exists to amortize
-        a flush), or None when the menu has no snooping state."""
-        for state in self.config.sleep_states:
-            if state.snoops:
-                return state
-        return None
-
-    def _fallback_sleep(self, node, sense, record):
-        """Wait out one episode without a prediction: spin for the
-        configured threshold, then Halt relying purely on the external
-        (invalidation) wake-up — the conventional spin-then-sleep
-        policy of Section 5.1, instead of baseline spinning."""
-        cpu = node.cpu
-        controller = node.controller
-        started = self.sim._now
-        value = yield from self.memsys.load(node.node_id, self.flag_addr)
-        cpu.charge_spin(self.sim._now - started)
-        if value == sense:
-            return
-        fired = self.sim.event()
-
-        def on_invalidation(_line):
-            if not fired.triggered:
-                fired.succeed()
-
-        key = controller.arm_flag_monitor(self.flag_addr, on_invalidation)
-        if self._monitor_raced(node, sense):
-            controller.disarm_flag_monitor(key, on_invalidation)
-            return
-        deadline = self.sim.timeout(self.config.fallback_spin_threshold_ns)
-        race = AnyOf(self.sim, [fired, deadline])
-        started = self.sim._now
-        yield race
-        cpu.charge_spin(self.sim._now - started)
-        if race.value is fired:
-            return  # released (or spuriously woken) during the spin
-        state = self._fallback_state()
-        if state is None:
-            # Nothing snooping to halt in; finish the wait spinning.
-            started = self.sim._now
-            yield fired
-            cpu.charge_spin(self.sim._now - started)
-            return
-        outcome = yield from cpu.sleep(state, fired)
-        woke_by = "invalidation"
-        if fired.value == "fault:spurious":
-            woke_by = "spurious"
-            self.stats.spurious_wakes += 1
-            controller.disarm_flag_monitor(key, on_invalidation)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.emit(WakeUp(
-                ts=self.sim._now, thread=node.node_id, pc=self.pc,
-                source=woke_by, state=state.name,
-            ))
-        record.sleeps[node.node_id] = SleepRecord(
-            state_name=state.name,
-            resident_ns=outcome.resident_ns,
-            flushed_lines=outcome.flushed_lines,
-            woke_by=woke_by,
-        )
 
     # -- the barrier itself --------------------------------------------------
 
@@ -321,9 +224,20 @@ class ThriftyBarrier(BarrierBase):
                 if self.config.fallback_spin_then_sleep:
                     # Graceful degradation: a cut-off (thread, PC) waits
                     # with the conventional spin-then-sleep policy
-                    # instead of burning spin power until re-enabled.
+                    # instead of burning spin power until re-enabled. It
+                    # Halts in the shallowest snooping state (no
+                    # prediction exists to amortize a flush), if any.
                     self.stats.fallback_sleeps += 1
-                    yield from self._fallback_sleep(node, sense, record)
+                    halt_state = next(
+                        (s for s in self.config.sleep_states if s.snoops),
+                        None,
+                    )
+                    woke_by = yield from self._spin_then_halt(
+                        node, sense, record, halt_state,
+                        self.config.fallback_spin_threshold_ns,
+                    )
+                    if woke_by == "spurious":
+                        self.stats.spurious_wakes += 1
                 else:
                     self.stats.disabled_spins += 1
             else:
@@ -383,7 +297,6 @@ class ThriftyBarrier(BarrierBase):
         thread_id = node.node_id
         self.stats.last_arrivals += 1
         bit = self.domain.measure_bit(thread_id)
-        record.measured_bit = bit
         predictor = self.domain.predictor
         telemetry = self.telemetry
         if predictor is not None:
@@ -406,13 +319,5 @@ class ThriftyBarrier(BarrierBase):
                         ts=self.sim._now, thread=thread_id, pc=self.pc,
                         bit_ns=bit,
                     ))
-        # Publish the BIT; a write fence orders it before the flag flip
-        # under release consistency (footnote 1 of the paper). The
-        # simulator's in-order per-thread execution provides the fence.
-        started = self.sim._now
-        yield from self.memsys.store(
-            node.node_id, self.domain.bit_addr, bit
-        )
-        node.cpu.charge_spin(self.sim._now - started)
-        yield from self._release(node, sense, record)
+        yield from self._publish_and_release(node, sense, record, bit)
         self.domain.advance(thread_id, bit)

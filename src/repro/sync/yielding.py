@@ -12,7 +12,6 @@ The wake-up here is an OS/scheduler event, not the coherence mechanism
 yielded is attributed to whichever thread actually runs on the CPU.
 """
 
-from repro.energy.accounting import Category
 from repro.sync.barrier import BarrierBase
 
 
@@ -46,26 +45,20 @@ class YieldingBarrier(BarrierBase):
         )
         wakeup = self._wakeup_for(record)
         if is_last:
-            bit = self.domain.measure_bit(thread_id)
-            record.measured_bit = bit
-            yield from node.cpu.mem_op_as(
-                Category.SPIN,
-                self.memsys.store(node.node_id, self.domain.bit_addr, bit),
-            )
-            yield from self._release(
-                node, sense, record, thread_id=thread_id
+            yield from self._publish_and_release(
+                node, sense, record, self.domain.measure_bit(thread_id),
+                thread_id,
             )
             self._wakeups.pop(id(record), None)
             wakeup.succeed()
-            self.domain.record_observed_release(thread_id)
-            self._depart(node, record, thread_id=thread_id)
-            return record
-        # Early: hand the CPU to a runnable sibling and block.
-        self.stats_yields += 1
-        token.release(thread_id)
-        yield wakeup
-        # Released: compete for the CPU again (the Section 3.4.1 risk).
-        yield from token.acquire(thread_id)
+        else:
+            # Early: hand the CPU to a runnable sibling and block.
+            self.stats_yields += 1
+            token.release(thread_id)
+            yield wakeup
+            # Released: compete for the CPU again (the Section 3.4.1
+            # risk).
+            yield from token.acquire(thread_id)
         self.domain.record_observed_release(thread_id)
         self._depart(node, record, thread_id=thread_id)
         return record

@@ -490,7 +490,9 @@ class TestVerbFlags:
         (["figure5", "--resume", "nosuch"], "no journal for run 'nosuch'"),
         (["chaos", "--resume", "nosuch"], "no journal for run 'nosuch'"),
         (["figure5", "--apps", "fmm", "--threads", "8", "--workers", "-1",
-          "--no-cache"], "workers must be >= 1"),
+          "--no-cache"], "--workers: must be at least 0, got -1"),
+        (["figure5", "--apps", "fmm", "--threads", "128", "--no-cache"],
+         "--threads: must be at most 64"),
         (["chaos", "--apps", "fmm", "--threads", "8", "--plans", "-1"],
          "at least one plan"),
         (["run", "--threads", "0"], "--threads: must be at least 1"),
@@ -513,6 +515,22 @@ class TestVerbFlags:
         (line,) = captured.err.splitlines()
         assert message in line
         assert count_simulations() == 0
+
+    @pytest.mark.parametrize("bad", [
+        ["--threads", "8", "--workers", "-1"],
+        ["--threads", "128"],
+    ], ids=lambda bad: bad[-2])
+    def test_a_bad_value_leaves_no_journal_behind(self, bad, tmp_path):
+        argv = [
+            "figure5", "--apps", "fmm", "--run-id", "r",
+            "--journal-dir", str(tmp_path / "J"),
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert _exit_status(argv + bad) == 2
+        assert not (tmp_path / "J" / "r").exists()
+        # The corrected command may reuse the run id.
+        assert _exit_status(argv + ["--threads", "8"]) == 0
+        assert (tmp_path / "J" / "r" / "spec.json").exists()
 
     def test_submit_validates_before_connecting(self, capsys, monkeypatch):
         from repro.serve.client import ServeClient

@@ -109,15 +109,6 @@ class TestCpuSpin:
             system.power.spin_watts * 5_000e-9
         )
 
-    def test_spin_for_fixed_duration(self):
-        system = small_system()
-
-        def program(node):
-            yield from node.cpu.spin_for(123)
-
-        run_on_node(system, program)
-        assert system.nodes[0].cpu.account.time_ns(Category.SPIN) == 123
-
 
 class TestCpuSleep:
     def test_halt_sleep_residency_and_transitions(self):

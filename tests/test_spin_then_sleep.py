@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.config import SLEEP1_HALT, SLEEP2
+from repro.config import SLEEP1_HALT, SLEEP2, MachineConfig
 from repro.energy.accounting import Category
 from repro.errors import ConfigError
+from repro.machine import System
 from repro.sync import ConventionalBarrier, SpinThenSleepBarrier
+from repro.telemetry.events import SleepExit, WakeUp
+from repro.telemetry.tracer import Tracer
 
 from tests.conftest import (
     make_domain,
@@ -40,6 +43,26 @@ def test_long_stall_halts_after_threshold():
     assert total.time_ns(Category.SLEEP) > 0
     # The threshold spin is still paid on every long stall.
     assert total.time_ns(Category.SPIN) >= 50_000 * barrier.stats_sleeps
+
+
+def test_traced_halt_reports_its_invalidation_wake():
+    # The same WakeUp per SleepExit the thrifty barrier's fallback Halt
+    # emits: the two share one spin-then-Halt.
+    system = System(MachineConfig(n_nodes=4), telemetry=Tracer())
+    barrier = SpinThenSleepBarrier(
+        system, make_domain(system), 4, pc="sts", sleep_state=SLEEP1_HALT,
+    )
+    run_phases(system, barrier, staggered_schedules(4, 2, 0, 400_000))
+    events = system.telemetry.events
+    wakes = [e for e in events if isinstance(e, WakeUp)]
+    exits = [e for e in events if isinstance(e, SleepExit)]
+    assert len(exits) == barrier.stats_sleeps > 0
+    assert [(w.ts, w.thread) for w in wakes] == [
+        (e.ts, e.thread) for e in exits
+    ]
+    assert {(w.source, w.state, w.pc) for w in wakes} == {
+        ("invalidation", SLEEP1_HALT.name, "sts")
+    }
 
 
 def test_wakes_late_by_construction():

@@ -1,12 +1,17 @@
 """Tests for the thrifty barrier (the paper's core mechanism)."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.config import (
     DEFAULT_SLEEP_STATES,
     SLEEP1_HALT,
     SLEEP3,
+    SleepStateConfig,
     ThriftyConfig,
 )
 from repro.energy.accounting import Category
+from repro.energy.states import select_sleep_state
 from repro.sync import ConventionalBarrier, ThriftyBarrier
 
 from tests.conftest import (
@@ -286,3 +291,54 @@ class TestDirtyFootprint:
             if sleep_record.state_name == SLEEP3.name
         ]
         assert flushed and all(lines >= 16 for lines in flushed)
+
+
+# A menu of 1-4 states in increasing-latency order (as ThriftyConfig
+# requires), drawn from few savings levels so ties are common.
+menus = st.lists(
+    st.tuples(
+        st.integers(0, 60_000),
+        st.sampled_from((0.25, 0.5, 0.75, 1.0)),
+        st.booleans(),
+    ),
+    min_size=1, max_size=4,
+).map(lambda rows: tuple(
+    SleepStateConfig(
+        name="S{}".format(index), power_savings=savings,
+        transition_latency_ns=latency, snoops=snoops,
+        voltage_reduction=False,
+    )
+    for index, (latency, savings, snoops) in enumerate(sorted(rows))
+))
+
+
+class TestStateSelectionTable:
+    """``_choose_state`` keeps a per-flush-cost table beside the
+    reference scan of ``select_sleep_state``; the two must agree."""
+
+    @given(
+        menu=menus,
+        conditional=st.booleans(),
+        queries=st.lists(
+            st.tuples(st.integers(0, 150_000), st.integers(0, 300)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_matches_reference_scan(self, menu, conditional, queries):
+        _, _, barrier = build_thrifty(ThriftyConfig(
+            sleep_states=menu, conditional_sleep=conditional,
+        ))
+        for stall, dirty_lines in queries:
+            flush_ns = barrier._flush_estimate_ns(dirty_lines)
+            # Each state's own cost is a boundary of the scan.
+            costs = [
+                state.round_trip_ns + (0 if state.snoops else flush_ns)
+                for state in menu
+            ]
+            for slack in [stall] + costs:
+                assert barrier._choose_state(slack, dirty_lines) is (
+                    select_sleep_state(
+                        menu, slack, flush_ns=flush_ns,
+                        conditional=conditional,
+                    )
+                )
