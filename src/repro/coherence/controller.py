@@ -11,8 +11,9 @@ sleep:
   wake-up).
 
 Both feed the same wake-up signal; the first to trigger cancels the
-other (the barrier code expresses that with an :class:`AnyOf` race and
-explicit disarm calls). The controller also performs the dirty-data
+other (:meth:`repro.machine.Node.sleep_until` races them in an
+:class:`AnyOf` and cancels a losing timer; the caller disarms a losing
+monitor). The controller also performs the dirty-data
 flush required before entering a non-snooping sleep state, and it keeps
 acknowledging invalidations while the CPU sleeps — to clean data only,
 which the flush guarantees.

@@ -1,12 +1,15 @@
 """One node of the CC-NUMA machine: CPU + cache controller + caches.
 
-The node also provides the address-space helpers the workload layer
-uses: shared addresses are page-interleaved across homes (Table 1),
-private addresses are allocated on pages whose home is the node itself.
+The node runs the hybrid wake-up of Section 3.3.2, which spans both its
+CPU and its cache controller: :meth:`Node.sleep_until`. It also
+provides the address-space helpers the workload layer uses: shared
+addresses are page-interleaved across homes (Table 1), private
+addresses are allocated on pages whose home is the node itself.
 """
 
 from repro.coherence.controller import CacheController
 from repro.machine.cpu import Cpu
+from repro.sim.events import AnyOf
 
 
 class Node:
@@ -23,6 +26,41 @@ class Node:
             refill_per_line_ns=memsys.config.refill_per_line_ns,
             telemetry=telemetry,
         )
+
+    # -- the hybrid wake-up (Section 3.3.2) --------------------------------
+
+    def sleep_until(self, state, external=None, timer_ns=None, flush_lines=0):
+        """Sleep in ``state`` until the first wake source fires; the one
+        hybrid wake-up every sleeper runs (simulation subroutine).
+
+        ``external`` is the caller's wake event (the flag monitor, a
+        lock hand-off, a NIC interrupt); ``timer_ns`` arms the cache
+        controller's countdown timer. At least one must be given. The
+        first source to fire ends the residency, and the countdown is
+        cancelled unless it won, so no stale timer outlives the sleep.
+        Returns ``(outcome, woke_by)``: the
+        :class:`~repro.machine.cpu.SleepOutcome` and ``"external"``,
+        ``"timer"`` or ``"spurious"`` (a fault-injected wake that
+        neither source sent). Disarming a losing external source is the
+        caller's job: only it knows what armed it.
+        """
+        sources = [] if external is None else [external]
+        timer = handle = None
+        if timer_ns is not None:
+            timer = self.sim.event()
+            handle = self.controller.arm_wake_timer(timer_ns, timer.succeed)
+            sources.append(timer)
+        wake = AnyOf(self.sim, sources)
+        outcome = yield from self.cpu.sleep(
+            state, wake, controller=self.controller, flush_lines=flush_lines,
+        )
+        if wake.value is timer:
+            return outcome, "timer"
+        if handle is not None:
+            handle.cancel()
+        if wake.value is external:
+            return outcome, "external"
+        return outcome, "spurious"
 
     # -- memory operations, charged as compute time ------------------------
 

@@ -13,8 +13,9 @@ The thrifty variant transplants Section 3 to message passing:
   from the piggybacked BITs — the induction of Section 3.2.1 carries
   over, with message receipt standing in for flag detection;
 * an early rank that predicts enough slack sleeps after posting its
-  ARRIVE; the NIC's arrival interrupt is the external wake-up, the
-  countdown timer the internal one;
+  ARRIVE, through :meth:`~repro.machine.Node.sleep_until`, the hybrid
+  wake-up every sleeper shares: the NIC's arrival interrupt is the
+  external wake-up, the countdown timer the internal one;
 * the overprediction cut-off and the underprediction filter apply
   unchanged.
 """
@@ -26,7 +27,6 @@ from repro.energy.states import select_sleep_state
 from repro.errors import SimulationError
 from repro.predict.last_value import LastValuePredictor
 from repro.predict.thresholds import is_overpredicted, should_update_predictor
-from repro.sim.events import AnyOf
 
 ARRIVE = "mp.arrive"
 RELEASE = "mp.release"
@@ -58,17 +58,19 @@ class MpBarrier:
         self.stats = MpStats()
         self._tag_arrive = "{}:{}".format(ARRIVE, pc)
         self._tag_release = "{}:{}".format(RELEASE, pc)
-        #: Local per-rank release timestamps (each rank's own clock).
-        self._release_ts = [0] * self.n_ranks
 
     def wait(self, rank):
-        """Pass the barrier from ``rank`` (generator)."""
+        """Pass the barrier from ``rank`` (generator); returns the time
+        the rank leaves it."""
         endpoint = self.endpoints[rank]
         if rank == 0:
             yield from self._root_path(endpoint)
         else:
-            yield from self._nonroot_path(endpoint, rank)
-        self._release_ts[rank] = self.sim.now
+            yield from endpoint.send(
+                self.endpoints, 0, self._tag_arrive, payload=rank,
+                size_bytes=16,
+            )
+            yield from self._await_release(endpoint, rank)
         return self.sim.now
 
     # -- the root gathers and broadcasts --------------------------------
@@ -89,13 +91,10 @@ class MpBarrier:
                 size_bytes=16,
             )
 
-    # -- non-root ranks check in and wait --------------------------------
+    # -- a non-root rank waits for the release after its ARRIVE ----------
 
-    def _nonroot_path(self, endpoint, rank):
-        yield from endpoint.send(
-            self.endpoints, 0, self._tag_arrive, payload=rank,
-            size_bytes=16,
-        )
+    def _await_release(self, endpoint, rank):
+        """Spin on the RELEASE receive."""
         self.stats.spin_waits += 1
         yield from endpoint.recv(self._tag_release, spin=True)
 
@@ -111,6 +110,11 @@ class ThriftyMpBarrier(MpBarrier):
         self.predictors = [LastValuePredictor() for _ in endpoints]
         #: Per-rank local BRTS (Section 3.2.1 induction).
         self._brts = [0] * self.n_ranks
+        # Prototype restriction, as in the thrifty lock: only snooping
+        # states, keeping the flush machinery out of the NIC path.
+        self._snoozable = tuple(
+            state for state in self.config.sleep_states if state.snoops
+        )
 
     # -- root --------------------------------------------------------------
 
@@ -122,32 +126,18 @@ class ThriftyMpBarrier(MpBarrier):
 
     # -- non-root ------------------------------------------------------------
 
-    def _nonroot_path(self, endpoint, rank):
-        yield from endpoint.send(
-            self.endpoints, 0, self._tag_arrive, payload=rank,
-            size_bytes=16,
-        )
+    def _await_release(self, endpoint, rank):
+        """Sleep through the predicted stall when it covers a state's
+        round trip, then take the RELEASE and its piggybacked BIT."""
         wake_ts = None
         predictor = self.predictors[rank]
         if not predictor.is_disabled(self.pc, rank):
             predicted_bit = predictor.predict(self.pc)
-            if predicted_bit is not None:
+            if predicted_bit is not None and self._snoozable:
                 est_wake = self._brts[rank] + predicted_bit
-                est_stall = est_wake - self.sim.now
-                # Prototype restriction, as in the thrifty lock: only
-                # snooping states, keeping the flush machinery out of
-                # the NIC path.
-                snoozable = tuple(
-                    s for s in self.config.sleep_states if s.snoops
-                )
-                state = (
-                    select_sleep_state(
-                        snoozable, est_stall,
-                        flush_ns=0,
-                        conditional=self.config.conditional_sleep,
-                    )
-                    if snoozable
-                    else None
+                state = select_sleep_state(
+                    self._snoozable, est_wake - self.sim.now,
+                    conditional=self.config.conditional_sleep,
                 )
                 if state is not None:
                     wake_ts = yield from self._sleep(
@@ -165,22 +155,19 @@ class ThriftyMpBarrier(MpBarrier):
         self._absorb_release(rank, payload, wake_ts)
 
     def _sleep(self, endpoint, state, est_wake):
-        cpu = endpoint.node.cpu
-        wake_sources = []
-        external = None
+        external = timer_ns = None
         if self.config.use_external_wakeup:
             external = endpoint.arm_interrupt()
-            wake_sources.append(external)
         if self.config.use_internal_wakeup:
-            delay = max(
+            timer_ns = max(
                 0, est_wake - self.sim.now - state.transition_latency_ns
             )
-            wake_sources.append(self.sim.timeout(delay))
-        wake = AnyOf(self.sim, wake_sources)
-        yield from cpu.sleep(state, wake)
-        if external is not None and wake.value is external:
+        _outcome, woke_by = yield from endpoint.node.sleep_until(
+            state, external, timer_ns,
+        )
+        if woke_by == "external":
             self.stats.interrupt_wakes += 1
-        else:
+        elif woke_by == "timer":
             self.stats.timer_wakes += 1
         self.stats.sleeps += 1
         self.stats.sleeps_by_state[state.name] = (

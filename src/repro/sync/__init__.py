@@ -1,12 +1,17 @@
 """Synchronization constructs.
 
+Every sleeper here — the thrifty barrier's predicted sleep, the Halt of
+the spin-then-Halt wait, the thrifty lock — sleeps through
+:meth:`repro.machine.Node.sleep_until`, the one hybrid wake-up race
+(Section 3.3.2), as does :class:`repro.mp.ThriftyMpBarrier`.
+
 * :mod:`repro.sync.lock` — a queued test-and-set spinlock (the ``lock(c)``
-  of the paper's Figure 2);
+  of the paper's Figure 2), with a seam for how a contender waits;
 * :mod:`repro.sync.barrier` — the conventional sense-reversal barrier
   (Figure 2) and :class:`BarrierBase`, which holds the one copy of each
   wait primitive the variants compose: the check-in, the last thread's
-  publish-and-release, the flag monitor, the flag spin and the
-  spin-then-Halt wait;
+  publish-and-release, the flag monitor, the flag spin, the sleep on
+  the flag and the spin-then-Halt wait;
 * :mod:`repro.sync.thrifty` — the thrifty barrier (Section 3): BIT
   prediction, conditional multi-state sleep, hybrid wake-up, thresholds;
 * :mod:`repro.sync.spin_then_sleep` — the conventional spin-then-halt
@@ -18,7 +23,8 @@
 * :mod:`repro.sync.oracle` — exact post-hoc accounting for the
   Oracle-Halt and Ideal configurations;
 * :mod:`repro.sync.thrifty_lock` — the future-work extension: a
-  thrifty (sleep-while-contended) lock;
+  :class:`SpinLock` whose contenders sleep through their predicted
+  wait;
 * :mod:`repro.sync.trace` — per-instance instrumentation feeding the
   metrics and the oracle accounting.
 """

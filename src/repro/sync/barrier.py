@@ -3,16 +3,18 @@
 Also home to :class:`BarrierBase`, the machinery every barrier variant
 shares: the check-in critical section, the last thread's
 publish-and-release, the flag monitor, the coherence-driven flag spin,
-the spin-then-Halt wait, and trace instrumentation.
+the sleep on the flag (through the node's hybrid wake-up), the
+spin-then-Halt wait, and trace instrumentation.
 """
 
 from repro.errors import SimulationError
 from repro.sim.events import AnyOf
-from repro.sync.trace import BarrierTrace, SleepRecord
+from repro.sync.trace import BarrierTrace
 from repro.telemetry.events import (
     BarrierCheckIn,
     BarrierDepart,
     BarrierRelease,
+    SleepRecord,
     WakeUp,
 )
 
@@ -253,17 +255,28 @@ class BarrierBase:
         if state is None:
             yield from cpu.spin_until(fired)
             return None
-        outcome = yield from cpu.sleep(state, fired)
-        woke_by = "invalidation"
-        if fired.value == "fault:spurious":
-            woke_by = "spurious"
-            self._unwatch_flag(node, monitor)
-        self._note_wake(node, record, outcome, woke_by)
-        return woke_by
+        return (yield from self._sleep_on_flag(
+            node, record, state, fired, monitor,
+        ))
 
-    def _note_wake(self, node, record, outcome, woke_by):
-        """Trace a sleep that ``woke_by`` ended: its ``WakeUp`` event
-        and the instance's sleep record."""
+    def _sleep_on_flag(
+        self, node, record, state, fired, monitor, timer_ns=None,
+        dirty_lines=0,
+    ):
+        """Sleep in ``state`` until the flag monitor's ``fired`` event
+        or a countdown of ``timer_ns`` wakes the CPU
+        (:meth:`~repro.machine.Node.sleep_until`), disarm the monitor
+        unless it fired, and trace the wake. Returns how the sleep
+        ended: ``"invalidation"``, ``"timer"`` or ``"spurious"``.
+        ``fired`` and ``monitor`` are None when no monitor is armed.
+        """
+        outcome, woke_by = yield from node.sleep_until(
+            state, fired, timer_ns, dirty_lines,
+        )
+        if woke_by == "external":
+            woke_by = "invalidation"
+        elif monitor is not None:
+            self._unwatch_flag(node, monitor)
         name = outcome.state.name
         telemetry = self.telemetry
         if telemetry.enabled:
@@ -277,6 +290,7 @@ class BarrierBase:
             flushed_lines=outcome.flushed_lines,
             woke_by=woke_by,
         )
+        return woke_by
 
     def _depart(self, node, record, thread_id=None):
         thread_id = node.node_id if thread_id is None else thread_id

@@ -23,6 +23,10 @@ class SpinLock:
         self.addr = system.alloc_shared()
         self._waiters = []
         self._holder = None
+        self._acquired_at = None
+        #: How long the lock was last held, in ns (None before the first
+        #: release).
+        self.last_hold_ns = None
         self.stats_acquisitions = 0
         self.stats_contended = 0
 
@@ -36,12 +40,19 @@ class SpinLock:
             )
             if old == 0:
                 self._holder = node.node_id
+                self._acquired_at = self.sim.now
                 self.stats_acquisitions += 1
                 return
             self.stats_contended += 1
             ticket = self.sim.event()
             self._waiters.append(ticket)
-            yield from cpu.spin_until(ticket)
+            yield from self._await_handoff(node, ticket)
+            # The hand-off gives us priority; retry the RMW.
+
+    def _await_handoff(self, node, ticket):
+        """Wait in line until ``ticket`` (the hand-off) fires: spinning
+        here, sleeping in :class:`~repro.sync.thrifty_lock.ThriftyLock`."""
+        return node.cpu.spin_until(ticket)
 
     def release(self, node, category=Category.SPIN):
         """Release from ``node``; hands off to the oldest waiter."""
@@ -51,7 +62,9 @@ class SpinLock:
                     self.name, node.node_id, self._holder
                 )
             )
+        self.last_hold_ns = self.sim.now - self._acquired_at
         self._holder = None
+        self._acquired_at = None
         yield from node.cpu.mem_op_as(
             category,
             self.memsys.store(node.node_id, self.addr, 0),

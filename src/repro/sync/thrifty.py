@@ -31,9 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.config import ThriftyConfig
 from repro.energy.states import select_sleep_state
-from repro.errors import ConfigError
 from repro.predict.thresholds import is_overpredicted, should_update_predictor
-from repro.sim.events import AnyOf
 from repro.sync.barrier import BarrierBase
 from repro.telemetry.events import (
     LateWake,
@@ -85,9 +83,6 @@ class ThriftyBarrier(BarrierBase):
         super().__init__(system, domain, n_threads, pc, trace=trace)
         self.config = config or ThriftyConfig()
         self.stats = ThriftyStats()
-        # flush_ns -> ((cost, state), ...) deepest-savings first; see
-        # _choose_state.
-        self._selection_cache = {}
 
     # -- the sleep() "library call" of Section 3.1 --------------------------
 
@@ -96,56 +91,27 @@ class ThriftyBarrier(BarrierBase):
         return machine.flush_base_ns + dirty_lines * machine.flush_per_line_ns
 
     def _choose_state(self, est_stall_ns, dirty_lines):
-        flush_ns = self._flush_estimate_ns(dirty_lines)
-        if not self.config.conditional_sleep:
-            return select_sleep_state(
-                self.config.sleep_states, est_stall_ns,
-                flush_ns=flush_ns, conditional=False,
-            )
-        # The state menu and flush cost are fixed per dirty footprint,
-        # so the table scan of select_sleep_state collapses to a
-        # precomputed (cost, state) list ordered by descending savings:
-        # the first affordable entry is the answer. Ties keep the
-        # table's scan order (sorted() is stable), matching the
-        # strictly-greater comparison of the reference scan.
-        table = self._selection_cache.get(flush_ns)
-        if table is None:
-            if not list(self.config.sleep_states):
-                raise ConfigError("no sleep states supplied")
-            table = tuple(sorted(
-                (
-                    (
-                        state.round_trip_ns
-                        + (0 if state.snoops else flush_ns),
-                        state,
-                    )
-                    for state in self.config.sleep_states
-                ),
-                key=lambda pair: pair[1].power_savings,
-                reverse=True,
-            ))
-            self._selection_cache[flush_ns] = table
-        for cost, state in table:
-            if cost <= est_stall_ns:
-                return state
-        return None
+        """The deepest state whose round trip, plus the flush for a state
+        that cannot snoop, fits the estimated stall (Section 3.1)."""
+        return select_sleep_state(
+            self.config.sleep_states, est_stall_ns,
+            flush_ns=self._flush_estimate_ns(dirty_lines),
+            conditional=self.config.conditional_sleep,
+        )
 
     def _sleep(self, node, sense, state, est_wake_ts, dirty_lines, record):
         """Program the controller and sleep; returns the wake timestamp
         (None when the sleep was aborted because the barrier had already
         been released)."""
-        cpu = node.cpu
-        controller = node.controller
         # The controller reads the flag in: this both checks the value
         # (abort if already flipped) and installs the shared copy whose
         # invalidation will wake us.
         started = self.sim._now
         value = yield from self.memsys.load(node.node_id, self.flag_addr)
-        cpu.charge_spin(self.sim._now - started)
+        node.cpu.charge_spin(self.sim._now - started)
         if value == sense:
             self.stats.aborted_sleeps += 1
             return None
-        wake_sources = []
         external = monitor = None
         if self.config.use_external_wakeup:
             external = self.sim.event()
@@ -153,42 +119,29 @@ class ThriftyBarrier(BarrierBase):
             if monitor is None:
                 self.stats.aborted_sleeps += 1
                 return None
-            wake_sources.append(external)
-        timer = timer_handle = None
+        timer_ns = None
         if self.config.use_internal_wakeup:
             # Anticipate the release: count down to the predicted wake
             # time minus the exit latency (Section 3.3.2).
-            delay = max(
+            timer_ns = max(
                 0, est_wake_ts - self.sim._now - state.transition_latency_ns
             )
-            timer = self.sim.event()
-            timer_handle = controller.arm_wake_timer(delay, timer.succeed)
-            wake_sources.append(timer)
-        wake = AnyOf(self.sim, wake_sources)
-        outcome = yield from cpu.sleep(
-            state, wake, controller=controller, flush_lines=dirty_lines,
+        # A wake by neither source is a spurious one (fault injection):
+        # the residual spin re-checks the flag (Section 3.3.1).
+        woke_by = yield from self._sleep_on_flag(
+            node, record, state, external, monitor, timer_ns, dirty_lines,
         )
-        # First wake source cancels the other. A wake by neither is a
-        # spurious one (fault injection): cancel both, and the residual
-        # spin re-checks the flag (Section 3.3.1).
-        if wake.value is external:
-            woke_by = "invalidation"
-            self.stats.invalidation_wakes += 1
-        elif wake.value is timer:
-            woke_by = "timer"
-            self.stats.timer_wakes += 1
+        stats = self.stats
+        if woke_by == "invalidation":
+            stats.invalidation_wakes += 1
+        elif woke_by == "timer":
+            stats.timer_wakes += 1
         else:
-            woke_by = "spurious"
-            self.stats.spurious_wakes += 1
-        if timer_handle is not None and woke_by != "timer":
-            timer_handle.cancel()
-        if monitor is not None and woke_by != "invalidation":
-            self._unwatch_flag(node, monitor)
-        self.stats.sleeps += 1
-        self.stats.sleeps_by_state[state.name] = (
-            self.stats.sleeps_by_state.get(state.name, 0) + 1
+            stats.spurious_wakes += 1
+        stats.sleeps += 1
+        stats.sleeps_by_state[state.name] = (
+            stats.sleeps_by_state.get(state.name, 0) + 1
         )
-        self._note_wake(node, record, outcome, woke_by)
         return self.sim._now
 
     # -- the barrier itself --------------------------------------------------

@@ -2,30 +2,29 @@
 
 The paper closes by proposing to extend predicted-slack sleeping "to
 other synchronization constructs, such as locks". This prototype applies
-the same recipe to a queued lock:
+the same recipe to the queued :class:`~repro.sync.lock.SpinLock`,
+changing only how a contender waits for its hand-off:
 
-* the lock keeps a last-value history of observed *hold times*;
-* a contender estimates its wait as ``holds_ahead * predicted_hold``
-  (its queue depth times the predicted critical-section length);
-* if the estimate covers a sleep state's round trip, the CPU sleeps;
-  the hand-off event is the external wake-up, a countdown timer the
-  internal one — the same hybrid structure as the thrifty barrier;
-* a residual wait after waking preserves strict FIFO hand-off order.
+* the predicted critical-section length is the lock's last hold time
+  (a last-value predictor);
+* a contender estimates its wait as its queue position times that hold;
+* if the estimate covers a sleep state's round trip, the CPU sleeps
+  through :meth:`~repro.machine.Node.sleep_until`, the hybrid wake-up
+  every sleeper shares: the hand-off is the external wake-up, the
+  countdown timer the internal one;
+* a residual wait after an early wake preserves strict FIFO hand-off
+  order.
 """
 
 from dataclasses import dataclass, field
 
 from repro.config import ThriftyConfig
-from repro.energy.accounting import Category
 from repro.energy.states import select_sleep_state
-from repro.errors import SimulationError
-from repro.sim.events import AnyOf
+from repro.sync.lock import SpinLock
 
 
 @dataclass
 class ThriftyLockStats:
-    acquisitions: int = 0
-    contended: int = 0
     sleeps: int = 0
     sleeps_by_state: dict = field(default_factory=dict)
     spin_waits: int = 0
@@ -33,107 +32,44 @@ class ThriftyLockStats:
     handoff_wakes: int = 0
 
 
-class ThriftyLock:
+class ThriftyLock(SpinLock):
     """A queued test-and-set lock with predicted-slack sleeping."""
 
     def __init__(self, system, config=None, name="thrifty-lock"):
-        self.system = system
-        self.sim = system.sim
-        self.memsys = system.memsys
-        self.name = name
+        super().__init__(system, name=name)
         self.config = config or ThriftyConfig()
-        self.addr = system.alloc_shared()
-        self._waiters = []
-        self._holder = None
-        self._acquired_at = None
-        self._predicted_hold_ns = None
+        # Prototype restriction: no flush bookkeeping while queued, so
+        # only snooping states are considered.
+        self._snoozable = tuple(
+            state for state in self.config.sleep_states if state.snoops
+        )
         self.stats = ThriftyLockStats()
 
-    # -- prediction --------------------------------------------------------
-
-    def _estimate_wait_ns(self, queue_depth):
-        """Expected wait: critical sections ahead of us in line."""
-        if self._predicted_hold_ns is None:
-            return None
-        return (queue_depth + 1) * self._predicted_hold_ns
-
-    def _train_hold(self, hold_ns):
-        self._predicted_hold_ns = hold_ns
-
-    # -- the lock ----------------------------------------------------------
-
-    def acquire(self, node):
-        """Simulation subroutine; returns once the lock is held."""
-        cpu = node.cpu
-        while True:
-            old = yield from cpu.mem_op_as(
-                Category.SPIN,
-                self.memsys.rmw(node.node_id, self.addr, lambda _v: 1),
+    def _await_handoff(self, node, ticket):
+        state = None
+        if self.last_hold_ns is not None and self._snoozable:
+            # The critical sections ahead in line, the current one's
+            # included.
+            estimate = len(self._waiters) * self.last_hold_ns
+            state = select_sleep_state(
+                self._snoozable, estimate,
+                conditional=self.config.conditional_sleep,
             )
-            if old == 0:
-                self._holder = node.node_id
-                self._acquired_at = self.sim.now
-                self.stats.acquisitions += 1
-                return
-            self.stats.contended += 1
-            ticket = self.sim.event()
-            self._waiters.append(ticket)
-            estimate = self._estimate_wait_ns(len(self._waiters) - 1)
-            # Prototype restriction: no flush bookkeeping while queued,
-            # so only snooping states are considered.
-            snoozable = tuple(
-                s for s in self.config.sleep_states if s.snoops
-            )
-            state = None
-            if estimate is not None and snoozable:
-                state = select_sleep_state(
-                    snoozable,
-                    estimate,
-                    flush_ns=0,
-                    conditional=self.config.conditional_sleep,
-                )
-            if state is None:
-                self.stats.spin_waits += 1
-                yield from cpu.spin_until(ticket)
-            else:
-                timer = self.sim.timeout(
-                    max(0, estimate - state.transition_latency_ns)
-                )
-                wake = AnyOf(self.sim, [ticket, timer])
-                outcome = yield from cpu.sleep(state, wake)
-                del outcome
-                self.stats.sleeps += 1
-                self.stats.sleeps_by_state[state.name] = (
-                    self.stats.sleeps_by_state.get(state.name, 0) + 1
-                )
-                if wake.value is ticket:
-                    self.stats.handoff_wakes += 1
-                else:
-                    self.stats.timer_wakes += 1
-                    timer.cancel()
-                if not ticket.triggered:
-                    # Early wake: residual wait for the hand-off.
-                    yield from cpu.spin_until(ticket)
-            # The hand-off gives us priority; retry the RMW.
-
-    def release(self, node):
-        """Record the hold time, free the word, hand off FIFO."""
-        if self._holder != node.node_id:
-            raise SimulationError(
-                "{} released by {} but held by {}".format(
-                    self.name, node.node_id, self._holder
-                )
-            )
-        self._train_hold(self.sim.now - self._acquired_at)
-        self._holder = None
-        self._acquired_at = None
-        yield from node.cpu.mem_op_as(
-            Category.SPIN,
-            self.memsys.store(node.node_id, self.addr, 0),
+        if state is None:
+            self.stats.spin_waits += 1
+            yield from node.cpu.spin_until(ticket)
+            return
+        _outcome, woke_by = yield from node.sleep_until(
+            state, ticket, max(0, estimate - state.transition_latency_ns),
         )
-        if self._waiters:
-            self._waiters.pop(0).succeed()
-
-    @property
-    def held(self):
-        return self._holder is not None
+        self.stats.sleeps += 1
+        self.stats.sleeps_by_state[state.name] = (
+            self.stats.sleeps_by_state.get(state.name, 0) + 1
+        )
+        if woke_by == "external":
+            self.stats.handoff_wakes += 1
+        elif woke_by == "timer":
+            self.stats.timer_wakes += 1
+        if not ticket.triggered:
+            # Early wake: residual wait for the hand-off.
+            yield from node.cpu.spin_until(ticket)

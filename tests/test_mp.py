@@ -130,15 +130,21 @@ class TestEndpoint:
 
 
 def run_barrier_loop(system, barrier, schedules):
+    """Run the phases; returns each rank's ``(arrived, left)`` times,
+    one pair per round, ``left`` being what ``wait`` returned."""
+    times = [[] for _ in schedules]
     for rank, phases in enumerate(schedules):
         def program(rank=rank, phases=phases):
             node = system.nodes[rank]
             for duration in phases:
                 yield from node.cpu.compute(duration)
-                yield from barrier.wait(rank)
+                arrived = system.sim.now
+                left = yield from barrier.wait(rank)
+                times[rank].append((arrived, left))
 
         system.sim.spawn(program())
     system.run()
+    return times
 
 
 class TestMpBarrier:
@@ -146,11 +152,12 @@ class TestMpBarrier:
         system, endpoints = build()
         barrier = MpBarrier(system, endpoints)
         schedules = [[100_000 * (r + 1)] * 3 for r in range(4)]
-        run_barrier_loop(system, barrier, schedules)
+        times = run_barrier_loop(system, barrier, schedules)
         assert barrier.stats.instances == 3
-        # Every rank's release timestamp is at or after the slowest
-        # rank's arrival each round.
-        assert min(barrier._release_ts) > 3 * 100_000
+        # Each round, every rank leaves after the slowest rank arrives.
+        for round_times in zip(*times):
+            arrivals, departures = zip(*round_times)
+            assert min(departures) > max(arrivals)
 
     def test_fast_ranks_spin(self):
         system, endpoints = build()
@@ -219,6 +226,20 @@ class TestThriftyMpBarrier:
             / spin_system.execution_time_ns
         )
         assert ratio < 1.05
+
+    def test_execution_ends_at_the_last_rank_exit(self):
+        # The straggler speeds up in the last round, so the other ranks'
+        # countdowns, armed for a 900 us stall, lose to the NIC
+        # interrupt; a loser left queued would run after every rank
+        # has exited and move the end of the run.
+        system, endpoints = build()
+        barrier = ThriftyMpBarrier(system, endpoints)
+        schedules = self._schedules()
+        schedules[3][-1] = 200_000
+        times = run_barrier_loop(system, barrier, schedules)
+        assert barrier.stats.interrupt_wakes > 0
+        last_exit = max(rank_times[-1][1] for rank_times in times)
+        assert system.execution_time_ns == last_exit
 
     def test_empty_ranks_rejected(self):
         system, _ = build()

@@ -30,7 +30,7 @@ def test_mutual_exclusion():
     lock = ThriftyLock(system)
     order = run_contenders(system, lock)
     assert len(order) == 8
-    assert lock.stats.acquisitions == 8
+    assert lock.stats_acquisitions == 8
     assert not lock.held
 
 
@@ -99,6 +99,24 @@ def test_performance_close_to_spinlock():
         thrifty_system.execution_time_ns / spin_system.execution_time_ns
     )
     assert ratio < 1.06
+
+
+def test_handoff_wake_cancels_its_timer():
+    # The holds shrink from 400 to 20 us, so sleepers whose countdowns
+    # were armed from a 400 us hold are woken by the hand-off first.
+    system = make_system()
+    lock = ThriftyLock(system)
+
+    def program(node):
+        for hold_ns in (400_000, 400_000, 20_000):
+            yield from lock.acquire(node)
+            yield from node.cpu.compute(hold_ns)
+            yield from lock.release(node)
+
+    system.run_threads(program)
+    assert lock.stats.handoff_wakes == 5
+    # Each losing countdown is dequeued cancelled instead of running.
+    assert system.sim.skipped_cancelled == lock.stats.handoff_wakes
 
 
 def test_release_by_non_holder_rejected():
