@@ -148,7 +148,8 @@ class FaultInjector:
         The stray signal succeeds the composite wake event directly
         with the value ``"fault:spurious"`` — distinguishable from both
         legitimate sources, and guarded so it never double-triggers an
-        event a real wake-up already won.
+        event a real wake-up already won. Returns its handle, for the
+        sleep to cancel once it wakes, or None when none was scheduled.
         """
         plan = self.plan
         rng = self._stream("spurious")
@@ -156,7 +157,7 @@ class FaultInjector:
             plan.spurious_wake_probability
             and rng.random() < plan.spurious_wake_probability
         ):
-            return
+            return None
         delay = rng.randint(0, plan.spurious_wake_max_ns)
 
         def fire():
@@ -164,7 +165,7 @@ class FaultInjector:
                 self._record("spurious_wake", node_id, delay)
                 wake_event.succeed("fault:spurious")
 
-        self.sim.schedule(delay, fire)
+        return self.sim.schedule(delay, fire)
 
     def perturb_hook(self):
         """The straggler seam, as a ``WorkloadRunner`` perturb hook.

@@ -193,11 +193,12 @@ class Cpu:
         sleep_watts = self.power.sleep_watts(state)
         injector = self.sim.fault_injector
         enter_ns = state.transition_latency_ns
+        spurious = None
         if injector is not None:
             # Fault seams: a spurious wake-up may be scheduled against
             # this sleep, and the voltage ramps may jitter longer than
             # the nominal Table 3 latency.
-            injector.on_sleep_entry(self.node_id, wake_event)
+            spurious = injector.on_sleep_entry(self.node_id, wake_event)
             enter_ns += injector.on_transition(self.node_id, state.name)
         # Transition in: linear ramp from compute power to sleep power.
         yield enter_ns
@@ -211,6 +212,8 @@ class Cpu:
         # Residency: wait for the wake signal (may already have fired).
         resident_started = self.sim._now
         yield wake_event
+        if spurious is not None:
+            spurious.cancel()  # the sleep is over: a late one is stale
         resident_ns = self.sim._now - resident_started
         self._account_add(_SLEEP, resident_ns, power_watts=sleep_watts)
         exit_ns = state.transition_latency_ns

@@ -248,9 +248,11 @@ class BarrierBase:
         monitor = self._watch_flag(node, sense, fired)
         if monitor is None:
             return None
-        race = AnyOf(self.sim, [fired, self.sim.timeout(threshold_ns)])
+        budget = self.sim.timeout(threshold_ns)
+        race = AnyOf(self.sim, [fired, budget])
         yield from cpu.spin_until(race)
         if race.value is fired:
+            budget.cancel()
             return None  # released during the bounded spin
         if state is None:
             yield from cpu.spin_until(fired)

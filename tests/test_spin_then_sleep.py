@@ -5,6 +5,7 @@ import pytest
 from repro.config import SLEEP1_HALT, SLEEP2, MachineConfig
 from repro.energy.accounting import Category
 from repro.errors import ConfigError
+from repro.experiments.runner import build_simulation
 from repro.machine import System
 from repro.sync import ConventionalBarrier, SpinThenSleepBarrier
 from repro.telemetry.events import SleepExit, WakeUp
@@ -83,6 +84,26 @@ def test_wakes_late_by_construction():
         + 3 * SLEEP1_HALT.transition_latency_ns
         + 3 * 20_000
     )
+
+
+def test_run_ends_at_the_last_thread_exit():
+    # A flag released within the spin budget must cancel the budget's
+    # timeout: left queued, it ran after every thread had exited and
+    # ended Cholesky-16 43 us late.
+    def factory(system, domain, n_threads, pc, trace):
+        return SpinThenSleepBarrier(
+            system, domain, n_threads, pc, sleep_state=SLEEP1_HALT,
+            trace=trace,
+        )
+
+    _system, runner = build_simulation(
+        "cholesky", 16, 1, factory, MachineConfig(n_nodes=16),
+    )
+    run = runner.run()
+    last_exit = max(
+        max(record.departures.values()) for record in run.trace.instances
+    )
+    assert run.execution_time_ns == last_exit
 
 
 def test_saves_energy_versus_conventional_on_long_stalls():

@@ -47,28 +47,28 @@ PINNED = {
         "ad23a70adfa7c298697fd82880a991260fcc8485e2a63d003162832f41177abf"
     ),
     "fmm/thrifty/plan2": (
-        "96bf1a48a1fe898bb240b21c35922768102fd6acd3cc605db8462e9bcd4617a9"
+        "cd8d46dce03fbd1dab2be35369e93b6c9ce759d0afd6abff2740dba831656287"
     ),
     "fmm/thrifty-halt/plan0": (
-        "00c9bf07c06434bf791b37ea76e162b05f73282c88908754c89259b226014299"
+        "696e1080d77409591f13e1a20fb005270e5e456beefbe6a063e6be22fab5021d"
     ),
     "fmm/thrifty-halt/plan1": (
         "eda4251157f41891fc4a4279e2176318f4a6ffb3bae64f0d9d4365006d3521cc"
     ),
     "fmm/thrifty-halt/plan2": (
-        "a5ec730a7dd7cfc9094199ffd1daef06ded011dbff5a41ecd6bedf2f722dea85"
+        "a04ee3d3116e69ff07c7972e813ea4bfb2a8b0218d1720e2dca0d3e9b3bec823"
     ),
     "fmm/thrifty/plan3": (
-        "bf976f290fa932ea92a8b63d9ee4a393d8da0c7b38f422fc91988cd70f3dfa2a"
+        "b72d34d876b2a8b21cb45472298d9a5b1c391b9679c93be62ea755b3d648f5e8"
     ),
     "fmm/thrifty-halt/plan3": (
-        "e00d51e1fc9b1b464cf4a4c445fab110243c22d3bd8eccb33209289cecf7a9e4"
+        "586dd6e3d6347f375164f6d9153a3e7c34821d6ccbffc51447030a21be3f38ca"
     ),
     "fmm/spin-then-halt": (
-        "cb00f077ab62b30b3fb3f6bb549518e78f144bc9234ba64dc18a25fb7e4d25ce"
+        "faf25a94c7e8cbe954b6ac27adb7837100d850e425cd61ee35fce080cb6b59b2"
     ),
     "radix/spin-then-halt": (
-        "fbc82dcf4a236e899b412dcf498d860e626f87cb5cef54facf27509010566598"
+        "8bbb052868ea2a94cfbecefbf9d3c26d12dda05db9eb83482a346da629238634"
     ),
     "timeshare/yielding": (
         "654449d8fe5c8604bb256d1a6c07880fbbbd7c8c96f1aacfe81f0717fb370fa8"
