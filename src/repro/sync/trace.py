@@ -8,11 +8,9 @@ post-hoc accounting. The simulated algorithm never reads it.
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-# SleepRecord was promoted into the telemetry event model; this alias
-# keeps ``repro.sync.trace.SleepRecord`` importable (same class object).
 from repro.telemetry.events import SleepRecord
 
-__all__ = ["BarrierTrace", "InstanceRecord", "SleepRecord"]
+__all__ = ["BarrierTrace", "InstanceRecord"]
 
 
 @dataclass

@@ -8,10 +8,9 @@ the tracer derives every metric from the same stream the timeline
 export consumes — there is one source of truth. The tracer folds them
 when its metrics are read, in stream order, not as each is emitted.
 
-The module is also the home of :class:`SleepRecord`, promoted here from
-``repro.sync.trace`` (which keeps a backward-compatible alias): it is
-the per-(thread, barrier-instance) sleep summary the oracle accounting
-and the metrics layer consume.
+The module is also the home of :class:`SleepRecord`, the
+per-(thread, barrier-instance) sleep summary the oracle accounting and
+the metrics layer consume.
 """
 
 from dataclasses import dataclass
@@ -26,11 +25,7 @@ from repro.telemetry.metrics import (
 
 @dataclass
 class SleepRecord:
-    """One thread's sleep at one barrier instance.
-
-    Promoted from ``repro.sync.trace`` into the telemetry event model;
-    ``repro.sync.trace.SleepRecord`` remains as a thin alias.
-    """
+    """One thread's sleep at one barrier instance."""
 
     state_name: str
     resident_ns: int

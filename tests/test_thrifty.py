@@ -313,8 +313,8 @@ menus = st.lists(
 
 
 class TestStateSelectionTable:
-    """``_choose_state`` keeps a per-flush-cost table beside the
-    reference scan of ``select_sleep_state``; the two must agree."""
+    """``_choose_state`` is ``select_sleep_state`` given the barrier's
+    flush estimate for the dirty footprint and its conditional flag."""
 
     @given(
         menu=menus,

@@ -1,24 +1,8 @@
-"""Direct tests for the barrier trace records.
+"""Direct tests for the barrier trace records and the
+:class:`~repro.telemetry.events.SleepRecord` they hold."""
 
-``SleepRecord`` lives in :mod:`repro.telemetry.events` since its
-promotion into the telemetry event model; :mod:`repro.sync.trace` keeps
-a backward-compatible alias these tests pin.
-"""
-
-from repro.sync.trace import BarrierTrace, InstanceRecord, SleepRecord
-
-
-class TestSleepRecordAlias:
-    def test_alias_is_same_class_object(self):
-        import repro.sync.trace
-        import repro.telemetry.events
-
-        assert repro.sync.trace.SleepRecord is repro.telemetry.events.SleepRecord
-
-    def test_in_sync_trace_all(self):
-        import repro.sync.trace
-
-        assert "SleepRecord" in repro.sync.trace.__all__
+from repro.sync.trace import BarrierTrace, InstanceRecord
+from repro.telemetry.events import SleepRecord
 
 
 class TestSleepRecord:
