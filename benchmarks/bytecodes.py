@@ -13,10 +13,24 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bytecodes.py ocean thrifty 16
     PYTHONPATH=src python benchmarks/bytecodes.py fmm thrifty 256 --seed 1 --top 25
+    PYTHONPATH=src python benchmarks/bytecodes.py --check
+    PYTHONPATH=src python benchmarks/bytecodes.py --rebaseline
+
+``--check`` is a CI gate on Python-level work: it counts the
+:data:`GATE_CELLS` and fails when a cell executes more than
+:data:`GATE_TOLERANCE` above its committed record
+(``benchmarks/BENCH_bytecodes.json``), printing each layer's change
+beside it. Bytecode differs between CPython minor versions, so the
+record holds the version it was counted on and the check runs only
+there. It caps work, not time: it weighs a dict probe the same as a
+local load and a C call as one instruction, so it does not measure
+speed. ``--rebaseline`` rewrites the record; an intentional rise is
+re-recorded with its reason stated in CHANGES.md.
 
 The cell is built untraced, exactly as ``bench_core_events.py`` builds
-it; only ``runner.run()`` runs under ``sys.settrace`` with per-opcode
-events (``frame.f_trace_opcodes``). The report divides every count by
+it, and run once uncounted; then a fresh copy's ``runner.run()`` runs
+under ``sys.settrace`` with per-opcode events
+(``frame.f_trace_opcodes``). The report divides every count by
 the cell's dequeues (executed callbacks plus cancelled skips). Counts
 are grouped into the layers ``perfbench/layers.py`` reports: a function
 in ``repro/<layer>/`` belongs to that layer, and any other function
@@ -25,6 +39,7 @@ in ``repro/<layer>/`` belongs to that layer, and any other function
 """
 
 import argparse
+import json
 import os
 import sys
 from collections import defaultdict
@@ -41,6 +56,20 @@ LAYERS = (
     "serve",
 )
 OTHER = "other"
+
+RECORD_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "BENCH_bytecodes.json"
+)
+#: The gate's cells: (app, config, threads, seed).
+GATE_CELLS = (
+    ("fmm", "baseline", 16, 1),
+    ("fmm", "thrifty", 16, 1),
+    ("radix", "thrifty-halt", 16, 1),
+)
+#: The gate fails when a cell's executed bytecodes rise by more than
+#: this share of its record. One more attribute read in
+#: ``Simulator.run``'s drain loop adds 0.8-0.9% to each cell.
+GATE_TOLERANCE = 0.005
 
 
 def _file_layer(filename):
@@ -106,16 +135,26 @@ class OpcodeCounter:
             sys.settrace(None)
 
 
-def count_cell(app, config, threads, seed):
-    """Run one live cell under the counter; returns ``(counts, dequeues)``."""
+def _build_cell(app, config, threads, seed):
     system = System(MachineConfig(n_nodes=threads))
-    runner = WorkloadRunner(
+    return system, WorkloadRunner(
         get_model(app),
         system=system,
         n_threads=threads,
         seed=seed,
         barrier_factory=barrier_factory_for(config),
     )
+
+
+def count_cell(app, config, threads, seed):
+    """Run one live cell under the counter; returns ``(counts, dequeues)``.
+
+    The same cell runs once uncounted first, so the count leaves out
+    one-time work (lazy imports, first-call caches): its size depends
+    on the environment, such as ``sys.path``, and on what ran before.
+    """
+    _build_cell(app, config, threads, seed)[1].run()
+    system, runner = _build_cell(app, config, threads, seed)
     counter = OpcodeCounter()
     counter.run(runner.run)
     sim = system.sim
@@ -145,21 +184,112 @@ def report(counts, dequeues, top):
     return "\n".join(lines)
 
 
+def _python_version():
+    return "{}.{}".format(*sys.version_info[:2])
+
+
+def gate_record():
+    """Count every gate cell: the record ``--rebaseline`` writes."""
+    cells = []
+    for app, config, threads, seed in GATE_CELLS:
+        counts, dequeues = count_cell(app, config, threads, seed)
+        by_layer = defaultdict(int)
+        for (layer, _), count in counts.items():
+            by_layer[layer] += count
+        cells.append({
+            "cell": [app, config, threads, seed],
+            "dequeues": dequeues,
+            "bytecodes": sum(counts.values()),
+            "layers": dict(sorted(by_layer.items())),
+        })
+    return {"python": _python_version(), "cells": cells}
+
+
+def check(record, current, tolerance=GATE_TOLERANCE):
+    """Compare ``current`` with ``record``, cell by cell; returns the
+    report lines and the cells that rose beyond ``tolerance``."""
+    lines, failed = [], []
+    recorded = {tuple(cell["cell"]): cell for cell in record["cells"]}
+    for cell in current["cells"]:
+        key = tuple(cell["cell"])
+        name = "{} {} {} seed {}".format(*key)
+        base = recorded.get(key)
+        if base is None:
+            lines.append("{}: not in the record".format(name))
+            failed.append(name)
+            continue
+        rise = cell["bytecodes"] / base["bytecodes"] - 1
+        lines.append(
+            "{}: {:,} bytecodes over {:,} dequeues, {:.1f} a dequeue; "
+            "record {:,} over {:,} ({:+.2%})".format(
+                name, cell["bytecodes"], cell["dequeues"],
+                cell["bytecodes"] / cell["dequeues"], base["bytecodes"],
+                base["dequeues"], rise,
+            )
+        )
+        for layer in sorted(set(cell["layers"]) | set(base["layers"])):
+            now = cell["layers"].get(layer, 0)
+            was = base["layers"].get(layer, 0)
+            if now != was:
+                lines.append("    {:<14}{:>12,} -> {:>12,}".format(
+                    layer, was, now))
+        if rise > tolerance:
+            failed.append(name)
+    return lines, failed
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Executed bytecodes per dequeue of one live cell.")
-    parser.add_argument("app")
-    parser.add_argument("config")
-    parser.add_argument("threads", type=int)
+    parser.add_argument("app", nargs="?")
+    parser.add_argument("config", nargs="?")
+    parser.add_argument("threads", type=int, nargs="?")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=20,
                         help="functions to list (default 20)")
+    gate = parser.add_mutually_exclusive_group()
+    gate.add_argument("--check", action="store_true",
+                      help="gate the GATE_CELLS against the record")
+    gate.add_argument("--rebaseline", action="store_true",
+                      help="rewrite the record from the GATE_CELLS")
     args = parser.parse_args(argv)
+    if args.check or args.rebaseline:
+        if args.app is not None:
+            parser.error("--check and --rebaseline take no cell")
+        return run_gate(args.check)
+    if args.threads is None:
+        parser.error("give a cell: app config threads")
     counts, dequeues = count_cell(
         args.app, args.config, args.threads, args.seed)
     print("{} {} {} seed {}".format(
         args.app, args.config, args.threads, args.seed))
     print(report(counts, dequeues, args.top))
+    return 0
+
+
+def run_gate(check_only):
+    """``--check`` (``check_only``) or ``--rebaseline``; the exit code."""
+    if check_only:
+        with open(RECORD_PATH) as handle:
+            record = json.load(handle)
+        if record["python"] != _python_version():
+            print("the record was counted on CPython {}; this is {}".format(
+                record["python"], _python_version()), file=sys.stderr)
+            return 2
+    current = gate_record()
+    if not check_only:
+        with open(RECORD_PATH, "w") as handle:
+            json.dump(current, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("re-recorded", RECORD_PATH)
+        return 0
+    lines, failed = check(record, current)
+    print("\n".join(lines))
+    if failed:
+        print("bytecode gate FAILED: {} rose more than {:.1%} above the "
+              "record".format(", ".join(failed), GATE_TOLERANCE))
+        return 1
+    print("bytecode gate OK (allows +{:.1%} a cell)".format(GATE_TOLERANCE))
     return 0
 
 
