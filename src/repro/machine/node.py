@@ -29,26 +29,26 @@ class Node:
 
     # -- the hybrid wake-up (Section 3.3.2) --------------------------------
 
-    def sleep_until(self, state, external=None, timer_ns=None, flush_lines=0):
-        """Sleep in ``state`` until the first wake source fires; the one
-        hybrid wake-up every sleeper runs (simulation subroutine).
+    def sleep_until(self, state, external=None, wake_at=None, flush_lines=0):
+        """Sleep in ``state`` until the ``external`` event (the flag
+        monitor, a lock hand-off, a NIC interrupt) or the predicted
+        release ``wake_at``, whichever fires first; at least one must be
+        given. The countdown ends the exit latency before ``wake_at``,
+        so the CPU is back up by then, and is cancelled unless it won.
 
-        ``external`` is the caller's wake event (the flag monitor, a
-        lock hand-off, a NIC interrupt); ``timer_ns`` arms the cache
-        controller's countdown timer. At least one must be given. The
-        first source to fire ends the residency, and the countdown is
-        cancelled unless it won, so no stale timer outlives the sleep.
         Returns ``(outcome, woke_by)``: the
         :class:`~repro.machine.cpu.SleepOutcome` and ``"external"``,
-        ``"timer"`` or ``"spurious"`` (a fault-injected wake that
-        neither source sent). Disarming a losing external source is the
-        caller's job: only it knows what armed it.
+        ``"timer"`` or ``"spurious"`` (a fault-injected wake). A losing
+        external source is the caller's to disarm.
         """
         sources = [] if external is None else [external]
         timer = handle = None
-        if timer_ns is not None:
+        if wake_at is not None:
             timer = self.sim.event()
-            handle = self.controller.arm_wake_timer(timer_ns, timer.succeed)
+            handle = self.controller.arm_wake_timer(
+                max(0, wake_at - self.sim._now - state.transition_latency_ns),
+                timer.succeed,
+            )
             sources.append(timer)
         wake = AnyOf(self.sim, sources)
         outcome = yield from self.cpu.sleep(

@@ -155,15 +155,11 @@ class ThriftyMpBarrier(MpBarrier):
         self._absorb_release(rank, payload, wake_ts)
 
     def _sleep(self, endpoint, state, est_wake):
-        external = timer_ns = None
-        if self.config.use_external_wakeup:
-            external = endpoint.arm_interrupt()
-        if self.config.use_internal_wakeup:
-            timer_ns = max(
-                0, est_wake - self.sim.now - state.transition_latency_ns
-            )
+        config = self.config
         _outcome, woke_by = yield from endpoint.node.sleep_until(
-            state, external, timer_ns,
+            state,
+            endpoint.arm_interrupt() if config.use_external_wakeup else None,
+            est_wake if config.use_internal_wakeup else None,
         )
         if woke_by == "external":
             self.stats.interrupt_wakes += 1

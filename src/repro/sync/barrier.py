@@ -262,18 +262,18 @@ class BarrierBase:
         ))
 
     def _sleep_on_flag(
-        self, node, record, state, fired, monitor, timer_ns=None,
+        self, node, record, state, fired, monitor, wake_at=None,
         dirty_lines=0,
     ):
         """Sleep in ``state`` until the flag monitor's ``fired`` event
-        or a countdown of ``timer_ns`` wakes the CPU
+        or the countdown to ``wake_at`` wakes the CPU
         (:meth:`~repro.machine.Node.sleep_until`), disarm the monitor
         unless it fired, and trace the wake. Returns how the sleep
         ended: ``"invalidation"``, ``"timer"`` or ``"spurious"``.
         ``fired`` and ``monitor`` are None when no monitor is armed.
         """
         outcome, woke_by = yield from node.sleep_until(
-            state, fired, timer_ns, dirty_lines,
+            state, fired, wake_at, dirty_lines,
         )
         if woke_by == "external":
             woke_by = "invalidation"

@@ -119,17 +119,13 @@ class ThriftyBarrier(BarrierBase):
             if monitor is None:
                 self.stats.aborted_sleeps += 1
                 return None
-        timer_ns = None
-        if self.config.use_internal_wakeup:
-            # Anticipate the release: count down to the predicted wake
-            # time minus the exit latency (Section 3.3.2).
-            timer_ns = max(
-                0, est_wake_ts - self.sim._now - state.transition_latency_ns
-            )
-        # A wake by neither source is a spurious one (fault injection):
+        # Anticipate the release with the countdown (Section 3.3.2). A
+        # wake by neither source is a spurious one (fault injection):
         # the residual spin re-checks the flag (Section 3.3.1).
         woke_by = yield from self._sleep_on_flag(
-            node, record, state, external, monitor, timer_ns, dirty_lines,
+            node, record, state, external, monitor,
+            est_wake_ts if self.config.use_internal_wakeup else None,
+            dirty_lines,
         )
         stats = self.stats
         if woke_by == "invalidation":

@@ -55,21 +55,21 @@ class ThriftyLock(SpinLock):
                 self._snoozable, estimate,
                 conditional=self.config.conditional_sleep,
             )
+        stats = self.stats
         if state is None:
-            self.stats.spin_waits += 1
-            yield from node.cpu.spin_until(ticket)
-            return
-        _outcome, woke_by = yield from node.sleep_until(
-            state, ticket, max(0, estimate - state.transition_latency_ns),
-        )
-        self.stats.sleeps += 1
-        self.stats.sleeps_by_state[state.name] = (
-            self.stats.sleeps_by_state.get(state.name, 0) + 1
-        )
-        if woke_by == "external":
-            self.stats.handoff_wakes += 1
-        elif woke_by == "timer":
-            self.stats.timer_wakes += 1
+            stats.spin_waits += 1
+        else:
+            _outcome, woke_by = yield from node.sleep_until(
+                state, ticket, self.sim.now + estimate,
+            )
+            stats.sleeps += 1
+            stats.sleeps_by_state[state.name] = (
+                stats.sleeps_by_state.get(state.name, 0) + 1
+            )
+            if woke_by == "external":
+                stats.handoff_wakes += 1
+            elif woke_by == "timer":
+                stats.timer_wakes += 1
         if not ticket.triggered:
-            # Early wake: residual wait for the hand-off.
+            # The whole wait, or what an early wake left of it.
             yield from node.cpu.spin_until(ticket)
