@@ -161,15 +161,20 @@ def count_cell(app, config, threads, seed):
     return dict(counter.counts), sim.executed + sim.skipped_cancelled
 
 
+def _by_layer(counts):
+    by_layer = defaultdict(int)
+    for (layer, _), count in counts.items():
+        by_layer[layer] += count
+    return by_layer
+
+
 def report(counts, dequeues, top):
     """The printed table: total, per layer, and the ``top`` functions."""
     lines = []
     total = sum(counts.values())
     lines.append("dequeues {:,}   bytecodes {:,}   per dequeue {:.1f}".format(
         dequeues, total, total / dequeues))
-    by_layer = defaultdict(int)
-    for (layer, _), count in counts.items():
-        by_layer[layer] += count
+    by_layer = _by_layer(counts)
     lines.append("")
     lines.append("{:<14}{:>12}{:>9}".format("layer", "per deq", "share"))
     for layer in sorted(by_layer, key=lambda name: -by_layer[name]):
@@ -193,14 +198,11 @@ def gate_record():
     cells = []
     for app, config, threads, seed in GATE_CELLS:
         counts, dequeues = count_cell(app, config, threads, seed)
-        by_layer = defaultdict(int)
-        for (layer, _), count in counts.items():
-            by_layer[layer] += count
         cells.append({
             "cell": [app, config, threads, seed],
             "dequeues": dequeues,
             "bytecodes": sum(counts.values()),
-            "layers": dict(sorted(by_layer.items())),
+            "layers": dict(sorted(_by_layer(counts).items())),
         })
     return {"python": _python_version(), "cells": cells}
 

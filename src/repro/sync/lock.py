@@ -64,7 +64,6 @@ class SpinLock:
             )
         self.last_hold_ns = self.sim.now - self._acquired_at
         self._holder = None
-        self._acquired_at = None
         yield from node.cpu.mem_op_as(
             category,
             self.memsys.store(node.node_id, self.addr, 0),
