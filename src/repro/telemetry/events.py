@@ -30,7 +30,7 @@ class SleepRecord:
     state_name: str
     resident_ns: int
     flushed_lines: int
-    woke_by: str  # "timer" | "invalidation" | "aborted"
+    woke_by: str  # "timer" | "invalidation" | "spurious"
     penalty_ns: int = 0
 
 
