@@ -189,12 +189,9 @@ def report(counts, dequeues, top):
     return "\n".join(lines)
 
 
-def _python_version():
-    return "{}.{}".format(*sys.version_info[:2])
-
-
-def gate_record():
-    """Count every gate cell: the record ``--rebaseline`` writes."""
+def gate_record(python):
+    """Count every gate cell on CPython ``python`` (``"3.11"``): the
+    record ``--rebaseline`` writes."""
     cells = []
     for app, config, threads, seed in GATE_CELLS:
         counts, dequeues = count_cell(app, config, threads, seed)
@@ -204,7 +201,7 @@ def gate_record():
             "bytecodes": sum(counts.values()),
             "layers": dict(sorted(_by_layer(counts).items())),
         })
-    return {"python": _python_version(), "cells": cells}
+    return {"python": python, "cells": cells}
 
 
 def check(record, current, tolerance=GATE_TOLERANCE):
@@ -249,16 +246,16 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=20,
                         help="functions to list (default 20)")
-    gate = parser.add_mutually_exclusive_group()
-    gate.add_argument("--check", action="store_true",
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
                       help="gate the GATE_CELLS against the record")
-    gate.add_argument("--rebaseline", action="store_true",
+    mode.add_argument("--rebaseline", action="store_true",
                       help="rewrite the record from the GATE_CELLS")
     args = parser.parse_args(argv)
     if args.check or args.rebaseline:
         if args.app is not None:
             parser.error("--check and --rebaseline take no cell")
-        return run_gate(args.check)
+        return gate(args.rebaseline)
     if args.threads is None:
         parser.error("give a cell: app config threads")
     counts, dequeues = count_cell(
@@ -269,23 +266,22 @@ def main(argv=None):
     return 0
 
 
-def run_gate(check_only):
-    """``--check`` (``check_only``) or ``--rebaseline``; the exit code."""
-    if check_only:
-        with open(RECORD_PATH) as handle:
-            record = json.load(handle)
-        if record["python"] != _python_version():
-            print("the record was counted on CPython {}; this is {}".format(
-                record["python"], _python_version()), file=sys.stderr)
-            return 2
-    current = gate_record()
-    if not check_only:
+def gate(rebaseline):
+    """``--check``, or ``--rebaseline``; returns the exit code."""
+    python = "{}.{}".format(*sys.version_info[:2])
+    if rebaseline:
         with open(RECORD_PATH, "w") as handle:
-            json.dump(current, handle, indent=2, sort_keys=True)
+            json.dump(gate_record(python), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print("re-recorded", RECORD_PATH)
         return 0
-    lines, failed = check(record, current)
+    with open(RECORD_PATH) as handle:
+        record = json.load(handle)
+    if record["python"] != python:
+        print("the record was counted on CPython {}; this is {}".format(
+            record["python"], python), file=sys.stderr)
+        return 2
+    lines, failed = check(record, gate_record(python))
     print("\n".join(lines))
     if failed:
         print("bytecode gate FAILED: {} rose more than {:.1%} above the "
