@@ -8,7 +8,8 @@ the paper assumes. The pieces:
 * :mod:`repro.coherence.directory` — per-home-node line states and the
   per-line serialization locks;
 * :mod:`repro.coherence.protocol` — the transaction engine (loads,
-  stores, atomics, write-backs) that moves simulated time;
+  stores, atomics, write-backs) that moves simulated time; a message
+  is timed by its size alone (one-flit control, or a line of data);
 * :mod:`repro.coherence.controller` — the on-chip cache controller,
   including the paper's thrifty extensions: the programmable barrier-flag
   monitor (external wake-up) and the countdown timer (internal wake-up).

@@ -48,14 +48,6 @@ class Cache:
         cache_set = self._sets[line_addr % self._n_sets]
         return cache_set.get(line_addr) if cache_set else None
 
-    def touch(self, line_addr):
-        """Refresh LRU position; raises if the line is absent."""
-        if self.lookup(line_addr) is None:
-            raise ProtocolError(
-                "{}: touch of absent line {:#x}".format(self.name, line_addr)
-            )
-        self._sets[line_addr % self._n_sets].move_to_end(line_addr)
-
     def _dirty(self, set_index):
         """One more MODIFIED line in ``set_index``."""
         counts = self._dirty_counts

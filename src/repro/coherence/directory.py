@@ -45,10 +45,6 @@ class LineLock:
         self._waiters.append(event)
         return event
 
-    def acquire(self):
-        """An event that succeeds once the lock is held by the caller."""
-        return self.request() or self.sim.event().succeed()
-
     def release(self):
         if not self._locked:
             raise ProtocolError("release of unheld line lock")
@@ -147,7 +143,3 @@ class Directory:
             entry = DirectoryEntry(self.sim, line_addr)
             self._entries[line_addr] = entry
             return entry
-
-    def lock(self, line_addr):
-        """The lock of ``line_addr``'s entry."""
-        return self.entry(line_addr).lock

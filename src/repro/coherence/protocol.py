@@ -17,9 +17,14 @@ thrifty barrier uses as its external wake-up signal.
 
 from repro.coherence.cache import CacheHierarchy, LineState
 from repro.coherence.directory import Directory, DirState
-from repro.coherence.messages import CONTROL_BYTES, DATA_BYTES
 from repro.interconnect.network import Network
 from repro.interconnect.topology import Hypercube
+
+#: Wire sizes, the only property of a coherence message timing reads: a
+#: control message (request, invalidation, ack) is one 16-byte flit, and
+#: a data message carries a 64-byte line behind a one-flit header.
+CONTROL_BYTES = 16
+DATA_BYTES = 64 + 16
 
 # Enum members as globals: on CPython 3.11 a class read such as
 # ``DirState.EXCLUSIVE`` costs ~140 ns, a global ~10 (DESIGN.md §8).

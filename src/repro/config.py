@@ -6,7 +6,7 @@ interpreted as the one-way latency — the paper's wake-up discussion treats
 entering and leaving a state as separately costed transitions.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 
@@ -119,11 +119,6 @@ class NetworkConfig:
     pin_to_pin_ns: int = 16
     marshal_ns: int = 16
     router_freq_mhz: int = 250
-    #: Model per-link occupancy: messages queue behind each other on
-    #: shared links (wormhole channels held for the message duration).
-    #: Off by default — the paper's barrier traffic is latency-bound —
-    #: but available for contention studies.
-    model_contention: bool = False
 
 
 @dataclass(frozen=True)
@@ -180,10 +175,6 @@ class MachineConfig:
     @property
     def line_bytes(self):
         return self.l1.line_bytes
-
-    def scaled(self, n_nodes):
-        """A copy of this configuration with a different node count."""
-        return replace(self, n_nodes=n_nodes)
 
 
 @dataclass(frozen=True)
@@ -254,7 +245,3 @@ class ThriftyConfig:
             raise ConfigError(
                 "sleep states must be ordered by increasing latency"
             )
-
-    @property
-    def deepest_state(self):
-        return max(self.sleep_states, key=lambda s: s.power_savings)

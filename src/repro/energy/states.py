@@ -56,9 +56,3 @@ def ramp_energy(power_from_watts, power_to_watts, duration_ns):
     average_watts = 0.5 * (power_from_watts + power_to_watts)
     return average_watts * duration_ns * 1e-9
 
-
-def sleep_interval_energy(state, tdp_max_watts, resident_ns):
-    """Energy while resident in ``state`` for ``resident_ns`` (joules)."""
-    if resident_ns < 0:
-        raise ConfigError("residency must be non-negative")
-    return state.residency_power(tdp_max_watts) * resident_ns * 1e-9

@@ -37,7 +37,6 @@ _LAZY = {
     "FaultPlan": ("repro.faults.plan", "FaultPlan"),
     "INVARIANTS": ("repro.faults.invariants", "INVARIANTS"),
     "InvariantChecker": ("repro.faults.invariants", "InvariantChecker"),
-    "InvariantError": ("repro.faults.invariants", "InvariantError"),
     "InvariantViolation": ("repro.faults.invariants", "InvariantViolation"),
     "MONOTONIC_TIME": ("repro.faults.invariants", "MONOTONIC_TIME"),
     "NET_FAULT_KINDS": ("repro.faults.netchaos", "NET_FAULT_KINDS"),

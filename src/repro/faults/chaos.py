@@ -83,10 +83,6 @@ class ChaosCellReport:
     time_delta_ns: object = None
 
     @property
-    def ok(self):
-        return not self.violations
-
-    @property
     def total_injected(self):
         return sum(self.injected.values())
 

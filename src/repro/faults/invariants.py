@@ -21,8 +21,7 @@ survive *any* fault plan:
   timestamp): no simulated nanosecond is double-charged or dropped.
 
 Violations are structured :class:`InvariantViolation` records carrying
-the offending event window, and :meth:`InvariantChecker.assert_ok`
-raises them as one :class:`InvariantError`.
+the offending event window.
 """
 
 from dataclasses import dataclass, field, replace
@@ -119,14 +118,6 @@ def annotate_window_indices(violations, events):
             violation, first_index=indices[0], last_index=indices[-1],
         ))
     return annotated
-
-
-class InvariantError(ReproError):
-    """Raised by :meth:`InvariantChecker.assert_ok`; carries the list."""
-
-    def __init__(self, message, violations=()):
-        super().__init__(message)
-        self.violations = tuple(violations)
 
 
 def _window(events):
@@ -348,17 +339,4 @@ class InvariantChecker:
                     ts=ts, invariant=name,
                     passed=count == 0, violations=count,
                 ))
-        return violations
-
-    def assert_ok(self, events, accounts=None):
-        """Raise :class:`InvariantError` if any invariant is violated."""
-        violations = self.check(events, accounts=accounts)
-        if violations:
-            raise InvariantError(
-                "{} invariant violation(s): {}".format(
-                    len(violations),
-                    "; ".join(v.describe() for v in violations[:5]),
-                ),
-                violations=violations,
-            )
         return violations

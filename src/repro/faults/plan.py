@@ -124,17 +124,6 @@ class FaultPlan:
             getattr(self, name) == 0.0 for name in _PROBABILITY_FIELDS
         )
 
-    def describe(self):
-        """Compact one-line summary of the active seams."""
-        active = [
-            "{}={:g}".format(name.replace("_probability", ""), value)
-            for name in _PROBABILITY_FIELDS
-            if (value := getattr(self, name)) > 0
-        ]
-        return "{}(seed={}, {})".format(
-            self.name, self.seed, ", ".join(active) or "noop"
-        )
-
     @classmethod
     def sample(cls, seed, name=None, intensity=1.0):
         """Draw a randomized-but-deterministic plan from ``seed``.

@@ -11,27 +11,25 @@ where serialization is the extra flits behind the head at the router
 clock. Node-local "messages" (a node talking to its own directory) skip
 the network entirely.
 
-Contention is not modeled by default (a documented simplification — the
-paper's barrier traffic is latency-, not bandwidth-bound). A message
-only bumps the count of its route; :class:`NetworkStats` derives every
-total from those counts when read.
+Contention is not modeled (a documented simplification — the paper's
+barrier traffic is latency-, not bandwidth-bound). A message only bumps
+the count of its route; :class:`NetworkStats` derives every total from
+those counts when read.
 """
 
 import math
 
 from repro.errors import ConfigError
-from repro.interconnect.routing import links_used
 from repro.interconnect.topology import Hypercube
 
 
 class _Route:
     """One ``(src, dst, size)`` route: its constants and message count."""
 
-    __slots__ = ("hops", "links", "latency", "messages")
+    __slots__ = ("hops", "latency", "messages")
 
-    def __init__(self, hops, links, latency):
+    def __init__(self, hops, latency):
         self.hops = hops
-        self.links = links
         self.latency = latency
         self.messages = 0
 
@@ -55,13 +53,6 @@ class NetworkStats:
             route.messages * route.hops for route in self._routes.values()
         )
 
-    @property
-    def mean_hops(self):
-        messages = self.messages
-        if messages == 0:
-            return 0.0
-        return self.total_hops / messages
-
 
 class Network:
     """Latency model bound to a :class:`~repro.sim.Simulator`."""
@@ -75,19 +66,17 @@ class Network:
         self.flit_bytes = 16
         # 250 MHz -> 4 ns per router cycle; one flit advances per cycle.
         self.flit_cycle_ns = max(1, int(round(1_000 / config.router_freq_mhz)))
-        self._model_contention = config.model_contention
-        self._link_busy_until = {}
-        # Packed (src, dst, size) int key -> _Route: the route's hops,
-        # links and uncontended latency (a pure function of the topology
-        # and config, so memoizing it is safe) and its message count,
-        # the one statistic a message updates. The packed key (src and
-        # dst below 4096 nodes, size below 8192 bytes) avoids a tuple
+        # Packed (src, dst, size) int key -> _Route: the route's hops
+        # and latency (a pure function of the topology and config, so
+        # memoizing it is safe) and its message count, the one
+        # statistic a message updates. The packed key (src and dst
+        # below 4096 nodes, size below 8192 bytes) avoids a tuple
         # allocation per message.
         self._routes = {}
         self.stats = NetworkStats(self._routes)
 
     def latency_ns(self, src, dst, size_bytes=16):
-        """Uncontended one-way delivery latency (the base estimate)."""
+        """One-way delivery latency in ns (the route's constant)."""
         if size_bytes <= 0:
             raise ConfigError("message size must be positive")
         if src == dst:
@@ -100,34 +89,6 @@ class Network:
             + body_flits * self.flit_cycle_ns
         )
 
-    def _occupancy_ns(self, size_bytes):
-        """How long a wormhole message holds each channel it crosses."""
-        flits = max(1, math.ceil(size_bytes / self.flit_bytes))
-        return flits * self.flit_cycle_ns
-
-    def _contended_latency_ns(self, links, size_bytes):
-        """Walk the e-cube path, queueing behind busy links.
-
-        Mutates the per-link reservations, so call exactly once per
-        message. The head flit waits for each channel to free, then
-        advances one hop; the channel stays held for the message's
-        serialization time (wormhole: the worm occupies the channel).
-        """
-        occupancy = self._occupancy_ns(size_bytes)
-        head_time = self.sim.now + self.config.marshal_ns
-        for link in links:
-            free_at = self._link_busy_until.get(link, 0)
-            start = max(head_time, free_at)
-            self._link_busy_until[link] = start + occupancy
-            head_time = start + self.config.pin_to_pin_ns
-        body_flits = max(0, math.ceil(size_bytes / self.flit_bytes) - 1)
-        arrival = (
-            head_time
-            + self.config.marshal_ns
-            + body_flits * self.flit_cycle_ns
-        )
-        return arrival - self.sim.now
-
     def _delivery_latency(self, src, dst, size_bytes):
         """Latency for one concrete message; counts it on its route,
         which the route's first message creates."""
@@ -137,28 +98,22 @@ class Network:
         route = self._routes.get(key)
         if route is None:
             if src == dst:
-                route = _Route(0, (), 0)
+                route = _Route(0, 0)
             else:
                 route = _Route(
                     self.topology.hops(src, dst),
-                    links_used(src, dst, self.topology.dimension)
-                    if self._model_contention
-                    else (),
                     self.latency_ns(src, dst, size_bytes),
                 )
             self._routes[key] = route
         route.messages += 1
-        if self._model_contention and route.hops:
-            return self._contended_latency_ns(route.links, size_bytes)
         return route.latency
 
     def delivery_ns(self, src, dst, size_bytes=16):
         """Latency of one concrete message in ns; counts it on its route.
 
-        Processes that just wait out the wire should ``yield`` this int
-        directly; use :meth:`transfer` only when the delivery must be an
-        :class:`~repro.sim.events.Event` (e.g. raced in an ``AnyOf``).
-        Each call models one message, so call exactly once per message.
+        Processes that just wait out the wire ``yield`` this int
+        directly. Each call models one message, so call exactly once per
+        message.
         """
         # Known-route fast path; the first message of a route (and all
         # validation) takes _delivery_latency.
@@ -167,13 +122,7 @@ class Network:
         except KeyError:
             return self._delivery_latency(src, dst, size_bytes)
         route.messages += 1
-        if self._model_contention and route.hops:
-            return self._contended_latency_ns(route.links, size_bytes)
         return route.latency
-
-    def transfer(self, src, dst, size_bytes=16):
-        """An event that succeeds when the message arrives at ``dst``."""
-        return self.sim.timeout(self._delivery_latency(src, dst, size_bytes))
 
     def send(self, src, dst, handler, *args, size_bytes=16):
         """Deliver ``handler(*args)`` at ``dst`` after the wire latency."""

@@ -27,21 +27,11 @@ class Hypercube:
             )
         return node
 
-    def neighbors(self, node):
-        """The ``dimension`` nodes adjacent to ``node``."""
-        self.check_node(node)
-        return [node ^ (1 << bit) for bit in range(self.dimension)]
-
     def hops(self, src, dst):
         """Minimal hop count (Hamming distance) between two nodes."""
         self.check_node(src)
         self.check_node(dst)
         return bin(src ^ dst).count("1")
-
-    @property
-    def diameter(self):
-        """Maximum hop count between any two nodes."""
-        return self.dimension
 
     def __repr__(self):
         return "Hypercube(n_nodes={}, dimension={})".format(

@@ -72,10 +72,6 @@ class Node:
         """Timed store, charged to Compute."""
         return self.cpu.mem_op(self.memsys.store(self.node_id, addr, value))
 
-    def rmw(self, addr, update):
-        """Timed atomic read-modify-write, charged to Compute."""
-        return self.cpu.mem_op(self.memsys.rmw(self.node_id, addr, update))
-
     def private_addr(self, offset):
         """An address on a page homed at this node (private data)."""
         config = self.memsys.config

@@ -5,7 +5,8 @@ the thread-independent barrier *interval* time (BIT) with a PC-indexed
 table and subtracts the thread's own compute time. This package holds:
 
 * :mod:`repro.predict.base` — the predictor interface with the
-  per-(thread, entry) disable bits of Section 3.3.3;
+  per-(thread, entry) disable bits of Section 3.3.3 (the paper's
+  cut-off; the confidence estimators it mentions are not modeled);
 * :mod:`repro.predict.last_value` — the paper's last-value predictor,
   plus moving-average and exponentially-weighted variants used by the
   ablation benchmarks;
@@ -16,7 +17,6 @@ table and subtracts the thread's own compute time. This package holds:
 """
 
 from repro.predict.base import Predictor
-from repro.predict.confidence import ConfidencePredictor
 from repro.predict.last_value import (
     ExponentialPredictor,
     LastValuePredictor,
@@ -26,7 +26,6 @@ from repro.predict.thresholds import is_overpredicted, should_update_predictor
 from repro.predict.timing import TimingDomain
 
 __all__ = [
-    "ConfidencePredictor",
     "ExponentialPredictor",
     "LastValuePredictor",
     "MovingAveragePredictor",

@@ -16,10 +16,10 @@ FALLBACK_S`.
 
 Dispatch is **job-based, not campaign-based**: every unsettled cell
 has one job, filed under the cell's content-address (the same key the
-result cache uses), and a :class:`_CellJob` lists the campaigns
-waiting on it. Overlapping campaigns that share a cell share its job
-— the cell computes once and every waiter settles from the single
-result. The cells themselves wait in the batch engine's
+result cache uses): the list of campaigns waiting on it. Overlapping
+campaigns that share a cell share its job — the cell computes once and
+every waiter settles from the single result. The cells themselves wait
+in the batch engine's
 :class:`~repro.experiments.parallel.UnitQueue` under the same key, so
 a worker takes the head-of-queue cell together with every queued cell
 that reads the same Baseline simulation, and a Baseline cell and its
@@ -109,21 +109,6 @@ from repro.telemetry.metrics import MetricsRegistry
 EXIT_OK = 0
 
 
-class _CellJob:
-    """One unsettled cell, queued or running.
-
-    ``waiters`` is the list of ``(campaign, index)`` pairs to settle
-    when the job resolves — one entry per campaign that needs this
-    cell. The cell itself waits in the server's
-    :class:`~repro.experiments.parallel.UnitQueue`.
-    """
-
-    __slots__ = ("waiters",)
-
-    def __init__(self):
-        self.waiters = []
-
-
 class CampaignServer:
     """The long-running campaign service.
 
@@ -174,7 +159,10 @@ class CampaignServer:
         self.pool = WorkerPool(pool_size, task=task, watchdog=watchdog)
         self.units = UnitQueue(self.pool, retries, RetryBackoff())
         self.metrics = MetricsRegistry()
-        self.jobs = {}        # key -> _CellJob (unsettled)
+        #: Unsettled cell key -> the ``(campaign, index)`` pairs to
+        #: settle when it resolves, one per campaign that needs the
+        #: cell. The cell itself waits in :attr:`units`.
+        self.jobs = {}
         self.executed = 0
         self._stopping = False
         self._stop_reason = "shutdown"
@@ -247,14 +235,12 @@ class CampaignServer:
                 )
                 hits.append((cell, index))
                 continue
-            job = self.jobs.get(key)
-            if job is not None:
-                job.waiters.append((campaign, index))
+            waiters = self.jobs.get(key)
+            if waiters is not None:
+                waiters.append((campaign, index))
                 campaign.deduped += 1
                 continue
-            job = _CellJob()
-            job.waiters.append((campaign, index))
-            self.jobs[key] = job
+            self.jobs[key] = [(campaign, index)]
             self.units.push(key, cell)
         return hits
 
@@ -331,12 +317,9 @@ class CampaignServer:
             reason=reason, completed=campaign.completed,
             total=campaign.total,
         )
-        for key in list(self.jobs):
-            job = self.jobs[key]
-            job.waiters = [
-                (c, i) for (c, i) in job.waiters if c is not campaign
-            ]
-            if not job.waiters and self.units.withdraw(key):
+        for key, waiters in list(self.jobs.items()):
+            waiters[:] = [(c, i) for (c, i) in waiters if c is not campaign]
+            if not waiters and self.units.withdraw(key):
                 # Nobody needs it and it is not running: withdrawn.
                 del self.jobs[key]
         self._emit(
@@ -366,7 +349,7 @@ class CampaignServer:
                 _, pid, keys, stale_s = event
                 stalled = {}  # campaign -> its cells on the worker
                 for key in filter(self.jobs.__contains__, keys):
-                    for campaign, index in self.jobs[key].waiters:
+                    for campaign, index in self.jobs[key]:
                         stalled.setdefault(campaign, []).append(
                             cell_id(campaign.cells[index], index)
                         )
@@ -400,7 +383,7 @@ class CampaignServer:
         if self._stopping:
             return
         for key in self.units.dispatch():
-            for campaign, index in self.jobs[key].waiters:
+            for campaign, index in self.jobs[key]:
                 campaign.journal.record_dispatched(
                     cell_id(campaign.cells[index], index), index=index,
                     attempt=self.units.attempts[key], key=key,
@@ -408,9 +391,9 @@ class CampaignServer:
 
     def _resolve(self, key, outcome, final):
         """Journal a failed attempt, or settle every waiter of a job."""
-        job = self.jobs[key]
+        waiters = self.jobs[key]
         if not final:
-            for campaign, index in job.waiters:
+            for campaign, index in waiters:
                 campaign.journal.record_failed(
                     cell_id(campaign.cells[index], index), index=index,
                     kind=outcome.kind, message=outcome.message,
@@ -423,7 +406,7 @@ class CampaignServer:
             # ran: a future campaign gets it as a cache hit.
             self.cache.put(key, outcome)
             self.executed += 1
-        for campaign, index in job.waiters:
+        for campaign, index in waiters:
             self._settle(campaign, index, outcome)
 
     # ------------------------------------------------------------------

@@ -7,7 +7,9 @@ SimPy, specialized for this project:
   clock of the modeled machine equals 1 ns);
 * events fire in (time, insertion-order) order, so runs are reproducible;
 * processes are plain generators that ``yield`` :class:`Event` objects
-  (most commonly :class:`Timeout`), and compose with ``yield from``.
+  (most commonly :class:`Timeout`, or an :class:`AnyOf` race such as a
+  wake-up's timer against its invalidation), and compose with
+  ``yield from``.
 
 Example
 -------
@@ -24,11 +26,10 @@ Example
 """
 
 from repro.sim.core import Handle, Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AnyOf, Event, Timeout
 from repro.sim.process import Process
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "Handle",

@@ -152,33 +152,3 @@ class AnyOf(Event):
             self.fail(event._exception)
         else:
             self.succeed(event)
-
-
-class AllOf(Event):
-    """Succeeds when every child event has triggered.
-
-    The value is the list of child values in construction order. The first
-    child failure fails the composite immediately.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim, events):
-        super().__init__(sim)
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for event in self.events:
-            event.add_callback(self._child_triggered)
-
-    def _child_triggered(self, event):
-        if self._value is not _PENDING or self._exception is not None:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([child.value for child in self.events])

@@ -17,8 +17,8 @@ but skips the Timeout/Handle allocation and the succeed→dispatch→wake
 callback chain: the scheduler queues the :class:`Process` itself, and
 its dispatch loops send into the generator and re-queue an integer
 delay inline (DESIGN.md §8). Use the :class:`~repro.sim.events.Timeout`
-object form only when the timeout must be cancellable or raced in a
-combinator (``AnyOf``/``AllOf``).
+object form only when the timeout must be cancellable or raced in an
+``AnyOf``.
 
 A :class:`Process` is itself an event: it succeeds with the generator's
 return value, so processes can wait on each other (``yield other_process``).

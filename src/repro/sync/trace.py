@@ -39,13 +39,6 @@ class InstanceRecord:
             for thread in self.arrivals
         }
 
-    @property
-    def imbalance_window_ns(self):
-        """Spread between first and last arrival."""
-        if not self.arrivals:
-            return 0
-        return max(self.arrivals.values()) - min(self.arrivals.values())
-
 
 class BarrierTrace:
     """Accumulates instance records across all barriers of a domain."""
@@ -68,10 +61,6 @@ class BarrierTrace:
 
     def close_instance(self, pc):
         self._open.pop(pc, None)
-
-    def by_pc(self, pc):
-        """All instances of one static barrier, in dynamic order."""
-        return [record for record in self.instances if record.pc == pc]
 
     def total_stall_ns(self):
         """Sum of every thread's stall over every released instance."""

@@ -26,7 +26,6 @@ from repro.workloads.base import PhaseInstance, PhaseSpec, WorkloadModel
 from repro.workloads.generator import RunResult, WorkloadRunner
 from repro.workloads.imbalance import (
     Balanced,
-    FixedStraggler,
     RotatingStraggler,
     UniformWindow,
 )
@@ -34,7 +33,6 @@ from repro.workloads.splash2 import SPLASH2_MODELS, get_model
 
 __all__ = [
     "Balanced",
-    "FixedStraggler",
     "PhaseInstance",
     "PhaseSpec",
     "RotatingStraggler",

@@ -15,7 +15,6 @@ from repro.errors import ConfigError, SimulationError, WorkloadError
 from repro.machine import System
 from repro.predict import LastValuePredictor, TimingDomain
 from repro.sync import BarrierTrace, ConventionalBarrier
-from repro.sync.trace import BarrierTrace as _BarrierTrace
 
 # A global: a class read costs ~140 ns on CPython 3.11 (DESIGN.md §8).
 _COMPUTE = Category.COMPUTE
@@ -46,9 +45,6 @@ class RunResult:
 
     def energy_breakdown(self):
         return self.total.energy_breakdown()
-
-    def time_breakdown(self):
-        return self.total.time_breakdown()
 
     def barrier_imbalance(self):
         """The Table 2 metric: total stall over P x execution time."""
@@ -97,7 +93,7 @@ class WorkloadRunner:
         self.domain = TimingDomain(
             self.system, self.n_threads, predictor=self.predictor
         )
-        self.trace = _BarrierTrace()
+        self.trace = BarrierTrace()
         self.barriers = {
             pc: barrier_factory(
                 self.system, self.domain, self.n_threads, pc, self.trace

@@ -10,9 +10,7 @@ duration per thread for one dynamic instance. The shapes:
   instance) carries extra work. This is the regime where barrier stall
   time is thread-dependent and erratic while the interval time stays
   stable — precisely the observation motivating BIT prediction
-  (Section 3.2, Figure 3);
-* :class:`FixedStraggler` — the same thread is always last (static
-  partitioning imbalance).
+  (Section 3.2, Figure 3).
 
 A :class:`Swing` scales *whole instances* (all threads together),
 modeling Ocean-style interval times that "swing significantly across
@@ -86,24 +84,6 @@ class RotatingStraggler(ImbalanceModel):
     def _shape(self, rng, n_threads):
         shape = np.ones(n_threads)
         shape[rng.integers(n_threads)] += self.extra
-        return shape
-
-
-class FixedStraggler(ImbalanceModel):
-    """A designated thread always carries the extra work."""
-
-    def __init__(self, thread, extra, sigma=0.02):
-        super().__init__(sigma)
-        if thread < 0:
-            raise WorkloadError("straggler thread must be non-negative")
-        if extra < 0:
-            raise WorkloadError("straggler extra must be non-negative")
-        self.thread = thread
-        self.extra = extra
-
-    def _shape(self, rng, n_threads):
-        shape = np.ones(n_threads)
-        shape[self.thread % n_threads] += self.extra
         return shape
 
 

@@ -45,7 +45,7 @@ class TestCache:
         cache = tiny_cache(ways=2, sets=1)
         cache.insert(0, LineState.SHARED)
         cache.insert(1, LineState.SHARED)
-        cache.touch(0)  # 1 becomes LRU
+        cache.insert(0, LineState.SHARED)  # a re-insert: 1 becomes LRU
         evicted = cache.insert(2, LineState.SHARED)
         assert evicted == (1, LineState.SHARED)
         assert cache.lookup(0) is not None
@@ -70,10 +70,6 @@ class TestCache:
         assert cache.invalidate(4) is LineState.MODIFIED
         assert cache.invalidate(4) is None
         assert cache.lookup(4) is None
-
-    def test_touch_absent_line_rejected(self):
-        with pytest.raises(ProtocolError):
-            tiny_cache().touch(7)
 
     def test_set_state_absent_line_rejected(self):
         with pytest.raises(ProtocolError):
@@ -230,11 +226,11 @@ class TestContentKey:
             base, l1=dataclasses.replace(base.l1, round_trip_ns=3)
         )
         assert _key_for(slower_l1) != _key_for(base)
-        contended = dataclasses.replace(
+        slower_hops = dataclasses.replace(
             base,
-            network=dataclasses.replace(base.network, model_contention=True),
+            network=dataclasses.replace(base.network, pin_to_pin_ns=17),
         )
-        assert _key_for(contended) != _key_for(base)
+        assert _key_for(slower_hops) != _key_for(base)
 
     def test_bool_flip_changes_key(self):
         base = MachineConfig()

@@ -87,11 +87,6 @@ class TestMachineConfig:
         with pytest.raises(ConfigError):
             MachineConfig(n_nodes=48)
 
-    def test_scaled_copy(self):
-        small = MachineConfig().scaled(8)
-        assert small.n_nodes == 8
-        assert small.l1 == MachineConfig().l1
-
     def test_mismatched_line_sizes_rejected(self):
         bad_l2 = CacheConfig(
             size_bytes=64 * 1024, line_bytes=32, ways=8,
@@ -116,9 +111,6 @@ class TestThriftyConfig:
         assert config.conditional_sleep
         assert len(config.sleep_states) == 3
 
-    def test_deepest_state(self):
-        assert ThriftyConfig().deepest_state is SLEEP3
-
     def test_requires_some_wakeup_mechanism(self):
         with pytest.raises(ConfigError):
             ThriftyConfig(use_internal_wakeup=False, use_external_wakeup=False)
@@ -133,4 +125,4 @@ class TestThriftyConfig:
 
     def test_halt_only_configuration(self):
         config = ThriftyConfig(sleep_states=(SLEEP1_HALT,))
-        assert config.deepest_state is SLEEP1_HALT
+        assert config.sleep_states == (SLEEP1_HALT,)

@@ -137,14 +137,8 @@ class TestDropSharers:
 class TestLockRegistry:
     def test_same_lock_object_per_line(self):
         directory = fresh_directory()
-        assert directory.lock(0x10) is directory.lock(0x10)
-        assert directory.lock(0x10) is not directory.lock(0x20)
-
-    def test_each_entry_owns_its_lock(self):
-        directory = fresh_directory()
-        for line in (0x10, 0x20):
-            assert directory.lock(line) is directory.entry(line).lock
-        assert directory.entry(0x30).lock is directory.lock(0x30)
+        assert directory.entry(0x10).lock is directory.entry(0x10).lock
+        assert directory.entry(0x10).lock is not directory.entry(0x20).lock
 
 
 class TestLineLockRequest:
@@ -166,12 +160,3 @@ class TestLineLockRequest:
         assert second.triggered
         lock.release()
         assert lock.request() is None
-
-    def test_acquire_hands_out_a_fired_event_when_free(self):
-        lock = LineLock(Simulator())
-        granted = lock.acquire()
-        assert granted.triggered
-        waiting = lock.acquire()
-        assert not waiting.triggered
-        lock.release()
-        assert waiting.triggered

@@ -12,7 +12,6 @@ from repro.energy import (
     ramp_energy,
     select_sleep_state,
 )
-from repro.energy.states import sleep_interval_energy
 from repro.errors import ConfigError, SimulationError
 
 
@@ -155,15 +154,6 @@ class TestEnergyHelpers:
     def test_ramp_energy_negative_duration_rejected(self):
         with pytest.raises(ConfigError):
             ramp_energy(1.0, 1.0, -5)
-
-    def test_sleep_interval_energy(self):
-        # Sleep3 at TDP 100 W draws 2.2 W; 1 ms residency -> 2.2 mJ.
-        joules = sleep_interval_energy(SLEEP3, 100.0, 1_000_000)
-        assert joules == pytest.approx(2.2e-3)
-
-    def test_sleep_interval_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            sleep_interval_energy(SLEEP3, 100.0, -1)
 
 
 class TestEnergyAccount:

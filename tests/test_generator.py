@@ -106,4 +106,4 @@ class TestWorkloadRunner:
         assert set(result.energy_breakdown()) == {
             "compute", "spin", "transition", "sleep",
         }
-        assert result.time_breakdown()["compute"] > 0
+        assert result.total.time_breakdown()["compute"] > 0

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config import MachineConfig
 from repro.errors import ConfigError
-from repro.interconnect import Hypercube, Network, ecube_path
-from repro.interconnect.routing import links_used
+from repro.interconnect import Hypercube, Network
 from repro.sim import Simulator
 
 
@@ -18,7 +17,6 @@ class TestHypercube:
     def test_single_node_cube(self):
         cube = Hypercube(1)
         assert cube.dimension == 0
-        assert cube.neighbors(0) == []
         assert cube.hops(0, 0) == 0
 
     def test_non_power_of_two_rejected(self):
@@ -26,11 +24,6 @@ class TestHypercube:
             Hypercube(12)
         with pytest.raises(ConfigError):
             Hypercube(0)
-
-    def test_neighbors_differ_in_one_bit(self):
-        cube = Hypercube(16)
-        for neighbor in cube.neighbors(5):
-            assert bin(5 ^ neighbor).count("1") == 1
 
     def test_hops_is_hamming_distance(self):
         cube = Hypercube(64)
@@ -43,10 +36,7 @@ class TestHypercube:
         with pytest.raises(ConfigError):
             cube.hops(0, 8)
         with pytest.raises(ConfigError):
-            cube.neighbors(-1)
-
-    def test_diameter(self):
-        assert Hypercube(64).diameter == 6
+            cube.hops(-1, 0)
 
     @given(st.integers(0, 63), st.integers(0, 63))
     def test_hops_symmetric(self, a, b):
@@ -57,40 +47,6 @@ class TestHypercube:
     def test_hops_triangle_inequality(self, a, b, c):
         cube = Hypercube(64)
         assert cube.hops(a, c) <= cube.hops(a, b) + cube.hops(b, c)
-
-
-class TestEcubeRouting:
-    def test_path_endpoints(self):
-        path = ecube_path(3, 60, 6)
-        assert path[0] == 3
-        assert path[-1] == 60
-
-    def test_path_length_is_hamming_distance_plus_one(self):
-        assert len(ecube_path(0, 0b111, 3)) == 4
-
-    def test_each_hop_flips_one_bit_in_increasing_order(self):
-        path = ecube_path(0b0000, 0b1011, 4)
-        flipped = [
-            (a ^ b).bit_length() - 1 for a, b in zip(path[:-1], path[1:])
-        ]
-        assert flipped == sorted(flipped)
-        assert all(
-            bin(a ^ b).count("1") == 1 for a, b in zip(path[:-1], path[1:])
-        )
-
-    def test_self_path(self):
-        assert ecube_path(9, 9, 6) == [9]
-
-    def test_links_used(self):
-        assert links_used(0, 0b11, 2) == [(0, 1), (1, 3)]
-
-    @given(st.integers(0, 63), st.integers(0, 63))
-    def test_path_is_valid_walk(self, src, dst):
-        cube = Hypercube(64)
-        path = ecube_path(src, dst, 6)
-        assert len(path) == cube.hops(src, dst) + 1
-        for a, b in zip(path[:-1], path[1:]):
-            assert b in cube.neighbors(a)
 
 
 class TestNetwork:
@@ -119,13 +75,6 @@ class TestNetwork:
         far = net.latency_ns(0, 63)
         assert far - near == 5 * 16
 
-    def test_transfer_event_fires_at_latency(self):
-        sim, net = self._network()
-        event = net.transfer(0, 3, size_bytes=16)
-        sim.run()
-        assert event.triggered
-        assert sim.now == net.latency_ns(0, 3)
-
     def test_send_invokes_handler_remotely(self):
         sim, net = self._network()
         received = []
@@ -134,14 +83,12 @@ class TestNetwork:
         assert received == [net.latency_ns(0, 7)]
 
     def test_stats_count_messages_and_hops(self):
-        sim, net = self._network()
-        net.transfer(0, 1)
-        net.transfer(0, 3)
-        net.transfer(4, 4)  # local, not counted
-        sim.run()
+        _, net = self._network()
+        assert net.delivery_ns(0, 1) == net.latency_ns(0, 1)
+        assert net.delivery_ns(0, 3) == net.latency_ns(0, 3)
+        assert net.delivery_ns(4, 4) == 0  # local, not counted
         assert net.stats.messages == 2
         assert net.stats.total_hops == 3
-        assert net.stats.mean_hops == pytest.approx(1.5)
 
     def test_invalid_size_rejected(self):
         _, net = self._network()
@@ -180,7 +127,7 @@ class TestStatsDerivedFromRoutes:
                 )
             return wrapper
 
-        for name in ("delivery_ns", "send", "transfer"):
+        for name in ("delivery_ns", "send"):
             monkeypatch.setattr(Network, name, recording(name))
         system = System(MachineConfig(n_nodes=16))
         WorkloadRunner(
@@ -188,11 +135,9 @@ class TestStatsDerivedFromRoutes:
             barrier_factory=barrier_factory_for("thrifty"),
         ).run()
         network = system.memsys.network
-        # send and transfer count too, node-local messages do not.
+        # send counts too, node-local messages do not.
         network.send(0, 5, lambda: None, size_bytes=72)
         network.send(3, 3, lambda: None)
-        network.transfer(6, 9)
-        network.transfer(2, 2, size_bytes=8)
         assert len(calls) > 1000
 
         topology = network.topology
@@ -205,7 +150,6 @@ class TestStatsDerivedFromRoutes:
         stats = network.stats
         assert stats.messages == messages
         assert stats.total_hops == total_hops
-        assert stats.mean_hops == total_hops / messages
 
     def test_local_messages_take_the_cached_route_uncounted(self):
         config = MachineConfig(n_nodes=8)
@@ -214,6 +158,5 @@ class TestStatsDerivedFromRoutes:
         for _ in range(3):
             assert net.delivery_ns(4, 4) == 0
         assert net.stats.messages == 0
-        assert net.stats.mean_hops == 0.0
         with pytest.raises(ConfigError):
             net.delivery_ns(4, 4, 0)

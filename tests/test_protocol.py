@@ -4,7 +4,7 @@ import pytest
 
 from repro.coherence import CacheController, DirState, LineState, MemorySystem
 from repro.coherence.directory import LineLock
-from repro.coherence.messages import CONTROL_BYTES, DATA_BYTES
+from repro.coherence.protocol import CONTROL_BYTES, DATA_BYTES
 from repro.config import MachineConfig
 from repro.errors import ProtocolError
 from repro.sim import Simulator
@@ -245,7 +245,7 @@ class TestLineLockGrants:
     def test_held_lock_queues_the_transaction(self):
         sim, memsys = build_memsys()
         line = memsys.line_of(0x2000)
-        lock = memsys.directories[memsys.home_of(0x2000)].lock(line)
+        lock = memsys.directories[memsys.home_of(0x2000)].entry(line).lock
         assert lock.request() is None  # held by someone else
         sim.schedule(5_000, lock.release)
         yielded = []
@@ -465,7 +465,9 @@ class TestLineLock:
         order = []
 
         def holder(tag, hold_ns):
-            yield lock.acquire()
+            granted = lock.request()
+            if granted is not None:
+                yield granted
             order.append(("acquire", tag, sim.now))
             yield sim.timeout(hold_ns)
             lock.release()

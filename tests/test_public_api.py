@@ -7,6 +7,7 @@ import pytest
 import repro
 
 SUBPACKAGES = (
+    "repro",
     "repro.sim",
     "repro.energy",
     "repro.interconnect",
@@ -20,6 +21,8 @@ SUBPACKAGES = (
     "repro.experiments",
     "repro.telemetry",
     "repro.faults",
+    "repro.check",
+    "repro.serve",
 )
 
 

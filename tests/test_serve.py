@@ -522,8 +522,8 @@ class TestDispatcher:
         assert second.run_id != first.run_id
         assert second.deduped == 2
         assert len(server.jobs) == 2  # no new work
-        for job in server.jobs.values():
-            assert len(job.waiters) == 2
+        for waiters in server.jobs.values():
+            assert len(waiters) == 2
 
     def test_cache_hits_settle_at_submission(self, tmp_path):
         server = _server(tmp_path)
@@ -557,8 +557,8 @@ class TestDispatcher:
         second = server.submit(_SMALL)
         server.cancel(second.run_id)
         assert len(server.jobs) == 2
-        for job in server.jobs.values():
-            assert [c.run_id for c, _ in job.waiters] == [first.run_id]
+        for waiters in server.jobs.values():
+            assert [c.run_id for c, _ in waiters] == [first.run_id]
 
     def test_cancel_is_idempotent_and_unknown_is_404(self, tmp_path):
         server = _server(tmp_path)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AnyOf, Simulator
 
 
 def test_event_lifecycle():
@@ -111,28 +111,6 @@ def test_anyof_child_failure_fails_race():
     race = AnyOf(sim, [bad, sim.timeout(100)])
     bad.fail(RuntimeError("nope"))
     assert race.triggered and not race.ok
-
-
-def test_allof_collects_values_in_order():
-    sim = Simulator()
-    first = sim.timeout(9, value="a")
-    second = sim.timeout(3, value="b")
-    both = AllOf(sim, [first, second])
-    sim.run()
-    assert both.value == ["a", "b"]
-
-
-def test_allof_empty_succeeds_immediately():
-    sim = Simulator()
-    assert AllOf(sim, []).value == []
-
-
-def test_allof_failure_short_circuits():
-    sim = Simulator()
-    bad = sim.event()
-    both = AllOf(sim, [sim.timeout(5), bad])
-    bad.fail(KeyError("k"))
-    assert both.triggered and not both.ok
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5])

@@ -50,12 +50,6 @@ class TestInstanceRecord:
         record.release_ts = 400
         assert record.stall_ns(0) == 0
 
-    def test_imbalance_window(self):
-        record = InstanceRecord(pc="b1", sequence=0)
-        assert record.imbalance_window_ns == 0
-        record.arrivals = {0: 100, 1: 250, 2: 180}
-        assert record.imbalance_window_ns == 150
-
     def test_sleeps_hold_sleep_records(self):
         record = InstanceRecord(pc="b1", sequence=0)
         record.sleeps[3] = SleepRecord("Sleep3", 900, 12, "invalidation")
@@ -79,14 +73,6 @@ class TestBarrierTrace:
         trace.close_instance("b1")
         third = trace.open_instance("b1")
         assert (first.sequence, second.sequence, third.sequence) == (0, 1, 2)
-
-    def test_by_pc_in_dynamic_order(self):
-        trace = BarrierTrace()
-        a = trace.open_instance("b1")
-        trace.open_instance("b2")
-        trace.close_instance("b1")
-        b = trace.open_instance("b1")
-        assert trace.by_pc("b1") == [a, b]
 
     def test_total_stall_skips_unreleased(self):
         trace = BarrierTrace()

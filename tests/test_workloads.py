@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.errors import WorkloadError
 from repro.workloads import (
     Balanced,
-    FixedStraggler,
     PhaseSpec,
     RotatingStraggler,
     UniformWindow,
@@ -50,12 +49,6 @@ class TestImbalanceModels:
         }
         assert len(positions) > 5
 
-    def test_fixed_straggler_is_fixed(self):
-        rng = np.random.default_rng(0)
-        model = FixedStraggler(3, 0.5, sigma=0)
-        for _ in range(10):
-            assert model.sample(rng, 8, 1_000).argmax() == 3
-
     def test_swing_samples_two_levels(self):
         rng = np.random.default_rng(0)
         swing = Swing(low=0.5, high=4.0, p_high=0.5)
@@ -73,8 +66,6 @@ class TestImbalanceModels:
             Swing(low=0)
         with pytest.raises(WorkloadError):
             Swing(p_high=2)
-        with pytest.raises(WorkloadError):
-            FixedStraggler(-1, 0.5)
 
     def test_zero_mean_rejected(self):
         rng = np.random.default_rng(0)
